@@ -24,6 +24,7 @@ from .energy import (
     _frob2_sym,
 )
 from .geometry import ConvexPolygon, Disc, Ellipse, HalfDisc, Rectangle, rot90
+from .grids import MaskedGrid
 from .herringbone import TargetDefect, herringbone, optimal_params
 from .rulings import UDecomposition
 from .shell import ShellProfile
@@ -67,17 +68,17 @@ def _ref_phi_plus_rectangle(a, b, pts):
     beta = -(a - b)
     left = (x1 < -m) & (np.abs(x2) <= x1 + a + 1e-14)
     right = (x1 > m) & (np.abs(x2) <= a - x1 + 1e-14)
-    out[left] = alpha - beta * x1[left]
-    out[right] = alpha + beta * x1[right]
-    # corner triangles: affine along (1, +-1) between a vertical and a
-    # horizontal side; interpolate the boundary values directly
+    out[left] = alpha + beta * x1[left]
+    out[right] = alpha - beta * x1[right]
+    # corner triangles: chords parallel to the hypotenuse from (a-b, b) to
+    # (a, 0); interpolate the boundary values at the chord's two ends
     rest = ~(band | left | right)
     xr = np.abs(x1[rest])
     yr = np.abs(x2[rest])
     u = a - xr  # distance to the vertical side
     v = b - yr  # distance to the horizontal side
-    pa = 0.5 * (a * a + (yr + u) ** 2)  # value where the diagonal hits x = +-a
-    pb = 0.5 * ((xr + v) ** 2 + b * b)  # value where it hits y = +-b
+    pa = 0.5 * (a * a + (yr - u) ** 2)  # value where the chord hits x = +-a
+    pb = 0.5 * ((xr - v) ** 2 + b * b)  # value where it hits y = +-b
     out[rest] = (v * pa + u * pb) / (u + v)
     return out
 
@@ -492,16 +493,14 @@ def criterion_8():
     chi = _plateau_cutoff(1.0, 0.75)
     b, k = 1e-4, 1.0
     rng = np.random.default_rng(3)
+    # tolerance scale: b |hess w|^2 + k |w|^2 by the same quadrature
+    grid = MaskedGrid(R, 128)
+    pts = grid.masked_points()
+    wts = grid.weights[grid.mask]
     worst = np.inf
     for _ in range(100):
         w_field = _band_limited_field(rng)
         margin = interpolation_check(w_field, chi, b, k, R, resolution=128)
-        # tolerance scale: b |hess w|^2 + k |w|^2 by the same quadrature
-        from .grids import MaskedGrid
-
-        grid = MaskedGrid(R, 128)
-        pts = grid.masked_points()
-        wts = grid.weights[grid.mask]
         scale = b * np.sum(wts * _frob2_sym(w_field.hess(pts))) + k * np.sum(
             wts * w_field.value(pts) ** 2
         )

@@ -9,9 +9,9 @@ The dual problem maximizes int (phi - |x|^2/2) K over convex extensions of
                    affine on unconstrained patches
 
 Both are evaluated in closed form per catalog shape.  A generic verifier
-minimizes convex combinations of |y|^2/2 over boundary samples (a small LP
-whose optimum is attained on a pair or triple) and reproduces the closed
-forms for any shape.
+minimizes convex combinations of |y|^2/2 over boundary samples: the lower
+convex hull of the lifted samples, read off their Delaunay triangulation.
+It reproduces the closed forms for any shape.
 """
 
 from __future__ import annotations
@@ -390,38 +390,42 @@ def check_admissible(airy: AiryField, domain: Domain, tol=1e-8,
 
 
 def convex_roof(domain: Domain, x, n_boundary=512):
-    """Generic largest-extension verifier: minimize the convex combination
-    of |y|^2/2 over boundary samples whose hull contains x.
+    """Generic largest-extension verifier: the minimum over convex
+    combinations of boundary samples y_i equal to x of sum w_i |y_i|^2/2.
 
-    Solved exactly as a linear program over weights on the boundary samples;
-    the optimal basic solution uses at most three points, so this equals the
-    stated minimization over boundary pairs and triples.
+    That minimum is the lower convex hull of the lifted samples
+    (y_i, |y_i|^2/2), whose projection is the samples' Delaunay
+    triangulation; the value at x is the barycentric interpolation of
+    |y|^2/2 on the triangle containing x.  Cocircular samples (the disc)
+    lift to coplanar points, where every triangulation gives the same value.
+    A point outside the domain, or outside the polygon of the samples,
+    raises DomainError.
     """
-    from scipy.optimize import linprog
+    from scipy.spatial import Delaunay
 
     if n_boundary < 16:
         raise ResolutionError("generic verifier needs at least 16 boundary samples")
     samples = domain.boundary_sample(n_boundary)
     Y = np.array([bp.position for bp in samples])
-    cost = 0.5 * np.sum(Y * Y, axis=1)
-    A_eq = np.vstack([Y.T, np.ones(len(Y))])
+    lift = 0.5 * np.sum(Y * Y, axis=1)
     pts, single = _pts(x)
-    out = np.empty(len(pts))
-    for i, p in enumerate(pts):
-        if not domain.contains(p, tol=1e-12):
-            raise DomainError("point outside domain")
-        res = linprog(cost, A_eq=A_eq, b_eq=[p[0], p[1], 1.0],
-                      bounds=(0, None), method="highs")
-        if not res.success:
-            raise DomainError("convex-roof LP infeasible (point outside hull?)")
-        out[i] = res.fun
+    if not np.all(domain.contains(pts, tol=1e-12)):
+        raise DomainError("point outside domain")
+    tri = Delaunay(Y)
+    simplex = tri.find_simplex(pts)
+    if np.any(simplex < 0):
+        raise DomainError("point outside the polygon of the boundary samples")
+    affine = tri.transform[simplex]  # (n, 3, 2): inverse map and origin
+    bary = np.einsum("nij,nj->ni", affine[:, :2], pts - affine[:, 2])
+    bary = np.column_stack([bary, 1.0 - bary.sum(axis=1)])
+    out = np.sum(bary * lift[tri.simplices[simplex]], axis=1)
     return float(out[0]) if single else out
 
 
 def convex_roof_bruteforce(domain: Domain, x, n_boundary=24):
     """O(n^3) enumeration over boundary pairs and triples containing x.
 
-    Exists as the independent oracle for the LP verifier; keep n small.
+    Exists as the independent oracle for the Delaunay verifier; keep n small.
     """
     samples = domain.boundary_sample(n_boundary)
     Y = np.array([bp.position for bp in samples])

@@ -344,6 +344,8 @@ def tensor_bump(center, radius):
 
     g and g' vanish to second order at |t| = 1, so the Hessian is continuous
     across the support edge and midpoint quadrature stays second order.
+    ``psi.support`` is (center, radius): psi and its derivatives vanish
+    outside the open square |x - center|_inf < radius.
     """
     c = np.asarray(center, dtype=float)
     r = float(radius)
@@ -376,12 +378,17 @@ def tensor_bump(center, radius):
         h12 = gp(u) * gp(v) / r**2
         return h11, h12, h22
 
+    psi.support = (c, r)
     return psi, hess
 
 
 def interior_bumps(domain: Domain, test_count: int):
     """A test_count x test_count lattice of C^2 bumps, radius two lattice
     steps, all supported strictly inside the domain.
+
+    Returns a list of ``(psi, hess)`` pairs from `tensor_bump`: ``psi(x)``
+    is the bump's value and ``hess(x)`` its (psi_11, psi_12, psi_22), both
+    on an (n, 2) point array; ``psi.support`` is (center, radius).
 
     The lattice extent is the largest centered scaling of the bounding box
     for which every bump support stays interior (bisection on the scale).
@@ -421,27 +428,36 @@ def interior_bumps(domain: Domain, test_count: int):
     return [tensor_bump(c, r) for c in centers]
 
 
+def _open_window(axis, c, r):
+    """Slice of the sorted ``axis`` values strictly inside (c - r, c + r)."""
+    return slice(np.searchsorted(axis, c - r, "right"), np.searchsorted(axis, c + r, "left"))
+
+
 def curlcurl_residual(defect: DefectField, shell: ShellProfile, test_count=8):
     """Max over interior bumps of |weak-form constraint residual|.
 
     For each bump psi the constraint reads
         int <-(1/2) rot-Hessian(psi), mu> = int psi K,
-    with the rotated Hessian evaluated in closed form.
+    with the rotated Hessian evaluated in closed form.  Each bump is
+    evaluated only on its support window, the cells whose centers lie in its
+    open support square (found by bisection on the grid axes); every term
+    dropped outside it is exactly zero.
     """
     if test_count < 2:
         raise ParameterError("test_count must be at least 2")
     grid = defect.grid
-    pts = grid.points()
-    w = grid.weights.ravel()
-    k_vals = shell.k(pts)
-    mu11 = defect.mu[..., 0].ravel()
-    mu12 = defect.mu[..., 1].ravel()
-    mu22 = defect.mu[..., 2].ravel()
+    xs, ys = grid.X[:, 0], grid.Y[0, :]
+    k_vals = shell.k(grid.points()).reshape(grid.X.shape)
     worst = 0.0
     for psi, hess in interior_bumps(defect.domain, test_count):
+        (c1, c2), r = psi.support
+        win = (_open_window(xs, c1, r), _open_window(ys, c2, r))
+        pts = np.stack([grid.X[win].ravel(), grid.Y[win].ravel()], axis=1)
+        w = grid.weights[win].ravel()
+        mu = defect.mu[win].reshape(-1, 3)
         h11, h12, h22 = hess(pts)
         # <rot-Hessian psi, mu> = psi_22 mu_11 - 2 psi_12 mu_12 + psi_11 mu_22
-        lhs = np.sum(w * (-0.5) * (h22 * mu11 - 2 * h12 * mu12 + h11 * mu22))
-        rhs = np.sum(w * psi(pts) * k_vals)
+        lhs = np.sum(w * (-0.5) * (h22 * mu[:, 0] - 2 * h12 * mu[:, 1] + h11 * mu[:, 2]))
+        rhs = np.sum(w * psi(pts) * k_vals[win].ravel())
         worst = max(worst, abs(lhs - rhs))
     return worst

@@ -882,18 +882,24 @@ def make_domain(spec):
     if not isinstance(spec, dict) or "shape" not in spec:
         raise ParameterError("domain spec must be a mapping with a 'shape' key")
     kind = spec["shape"]
+
+    def need(key):
+        if key not in spec:
+            raise ParameterError(f"{kind} needs {key!r}")
+        return spec[key]
+
     if kind == "disc":
-        return Disc(radius=float(spec["radius"]), center=tuple(spec.get("center", (0.0, 0.0))))
+        return Disc(radius=float(need("radius")), center=tuple(spec.get("center", (0.0, 0.0))))
     if kind == "ellipse":
-        return Ellipse(a=float(spec["a"]), b=float(spec["b"]))
+        return Ellipse(a=float(need("a")), b=float(need("b")))
     if kind == "rectangle":
-        return Rectangle(a=float(spec["a"]), b=float(spec["b"]))
+        return Rectangle(a=float(need("a")), b=float(need("b")))
     if kind == "half_disc":
         return HalfDisc(
-            radius=float(spec["radius"]),
+            radius=float(need("radius")),
             center=tuple(spec.get("center", (0.0, 0.0))),
             orientation=float(spec.get("orientation", np.pi / 2)),
         )
     if kind == "convex_polygon":
-        return ConvexPolygon(spec["vertices"])
+        return ConvexPolygon(need("vertices"))
     raise UnsupportedShapeError(f"unknown shape {kind!r}")

@@ -206,9 +206,9 @@ class TestConvexRoof:
             (rect, [(0.5, 0.3), (-1.4, 0.1)]),
         ):
             for p in pts:
-                lp = airy.convex_roof(dom, p, 24)
+                roof = airy.convex_roof(dom, p, 24)
                 brute = airy.convex_roof_bruteforce(dom, p, 24)
-                assert lp == pytest.approx(brute, abs=1e-9)
+                assert roof == pytest.approx(brute, abs=1e-9)
 
     def test_reproduces_catalog_closed_forms(self, ellipse, disc, rect, triangle):
         rng = np.random.default_rng(8)
@@ -221,3 +221,28 @@ class TestConvexRoof:
     def test_needs_16_samples(self, disc):
         with pytest.raises(ResolutionError):
             airy.convex_roof(disc, (0.0, 0.0), 8)
+
+    def test_cocircular_disc_samples(self, disc):
+        # every sample lies on the circle, so the lifted points are coplanar
+        # and the triangulation is degenerate; any triangle gives R^2/2
+        pts = interior_points(disc, 200, seed=4)
+        roof = airy.convex_roof(disc, pts, 512)
+        assert np.max(np.abs(roof - 0.5)) < 1e-12
+
+    def test_outside_sample_polygon_raises(self, disc):
+        # inside the disc, but beyond the chord between two adjacent samples
+        y0, y1 = (bp.position for bp in disc.boundary_sample(16)[:2])
+        mid = 0.5 * (y0 + y1)
+        p = 0.999 * mid / np.hypot(*mid)
+        assert disc.contains(p)
+        with pytest.raises(DomainError):
+            airy.convex_roof(disc, p, 16)
+
+    def test_outside_domain_raises(self, ellipse):
+        with pytest.raises(DomainError):
+            airy.convex_roof(ellipse, [(0.0, 0.0), (2.5, 0.0)], 64)
+
+    def test_single_point_returns_float(self, ellipse):
+        val = airy.convex_roof(ellipse, (0.3, 0.2), 64)
+        assert isinstance(val, float)
+        assert val == airy.convex_roof(ellipse, [(0.3, 0.2)], 64)[0]

@@ -245,6 +245,22 @@ class TestCurlCurlResidual:
         assert bad > 20 * base
         assert bad > 0.05
 
+    @pytest.mark.parametrize("shape", ["ellipse", "disc"])
+    def test_support_windows_match_full_grid(self, shape, request):
+        dom = request.getfixturevalue(shape)
+        df = chars.defect_field(dom, POS, 128)
+        pts = df.grid.points()
+        w = df.grid.weights.ravel()
+        k = POS.k(pts)
+        mu = df.mu.reshape(-1, 3)
+        ref = 0.0
+        for psi, hess in chars.interior_bumps(dom, 8):
+            h11, h12, h22 = hess(pts)
+            lhs = np.sum(w * (-0.5) * (h22 * mu[:, 0] - 2 * h12 * mu[:, 1] + h11 * mu[:, 2]))
+            ref = max(ref, abs(lhs - np.sum(w * psi(pts) * k)))
+        assert ref > 0
+        assert chars.curlcurl_residual(df, POS, 8) == pytest.approx(ref, rel=1e-12)
+
     def test_refinement_order(self, disc):
         r1 = chars.curlcurl_residual(chars.defect_field(disc, NEG, 128), NEG, 6)
         r2 = chars.curlcurl_residual(chars.defect_field(disc, NEG, 256), NEG, 6)

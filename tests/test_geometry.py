@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import interior_points
+from shellwrinkle import cli
 from shellwrinkle.errors import AmbiguityError, DomainError, ParameterError
 from shellwrinkle.geometry import (
     ConvexPolygon,
@@ -241,6 +242,24 @@ class TestValidationAndConfig:
     def test_make_domain_rejects_unknown(self):
         with pytest.raises(Exception):
             make_domain({"shape": "annulus", "r0": 1, "r1": 2})
+
+    @pytest.mark.parametrize(
+        "spec, missing",
+        [
+            ({"shape": "disc"}, "radius"),
+            ({"shape": "ellipse", "a": 2.0}, "b"),
+            ({"shape": "rectangle", "b": 1.0}, "a"),
+            ({"shape": "half_disc", "center": (0.0, 0.0)}, "radius"),
+            ({"shape": "convex_polygon"}, "vertices"),
+        ],
+    )
+    def test_make_domain_names_missing_key(self, spec, missing):
+        with pytest.raises(ParameterError, match=f"{spec['shape']} needs '{missing}'"):
+            make_domain(spec)
+
+    def test_cli_reports_missing_key(self, capsys):
+        assert cli.main(["defect", "--shape", "disc"]) == cli.EXIT_USAGE
+        assert "disc needs 'radius'" in capsys.readouterr().err
 
 
 @settings(max_examples=40, deadline=None)
