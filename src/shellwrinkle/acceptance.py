@@ -20,7 +20,6 @@ from .energy import (
     interpolation_check,
     scaling_study,
     strain,
-    _eroded,
     _frob2_sym,
 )
 from .geometry import ConvexPolygon, Disc, Ellipse, HalfDisc, Rectangle, rot90
@@ -563,28 +562,33 @@ def criterion_9():
         # medial multiplicity: >= 2 separated nearest feet on the open axis
         axis = dom.medial_axis()
         bnd = np.array([bp.position for bp in dom.boundary_sample(8192)])
+        # a true foot lies within gap/2 of a sample, which then sits at most
+        # gap^2/(8 d) farther than d (the boundary bends towards p)
+        gap = np.max(np.hypot(*(np.roll(bnd, -1, axis=0) - bnd).T))
+
+        def foot_hits(p, d):
+            return bnd[np.hypot(*(bnd - p).T) <= d + gap**2 / (8 * d) + 1e-9 * (1 + d)]
+
         mult_ok = True
         axis_samples = []
-        for line in axis.polylines(arc_samples=65):
-            if len(line) < 2:
-                axis_samples.extend(np.asarray(line))
-                continue
-            # sample strictly inside each component (multiplicity can drop
-            # to one exactly at the closure's endpoints, e.g. curvature
-            # centers at an ellipse vertex)
-            base = np.asarray(line)
-            seg = np.concatenate(
-                [base[:-1] * (1 - t) + base[1:] * t for t in (0.25, 0.75)]
-            )
-            axis_samples.extend(seg)
+        # sample strictly inside each component (multiplicity can drop to
+        # one exactly at the closure's endpoints, e.g. curvature centers at
+        # an ellipse vertex): segment chords at 1/4 and 3/4, parabolic arcs
+        # at their interior vertices, which lie on the arc itself
+        for seg in axis.segments:
+            base = np.asarray(seg, dtype=float)
+            axis_samples.extend(base[0] * (1 - t) + base[1] * t for t in (0.25, 0.75))
+        for arc in axis.arcs:
+            axis_samples.extend(arc.points(65)[1:-1])
+        if not axis.segments and not axis.arcs:
+            axis_samples.extend(np.asarray(v, dtype=float) for v, _ in axis.vertices)
         for p in axis_samples:
             if not dom.contains(p, tol=-1e-9 * dom.diameter()):
                 continue
             d = float(np.atleast_1d(dom.boundary_distance(np.asarray(p)[None]))[0])
             if d < 1e-3 * dom.diameter():
                 continue
-            near = np.hypot(*(bnd - np.asarray(p)).T) <= d + 1e-6 * (1 + d)
-            hits = bnd[near]
+            hits = foot_hits(np.asarray(p), d)
             if len(hits) >= 2:
                 spread = np.max(np.hypot(*(hits - hits.mean(axis=0)).T))
                 if spread < 1e-3 * dom.diameter():
@@ -606,8 +610,7 @@ def criterion_9():
         uniq_ok = True
         d_off = np.atleast_1d(dom.boundary_distance(off))
         for p, d in zip(off[:400], d_off[:400]):
-            near = np.hypot(*(bnd - p).T) <= d + 1e-6 * (1 + d)
-            hits = bnd[near]
+            hits = foot_hits(p, d)
             if len(hits) >= 2:
                 spread = np.max(np.hypot(*(hits - hits.mean(axis=0)).T))
                 if spread > 5e-2 * dom.diameter():

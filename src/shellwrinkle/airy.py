@@ -21,10 +21,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, ResolutionError, UnsupportedShapeError
-from .geometry import ConvexPolygon, Disc, Domain, Ellipse, HalfDisc, Rectangle, rot90
+from .errors import AmbiguityError, DomainError, ResolutionError
+from .geometry import Domain, rot90
 from .grids import MaskedGrid
-from .rulings import UDecomposition, charts_for
+from .rulings import UDecomposition, charts_for, locate
 from .shell import ShellProfile
 
 
@@ -47,16 +47,21 @@ class AiryField:
 
     sign: +1 for the largest extension, -1 for the smallest.
     charts: ruling charts (shared with the stable-line machinery).
-    Q, t: canonical placement map x = Q xi + t used by the closed forms.
     """
 
     sign: int
     domain: Domain
     charts: list
-    Q: np.ndarray
-    t: np.ndarray
     sigma: Optional[dict] = None
     decomposition: UDecomposition = field(default_factory=UDecomposition)
+
+    def _by_chart(self, pts):
+        """(chart, indices into pts) for each chart that holds some point."""
+        which = locate(self.charts, pts)
+        for i, chart in enumerate(self.charts):
+            idx = np.flatnonzero(which == i)
+            if len(idx):
+                yield chart, idx
 
     # -- potential values ------------------------------------------------
     def phi(self, x):
@@ -71,75 +76,22 @@ class AiryField:
         inside = np.atleast_1d(self.domain.contains(pts, tol=1e-12))
         if not np.all(inside):
             raise DomainError("point outside domain")
-        if isinstance(self.domain, Disc):
-            c = np.asarray(self.domain.center, dtype=float)
-            xi = pts - c
-            return 0.5 * self.domain.radius**2 + xi @ c + 0.5 * c @ c
         vals = np.full(len(pts), np.nan)
-        done = np.zeros(len(pts), dtype=bool)
-        for chart in self.charts:
-            todo = ~done
-            if not np.any(todo):
-                break
-            hit = np.zeros(len(pts), dtype=bool)
-            hit[todo] = chart.contains(pts[todo])
-            idx = np.where(hit & todo)[0]
-            if len(idx) == 0:
-                continue
+        for chart, idx in self._by_chart(pts):
             if chart.label == "O":
                 vals[idx] = self._interp_along_rulings(chart, pts[idx])
             else:
-                vals[idx] = self._affine_patch(chart, pts[idx])
-            done[idx] = True
-        if not np.all(done):
-            # points on chart seams: snap to the nearest chart by brute force
-            rest = np.where(~done)[0]
-            for i in rest:
-                best = None
-                for chart in self.charts:
-                    s, u, L = chart.coords(pts[i][None, :])
-                    miss = max(-u[0], u[0] - L[0], 0.0)
-                    if best is None or miss < best[0]:
-                        best = (miss, chart)
-                chart = best[1]
-                if chart.label == "O":
-                    vals[i] = self._interp_along_rulings(chart, pts[i][None, :])[0]
-                else:
-                    vals[i] = self._affine_patch(chart, pts[i][None, :])[0]
+                c, g = chart.clip.affine_roof()
+                vals[idx] = c + pts[idx] @ g
         return vals
 
-    def _interp_along_rulings(self, chart, pts):
+    @staticmethod
+    def _interp_along_rulings(chart, pts):
         """phi at pts = convex interpolation of |y|^2/2 along the ruling."""
         s, u, L = chart.coords(pts)
-        # endpoints of the ruling through each point
-        d = getattr(chart, "d", None)
-        if d is not None:  # chord chart: endpoints from the span
-            rel_lo, rel_hi = chart.clip.line_spans(pts, chart.d)
-            y1 = pts + rel_lo[:, None] * chart.d[None, :]
-            y2 = pts + rel_hi[:, None] * chart.d[None, :]
-        else:  # fan chart
-            r, th = chart._local(pts)
-            e_r = np.stack([np.cos(th), np.sin(th)], axis=1) @ chart.frame.T
-            y1 = chart.center + chart.r_inner(th)[..., None] * e_r
-            y2 = chart.center + chart.r_outer(th)[..., None] * e_r
+        y1, y2 = chart.endpoints(pts)
         theta = np.clip(u / np.maximum(L, 1e-300), 0.0, 1.0)
         return (1 - theta) * 0.5 * np.sum(y1 * y1, axis=1) + theta * 0.5 * np.sum(y2 * y2, axis=1)
-
-    def _affine_patch(self, chart, pts):
-        """phi on an unconstrained patch: the affine function matching
-        |x|^2/2 at the patch corners (constant + linear exactly)."""
-        verts = chart.clip.vertices if hasattr(chart.clip, "vertices") else None
-        if verts is None:  # disc patch handled in _phi_plus
-            raise UnsupportedShapeError("unexpected unconstrained patch")
-        coef = self._affine_patch_coef(verts)
-        return coef[0] + pts @ coef[1:]
-
-    @staticmethod
-    def _affine_patch_coef(verts):
-        A = np.column_stack([np.ones(len(verts)), verts])
-        b = 0.5 * np.sum(verts * verts, axis=1)
-        coef, *_ = np.linalg.lstsq(A, b, rcond=None)
-        return coef
 
     # -- gradient ----------------------------------------------------------
     def grad_phi(self, x):
@@ -156,36 +108,12 @@ class AiryField:
         return grad[0] if single else grad
 
     def _grad_plus(self, pts):
-        if isinstance(self.domain, Disc):
-            c = np.asarray(self.domain.center, dtype=float)
-            return np.broadcast_to(c, pts.shape).copy()
         out = np.full_like(pts, np.nan)
-        done = np.zeros(len(pts), dtype=bool)
-        for chart in self.charts:
-            todo = ~done
-            hit = np.zeros(len(pts), dtype=bool)
-            hit[todo] = chart.contains(pts[todo])
-            idx = np.where(hit & todo)[0]
-            if len(idx) == 0:
-                continue
+        for chart, idx in self._by_chart(pts):
             if chart.label == "O":
                 out[idx] = self._grad_along_rulings(chart, pts[idx])
             else:
-                coef = self._affine_patch_coef(chart.clip.vertices)
-                out[idx] = coef[1:]
-            done[idx] = True
-        if not np.all(done):
-            rest = np.where(~done)[0]
-            for i in rest:
-                for chart in self.charts:
-                    s, u, L = chart.coords(pts[i][None, :])
-                    if -1e-9 <= u[0] <= L[0] + 1e-9:
-                        if chart.label == "O":
-                            out[i] = self._grad_along_rulings(chart, pts[i][None, :])[0]
-                        else:
-                            coef = self._affine_patch_coef(chart.clip.vertices)
-                            out[i] = coef[1:]
-                        break
+                out[idx] = chart.clip.affine_roof()[1]
         return out
 
     def _grad_along_rulings(self, chart, pts):
@@ -193,19 +121,9 @@ class AiryField:
         boundary trace.  At the ruling's endpoints y1, y2 on the boundary,
         the tangential derivative of phi equals y . tau, and the derivative
         along the ruling equals the affine slope.  Two directions -> solve."""
-        d = getattr(chart, "d", None)
-        if d is not None:
-            rel_lo, rel_hi = chart.clip.line_spans(pts, chart.d)
-            y1 = pts + rel_lo[:, None] * chart.d[None, :]
-            y2 = pts + rel_hi[:, None] * chart.d[None, :]
-            ldir = np.broadcast_to(chart.d, pts.shape)
-        else:
-            r, th = chart._local(pts)
-            e_r = np.stack([np.cos(th), np.sin(th)], axis=1) @ chart.frame.T
-            y1 = chart.center + chart.r_inner(th)[..., None] * e_r
-            y2 = chart.center + chart.r_outer(th)[..., None] * e_r
-            ldir = e_r
+        y1, y2 = chart.endpoints(pts)
         L = np.hypot(*(y2 - y1).T)
+        ldir = (y2 - y1) / L[:, None]
         slope = (0.5 * np.sum(y2 * y2, axis=1) - 0.5 * np.sum(y1 * y1, axis=1)) / L
         # tangent of the domain boundary at y2 (smooth points of the catalog)
         nu = self.domain._outward_normal_at(np.atleast_2d(y2))
@@ -225,25 +143,12 @@ class AiryField:
         zeta = np.zeros(len(pts))
         eta = np.full_like(pts, np.nan)
         rank = np.zeros(len(pts), dtype=int)
-        if self.sign < 0:
-            for chart in self.charts:
-                m = chart.contains(pts)
-                if np.any(m):
-                    zeta[m] = chart.zeta_at(pts[m])
-                    eta[m] = chart.eta_at(pts[m])
-                    rank[m] = 1
-        else:
-            for chart in self.charts:
-                m = chart.contains(pts)
-                if not np.any(m):
-                    continue
-                z = chart.zeta_at(pts[m])
-                if z is None:
-                    rank[m] = 0
-                else:
-                    zeta[m] = z
-                    eta[m] = chart.eta_at(pts[m])
-                    rank[m] = 1
+        for chart, idx in self._by_chart(pts):
+            z = chart.zeta_at(pts[idx])
+            if z is not None:
+                zeta[idx] = z
+                eta[idx] = chart.eta_at(pts[idx])
+                rank[idx] = 1
         if single:
             return float(zeta[0]), eta[0], int(rank[0])
         return zeta, eta, rank
@@ -274,7 +179,7 @@ class AiryField:
                 try:
                     g1 = self.domain.quickest_exit_gradient(p + probe)
                     g2 = self.domain.quickest_exit_gradient(p - probe)
-                except Exception:
+                except (AmbiguityError, DomainError):
                     continue
                 j = np.hypot(*(g1 - g2))
                 if best is None or j > best:
@@ -300,8 +205,6 @@ def solve_dual(domain: Domain, shell: ShellProfile,
         sign=sign,
         domain=domain,
         charts=charts,
-        Q=meta["Q"],
-        t=meta["t"],
         sigma=meta["sigma"],
         decomposition=decomposition or UDecomposition(),
     )

@@ -14,16 +14,16 @@ check is the safeguard that would expose that choice if it were wrong.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .airy import AiryField, dual_value, solve_dual
-from .errors import DataError, ParameterError, ResolutionError, UnsupportedShapeError
+from .airy import AiryField, solve_dual
+from .errors import DataError, ParameterError, ResolutionError
 from .geometry import Domain
 from .grids import MaskedGrid
-from .rulings import LineGeometry, UDecomposition
+from .rulings import LineGeometry, UDecomposition, locate
 from .shell import ShellProfile
 from .stablelines import Partition, StableLineFamily, partition, stable_lines
 
@@ -140,21 +140,20 @@ class DefectField:
         return float(np.min(self.lam[self.grid.mask]))
 
 
-def _rasterize_chart(chart, solutions, grid, pts, idx, lam_flat, eta_flat):
-    """Fill lam/eta at grid points idx covered by this chart.
+def _rasterize_chart(solutions, s, u, L):
+    """lam at points with chart coordinates (s, u, L), and a mask of points
+    farther than 1.5 station steps from any solved line.
 
     Per-line solutions share a uniform parameter; interpolation is linear in
-    the station index and in the normalized line coordinate.  Returns a mask
-    over idx of points farther than 1.5 station steps from any solved line
-    (dropped short lines near degenerate chart ends); their values are
-    clamped extrapolations and they are excluded from quadrature.
+    the station index and in the normalized line coordinate.  Far points
+    (dropped short lines near degenerate chart ends) get clamped
+    extrapolations.
     """
     if len(solutions) == 0:
-        return np.ones(len(idx), dtype=bool)
+        return np.zeros(len(s)), np.ones(len(s), dtype=bool)
     stations = np.array([sol.line.s for sol in solutions])
     lam_tab = np.stack([sol.lam for sol in solutions])  # (n_lines, n_t)
     n_t = lam_tab.shape[1]
-    s, u, L = chart.coords(pts[idx])
     tau = np.clip(u / np.maximum(L, 1e-300), 0.0, 1.0)
     # bracket stations
     j = np.searchsorted(stations, s)
@@ -170,8 +169,7 @@ def _rasterize_chart(chart, solutions, grid, pts, idx, lam_flat, eta_flat):
     wi = fi - i0
     lam0 = lam_tab[j0, i0] * (1 - wi) + lam_tab[j0, i0 + 1] * wi
     lam1 = lam_tab[j1, i0] * (1 - wi) + lam_tab[j1, i0 + 1] * wi
-    lam_flat[idx] = (1 - w1) * lam0 + w1 * lam1
-    eta_flat[idx] = chart.eta_at(pts[idx])
+    lam = (1 - w1) * lam0 + w1 * lam1
     if len(stations) > 1:
         step = np.median(np.diff(stations))
         # beyond the outermost solved lines (dropped short lines), or farther
@@ -179,8 +177,8 @@ def _rasterize_chart(chart, solutions, grid, pts, idx, lam_flat, eta_flat):
         far = (s < stations[0] - 1e-12) | (s > stations[-1] + 1e-12)
         far |= np.minimum(np.abs(s - s0), np.abs(s1 - s)) > 1.5 * step
     else:
-        far = np.zeros(len(idx), dtype=bool)
-    return far
+        far = np.zeros(len(s), dtype=bool)
+    return lam, far
 
 
 def defect_field(domain: Domain, shell: ShellProfile, resolution=256,
@@ -196,8 +194,6 @@ def defect_field(domain: Domain, shell: ShellProfile, resolution=256,
     """
     if resolution < 32:
         raise ResolutionError("resolution below 32")
-    if shell.sign == "zero":
-        pass  # valid: produces the zero field
     deco = u_decomposition or UDecomposition()
     if deco.kind == "mixture":
         return _mixture_field(domain, shell, resolution, deco, line_spacing, samples_per_line)
@@ -222,7 +218,6 @@ def defect_field(domain: Domain, shell: ShellProfile, resolution=256,
     n_pts = len(pts)
     lam_flat = np.zeros(n_pts)
     eta_flat = np.full((n_pts, 2), np.nan)
-    covered = np.zeros(n_pts, dtype=bool)
     inside = grid.mask.ravel()
     # project boundary-cell centers that fall outside back onto the boundary
     eval_pts = pts.copy()
@@ -231,56 +226,32 @@ def defect_field(domain: Domain, shell: ShellProfile, resolution=256,
         eval_pts[out_centers] = np.atleast_2d(
             domain.nearest_boundary_point(pts[out_centers])
         )
-    extrapolated = np.zeros(n_pts, dtype=bool)
-    chart_of_extrap = {}
+    which = np.full(n_pts, -1)
+    which[inside] = locate(family.charts, eval_pts[inside])
+    uncovered = inside & (which < 0)
     for ci, (chart, sols) in enumerate(zip(family.charts, solutions_by_chart)):
-        todo = inside & ~covered
-        if not np.any(todo):
-            break
-        hit = np.zeros(n_pts, dtype=bool)
-        hit[todo] = np.asarray(chart.contains(eval_pts[todo]))
-        idx = np.where(hit)[0]
+        idx = np.flatnonzero(which == ci)
         if len(idx) == 0:
             continue
-        far = _rasterize_chart(chart, sols, grid, eval_pts, idx, lam_flat, eta_flat)
-        covered[idx] = True
-        extrapolated[idx[far]] = True
-        chart_of_extrap[ci] = idx[far]
-    uncovered = inside & ~covered
-    if np.any(uncovered):
-        # seam points (chart boundaries): take the nearest chart by coords
-        idx = np.where(uncovered)[0]
-        for ci, (chart, sols) in enumerate(zip(family.charts, solutions_by_chart)):
-            if len(sols) == 0 or len(idx) == 0:
-                continue
-            s, u, L = chart.coords(eval_pts[idx])
-            near = (u >= -0.51 * grid.h) & (u <= L + 0.51 * grid.h) & (L > 0)
-            sub = idx[near]
-            if len(sub):
-                far = _rasterize_chart(chart, sols, grid, eval_pts, sub, lam_flat, eta_flat)
-                covered[sub] = True
-                extrapolated[sub[far]] = True
-                chart_of_extrap[ci] = np.concatenate(
-                    [chart_of_extrap.get(ci, np.empty(0, dtype=int)), sub[far]]
-                )
-            idx = idx[~near]
-        uncovered = inside & ~covered
-    # near degenerate chart ends (dropped short lines), the local closed form
-    # of the line problem with frozen K is exact to O(L^3 Lip K): use it for
-    # unit-rho charts instead of extrapolating from the last solved line
-    for ci, idx in chart_of_extrap.items():
-        chart = family.charts[ci]
+        x = eval_pts[idx]
+        s, u, L = chart.coords(x)
+        lam, far = _rasterize_chart(sols, s, u, L)
+        eta_flat[idx] = chart.eta_at(x)
+        # near degenerate chart ends (dropped short lines), the local closed
+        # form of the line problem with frozen K is exact to O(L^3 Lip K):
+        # use it for unit-rho charts instead of extrapolating from the last
+        # solved line; elsewhere the far points stay uncovered
         probe = chart.line_at(0.5 * sum(chart.s_range()))
-        if abs(probe.rho1) > 1e-13 or len(idx) == 0:
-            continue
-        s, u, L = chart.coords(eval_pts[idx])
-        k_loc = shell.k(eval_pts[idx])
-        if chart.data_kind == "bvp":
-            lam_flat[idx] = k_loc * np.maximum(u, 0.0) * np.maximum(L - u, 0.0)
-        else:
-            lam_flat[idx] = -k_loc * np.maximum(u, 0.0) ** 2
-        extrapolated[idx] = False
-    uncovered |= extrapolated & inside
+        if abs(probe.rho1) > 1e-13:
+            uncovered[idx[far]] = True
+        elif np.any(far):
+            k_loc = shell.k(x[far])
+            uf, Lf = np.maximum(u[far], 0.0), L[far]
+            if chart.data_kind == "bvp":
+                lam[far] = k_loc * uf * np.maximum(Lf - uf, 0.0)
+            else:
+                lam[far] = -k_loc * uf**2
+        lam_flat[idx] = lam
 
     lam = lam_flat.reshape(grid.nx, grid.ny)
     eta = eta_flat.reshape(grid.nx, grid.ny, 2)

@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedShapeError,
 )
 from .geometry import make_domain
-from .herringbone import TargetDefect, herringbone, optimal_params, piecewise_herringbone
+from .herringbone import TargetDefect, herringbone, optimal_params
 from .rulings import UDecomposition
 from .shell import ShellProfile
 from .stablelines import stable_lines
@@ -48,16 +48,6 @@ EXIT_NUMERICAL = 3
 def _load_config(path):
     with open(path) as fh:
         return json.load(fh)
-
-
-def _merge(config, args, keys):
-    """Flags override config-file values."""
-    out = dict(config)
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = val
-    return out
 
 
 def _domain_from(cfg):

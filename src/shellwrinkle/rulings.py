@@ -9,12 +9,13 @@ change-of-measure factor ``rho`` (affine along each line).
 
 Charts are consumed by the dual-potential evaluator (values by convex
 interpolation along rulings), by the stable-line builder, and by the
-characteristic-ODE rasterizer.
+characteristic-ODE rasterizer.  Each of them asks `locate` which chart holds
+a point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -111,6 +112,37 @@ class Chart:
         return [ln for ln in lines if ln.length > min_length]
 
 
+def locate(charts, pts):
+    """Index into ``charts`` of the chart that holds each point, or -1.
+
+    A point belongs to the first chart, in list order, whose ``contains``
+    accepts it.  A point that no chart contains (a seam, or a boundary
+    projection that rounds just outside) goes to the chart whose station
+    range holds its s and whose line it misses least, the miss being
+    max(-u, u - L, 0); ties go to the lower index.  A point that no chart's
+    station range holds is uncovered (-1).
+    """
+    pts = np.atleast_2d(pts)
+    which = np.full(len(pts), -1)
+    for i, chart in enumerate(charts):
+        todo = np.flatnonzero(which < 0)
+        if len(todo) == 0:
+            return which
+        which[todo[np.asarray(chart.contains(pts[todo]))]] = i
+    rest = np.flatnonzero(which < 0)
+    best = np.full(len(rest), np.inf)
+    for i, chart in enumerate(charts):
+        if len(rest) == 0:
+            break
+        s, u, L = chart.coords(pts[rest])
+        s0, s1 = chart.s_range()
+        miss = np.maximum(np.maximum(-u, u - L), 0.0)
+        better = (s >= s0) & (s <= s1) & (miss < best)
+        which[rest[better]] = i
+        best[better] = miss[better]
+    return which
+
+
 # ----------------------------------------------------------------------
 # clip regions for chord charts
 # ----------------------------------------------------------------------
@@ -150,7 +182,8 @@ class PolygonClip:
         t_hi = np.full(len(pts), np.inf)
         for j, dn in enumerate(den):
             if abs(dn) < 1e-14:
-                bad = num[:, j] < 0
+                # a point on an edge parallel to d: the same slack as contains
+                bad = num[:, j] < -1e-12
                 t_lo = np.where(bad, 1.0, t_lo)
                 t_hi = np.where(bad, 0.0, t_hi)
             elif dn > 0:
@@ -162,6 +195,13 @@ class PolygonClip:
     def extent(self, m):
         vals = self.vertices @ np.asarray(m, float)
         return float(vals.min()), float(vals.max())
+
+    def affine_roof(self):
+        """(c, g): the affine c + g . x matching |y|^2/2 at the vertices."""
+        v = self.vertices
+        A = np.column_stack([np.ones(len(v)), v])
+        coef, *_ = np.linalg.lstsq(A, 0.5 * np.sum(v * v, axis=1), rcond=None)
+        return coef[0], coef[1:]
 
 
 class DiscClip:
@@ -193,6 +233,12 @@ class DiscClip:
     def extent(self, m):
         c = self.center @ np.asarray(m, float)
         return c - self.radius, c + self.radius
+
+    def affine_roof(self):
+        """(c, g): on the circle |y - center| = R, |y|^2/2 equals c + g . y
+        with g = center and c = (R^2 - |center|^2)/2."""
+        c = self.center
+        return 0.5 * self.radius**2 - 0.5 * c @ c, c
 
 
 class EllipseClip:
@@ -255,6 +301,12 @@ class ChordChart(Chart):
         s = x @ self.m
         rel_lo, rel_hi = self.clip.line_spans(x, self.d)
         return s, -rel_lo, np.maximum(rel_hi - rel_lo, 0.0)
+
+    def endpoints(self, x):
+        """Start and end of the ruling through each point."""
+        x = np.atleast_2d(x)
+        rel_lo, rel_hi = self.clip.line_spans(x, self.d)
+        return x + rel_lo[:, None] * self.d, x + rel_hi[:, None] * self.d
 
     def line_at(self, s):
         p = s * self.m
@@ -321,6 +373,13 @@ class FanChart(Chart):
         ri = self.r_inner(th)
         ro = self.r_outer(th)
         return th, r - ri, np.maximum(ro - ri, 0.0)
+
+    def endpoints(self, x):
+        """Start and end of the ray through each point."""
+        r, th = self._local(x)
+        e_r = np.stack([np.cos(th), np.sin(th)], axis=1) @ self.frame.T
+        return (self.center + self.r_inner(th)[:, None] * e_r,
+                self.center + self.r_outer(th)[:, None] * e_r)
 
     def line_at(self, s):
         ri = float(self.r_inner(s))
@@ -639,12 +698,11 @@ def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
     """Build the ruling charts for (shape, curvature sign).
 
     sign: +1 (or 0, which shares the structure of +1) or -1.
-    Returns (charts, meta) where meta records the singular set and the
-    canonical placement map for the potential.
+    Returns (charts, meta) where meta records the singular set.
     """
     if decomposition is None:
         decomposition = UDecomposition()
-    meta = {"sigma": None, "Q": np.eye(2), "t": np.zeros(2)}
+    meta = {"sigma": None}
 
     if sign >= 0:
         if isinstance(domain, Ellipse):
@@ -653,7 +711,6 @@ def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
                                label="O", zeta=zeta)
             return [chart], meta
         if isinstance(domain, Disc):
-            meta["t"] = np.asarray(domain.center, dtype=float)
             clip = DiscClip(domain.center, domain.radius)
             return _u_charts_for_clip(clip, decomposition, ("boundary", "boundary")), meta
         if isinstance(domain, HalfDisc):
@@ -669,8 +726,6 @@ def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
                 label="O", kinds=("boundary", "boundary"), data_kind="bvp",
                 zeta_fn=lambda r, th: R / (r * np.sin(th) ** 3),
             )
-            meta["Q"] = frame
-            meta["t"] = f
             return [chart], meta
         if isinstance(domain, Rectangle):
             regs = rectangle_regions(domain)
@@ -691,7 +746,6 @@ def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
                     "positive curvature on a non-tangential polygon is outside the catalog"
                 )
             c, r, data = tangential_data(domain)
-            meta["t"] = c
             charts = []
             contact_pts = []
             for i, rec in enumerate(data):
@@ -713,8 +767,7 @@ def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
                 contact_pts.append(rec["contacts"][1] + c)
             contact_poly = PolygonClip(np.asarray(contact_pts))
             charts += _u_charts_for_clip(contact_poly, decomposition, ("interface", "interface"))
-            charts_meta = meta
-            return charts, charts_meta
+            return charts, meta
         raise UnsupportedShapeError(f"no positive-curvature charts for {domain.name}")
 
     # negative sign

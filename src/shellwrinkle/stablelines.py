@@ -13,7 +13,7 @@ ill-conditioned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,7 +22,7 @@ from .airy import AiryField
 from .errors import ConsistencyError, FamilyLookupError, ParameterError
 from .geometry import Domain
 from .grids import MaskedGrid
-from .rulings import LineGeometry
+from .rulings import locate
 
 # Region labels used in rasterized partitions.
 OUTSIDE, SIGMA, FLATTENED, ORDERED, UNCONSTRAINED = -1, 0, 1, 2, 3
@@ -35,8 +35,6 @@ class Partition:
 
     domain: Domain
     airy: AiryField
-    ordered_charts: list
-    unconstrained_charts: list
     sigma: Optional[dict]
 
     def labels(self, grid: MaskedGrid):
@@ -55,21 +53,11 @@ class Partition:
                 self.domain.nearest_boundary_point(pts[out_centers])
             )
         lab_flat = lab.ravel()
-        for chart in self.ordered_charts:
-            m = inside & np.asarray(chart.contains(pts))
-            lab_flat[m & (lab_flat == OUTSIDE)] = ORDERED
-        for chart in self.unconstrained_charts:
-            m = inside & np.asarray(chart.contains(pts))
-            lab_flat[m & (lab_flat == OUTSIDE)] = UNCONSTRAINED
+        lab_flat[inside] = self._chart_labels()[locate(self.airy.charts, pts[inside])]
         # singular set: measure-zero, override within half a cell
         if self.sigma is not None:
             sig = self._sigma_distance(pts) <= 0.5 * grid.h
             lab_flat[inside & sig] = SIGMA
-        # leftover cells on chart seams: attach to the dominant label
-        leftover = inside & (lab_flat == OUTSIDE)
-        if np.any(leftover):
-            default = ORDERED if self.ordered_charts else UNCONSTRAINED
-            lab_flat[leftover] = default
         return lab_flat.reshape(grid.nx, grid.ny)
 
     def _sigma_distance(self, pts):
@@ -89,19 +77,18 @@ class Partition:
                 best = np.minimum(best, _dist_to_segment(pts, p0, p1))
         return best
 
+    def _chart_labels(self):
+        """Region label per chart, then OUTSIDE for the locator's -1."""
+        labels = [ORDERED if c.label == "O" else UNCONSTRAINED for c in self.airy.charts]
+        return np.array(labels + [OUTSIDE])
+
     def region_of(self, x):
         """'Sigma' | 'O' | 'U' per point (inside the domain)."""
         pts = np.atleast_2d(np.asarray(x, dtype=float))
-        out = np.array(["?"] * len(pts), dtype=object)
+        names = np.array([LABEL_NAMES.get(lab, "?") for lab in self._chart_labels()], dtype=object)
+        out = names[locate(self.airy.charts, pts)]
         tol = 1e-9 * self.domain.diameter()
-        sig = self._sigma_distance(pts) <= tol
-        for chart in self.ordered_charts:
-            m = np.asarray(chart.contains(pts)) & (out == "?")
-            out[m] = "O"
-        for chart in self.unconstrained_charts:
-            m = np.asarray(chart.contains(pts)) & (out == "?")
-            out[m] = "U"
-        out[sig] = "Sigma"
+        out[self._sigma_distance(pts) <= tol] = "Sigma"
         return out
 
 
@@ -121,15 +108,7 @@ def partition(domain: Domain, airy: AiryField) -> Partition:
     """Exact shape-specific partition induced by the extremal potential."""
     if airy.domain is not domain and airy.domain.spec() != domain.spec():
         raise ConsistencyError("airy field was built for a different domain")
-    ordered = [c for c in airy.charts if c.label == "O"]
-    unconstrained = [c for c in airy.charts if c.label == "U"]
-    return Partition(
-        domain=domain,
-        airy=airy,
-        ordered_charts=ordered,
-        unconstrained_charts=unconstrained,
-        sigma=airy.sigma,
-    )
+    return Partition(domain=domain, airy=airy, sigma=airy.sigma)
 
 
 @dataclass

@@ -43,6 +43,14 @@ def pentagon():
     )
 
 
+@pytest.fixture
+def regular_pentagon():
+    # tangential, so it has positive-curvature charts; one edge of each
+    # vertex triangle runs parallel to that triangle's chords
+    ang = 0.3 + 2 * np.pi * np.arange(5) / 5
+    return ConvexPolygon(np.stack([np.cos(ang), np.sin(ang)], axis=1))
+
+
 def interior_points(domain, n, seed=0, margin=1e-9):
     rng = np.random.default_rng(seed)
     (x0, y0), (x1, y1) = domain.bbox()

@@ -183,8 +183,9 @@ class TestAdmissibility:
             assert rep.convexity_max_violation <= 1e-9
             assert rep.jump_min >= -1e-8
 
-    def test_plus_passes_all_checks(self, ellipse, disc, rect, triangle, half_disc_pos):
-        for dom in (ellipse, disc, rect, triangle, half_disc_pos):
+    def test_plus_passes_all_checks(self, ellipse, disc, rect, triangle, half_disc_pos,
+                                    regular_pentagon):
+        for dom in (ellipse, disc, rect, triangle, half_disc_pos, regular_pentagon):
             af = airy.solve_dual(dom, POS)
             rep = airy.check_admissible(af, dom, tol=1e-8)
             assert rep.trace_max_violation <= 1e-8

@@ -174,6 +174,13 @@ class TestDefectField:
         i = np.argmin(np.abs(df.grid.X.ravel()) + np.abs(df.grid.Y.ravel()))
         assert df.lam.ravel()[i] < 1e-3
 
+    @pytest.mark.parametrize("resolution", [128, 256])
+    def test_negative_ellipse_fully_covered(self, ellipse, resolution):
+        # boundary projections that round just outside the ellipse belong to
+        # the half-chart holding their foot parameter, not to the first one
+        df = chars.defect_field(ellipse, NEG, resolution)
+        assert int(df.uncovered.sum()) == 0
+
     def test_internal_vertex_lines_carry_no_singular_part(self, rect):
         # the solver represents the singular density as identically zero, so
         # the lines ending at internal medial vertices carry none
