@@ -27,6 +27,7 @@ from .herringbone import (
     PiecewiseHerringboneField,
     TargetDefect,
     DisplacementField,
+    _eroded,
     optimal_params,
 )
 from .shell import ShellProfile
@@ -68,19 +69,6 @@ class StrainField:
     h: float
 
 
-def _eroded(mask, cells=2):
-    """Erode a boolean mask so centered stencils stay on valid samples."""
-    out = mask.copy()
-    for _ in range(cells):
-        shrunk = out.copy()
-        shrunk[1:, :] &= out[:-1, :]
-        shrunk[:-1, :] &= out[1:, :]
-        shrunk[:, 1:] &= out[:, :-1]
-        shrunk[:, :-1] &= out[:, 1:]
-        out = shrunk
-    return out
-
-
 def strain(field: DisplacementField, shell: ShellProfile) -> StrainField:
     """Geometrically linear strain by centered differences."""
     if shell.sign != "zero" and shell.grad_p is None and callable(shell.curvature):
@@ -113,18 +101,9 @@ def _boundary_flux(field: DisplacementField, domain: Domain, n_samples=2048):
     vals = np.sum(u_interp * nu, axis=1)
     # periodic trapezoid in arclength
     total = arc[-1] + (arc[1] - arc[0]) if len(arc) > 1 else 0.0
-    arc_ext = np.concatenate([arc, [arc[0] + _perimeter(domain)]])
+    arc_ext = np.concatenate([arc, [arc[0] + domain.perimeter()]])
     vals_ext = np.concatenate([vals, [vals[0]]])
     return float(np.trapezoid(vals_ext, arc_ext))
-
-
-def _perimeter(domain):
-    if hasattr(domain, "perimeter"):
-        return domain.perimeter()
-    samples = domain.boundary_sample(4096)
-    pos = np.array([bp.position for bp in samples])
-    d = np.diff(np.vstack([pos, pos[:1]]), axis=0)
-    return float(np.hypot(d[:, 0], d[:, 1]).sum())
 
 
 def _bilinear(field: DisplacementField, arr, pts):

@@ -1,6 +1,9 @@
 """Planar shape catalog with exact boundary distance, normals and medial axes.
 
-The catalog is closed: disc, ellipse, half-disc, rectangle, convex polygon.
+The catalog is closed: disc, ellipse, half-disc, convex polygon, and the
+rectangle, which is a convex polygon that keeps its half-widths.  The disc,
+the ellipse and the polygons also clip lines (`line_spans`, `extent`), which
+is what the chord charts of `rulings` are built on.
 Every operation is a pure function of an immutable shape; all point-valued
 arguments accept single points ``(2,)`` or batches ``(n, 2)``.
 
@@ -182,6 +185,9 @@ class Domain:
     def area(self):
         raise NotImplementedError
 
+    def perimeter(self):
+        raise NotImplementedError
+
     def region(self):
         """The shape as an intersection of half-planes and at most one ellipse.
 
@@ -274,6 +280,22 @@ class Disc(Domain):
 
     def region(self):
         return np.zeros((0, 3)), (self._c(), np.eye(2) / self.radius)
+
+    def line_spans(self, pts, d):
+        """(t_lo, t_hi) where each line {p + t d}, |d| = 1, crosses the
+        circle; a line that misses the disc gets t_lo > t_hi."""
+        q = np.atleast_2d(pts) - self._c()
+        b = q @ np.asarray(d, float)
+        c = np.sum(q * q, axis=1) - self.radius**2
+        disc = b * b - c
+        ok = disc >= 0
+        r = np.sqrt(np.maximum(disc, 0.0))
+        return np.where(ok, -b - r, 1.0), np.where(ok, -b + r, 0.0)
+
+    def extent(self, m):
+        """(min, max) of x . m over the disc, |m| = 1."""
+        c = self._c() @ np.asarray(m, float)
+        return c - self.radius, c + self.radius
 
     def perimeter(self):
         return float(2 * np.pi * self.radius)
@@ -417,6 +439,25 @@ class Ellipse(Domain):
     def region(self):
         return np.zeros((0, 3)), (np.zeros(2), np.diag([1.0 / self.a, 1.0 / self.b]))
 
+    def line_spans(self, pts, d):
+        """(t_lo, t_hi) where each line {p + t d} crosses the ellipse; a line
+        that misses it gets t_lo > t_hi."""
+        q = np.atleast_2d(pts) / np.array([self.a, self.b])
+        e = np.asarray(d, float) / np.array([self.a, self.b])
+        A = e @ e
+        B = q @ e
+        C = np.sum(q * q, axis=1) - 1.0
+        disc = B * B - A * C
+        ok = disc >= 0
+        r = np.sqrt(np.maximum(disc, 0.0))
+        return np.where(ok, (-B - r) / A, 1.0), np.where(ok, (-B + r) / A, 0.0)
+
+    def extent(self, m):
+        """(min, max) of x . m over the ellipse, |m| = 1."""
+        m = np.asarray(m, float)
+        r = np.hypot(self.a * m[0], self.b * m[1])
+        return -r, r
+
     def boundary_curvature(self, y):
         """Curvature of the boundary at boundary points (convex: > 0)."""
         y = np.atleast_2d(np.asarray(y, dtype=float))
@@ -428,87 +469,6 @@ class Ellipse(Domain):
 
     def spec(self):
         return {"shape": "ellipse", "a": self.a, "b": self.b}
-
-
-@dataclass(frozen=True)
-class Rectangle(Domain):
-    """Axis-aligned rectangle (-a, a) x (-b, b) with 0 < b < a."""
-
-    a: float
-    b: float
-    name = "rectangle"
-
-    def __post_init__(self):
-        if not (0 < self.b < self.a):
-            raise ParameterError("rectangle requires 0 < b < a")
-
-    def contains(self, x, tol=0.0):
-        x, single = _as_points(x)
-        ok = (np.abs(x[:, 0]) <= self.a + tol) & (np.abs(x[:, 1]) <= self.b + tol)
-        return _unsingle(ok, single)
-
-    def _signed_inside_distance(self, x):
-        return np.minimum(self.a - np.abs(x[:, 0]), self.b - np.abs(x[:, 1]))
-
-    def nearest_boundary_point(self, x):
-        x, single = _as_points(x)
-        dx = self.a - np.abs(x[:, 0])
-        dy = self.b - np.abs(x[:, 1])
-        y = x.copy()
-        use_x = dx <= dy
-        y[use_x, 0] = np.copysign(self.a, np.where(np.abs(x[use_x, 0]) < 1e-300, 1.0, x[use_x, 0]))
-        y[~use_x, 1] = np.copysign(self.b, np.where(np.abs(x[~use_x, 1]) < 1e-300, 1.0, x[~use_x, 1]))
-        return _unsingle(y, single)
-
-    def _on_medial_axis(self, x, tol):
-        dx = self.a - np.abs(x[:, 0])
-        dy = self.b - np.abs(x[:, 1])
-        central = (np.abs(x[:, 1]) <= tol) & (np.abs(x[:, 0]) <= self.a - self.b + tol)
-        corner = np.abs(dx - dy) <= tol
-        return central | corner
-
-    def _outward_normal_at(self, y):
-        nu = np.zeros_like(y)
-        on_x = np.abs(np.abs(y[:, 0]) - self.a) < 1e-9 * self.a
-        nu[on_x, 0] = np.sign(y[on_x, 0])
-        nu[~on_x, 1] = np.sign(y[~on_x, 1])
-        return nu
-
-    def medial_axis(self):
-        a, b = self.a, self.b
-        m = a - b
-        segs = [((-m, 0.0), (m, 0.0))]
-        for sx in (-1, 1):
-            for sy in (-1, 1):
-                segs.append(((sx * a, sy * b), (sx * m, 0.0)))
-        verts = [((-m, 0.0), 3), ((m, 0.0), 3)]
-        return MedialAxis(segments=segs, vertices=verts)
-
-    def as_polygon(self):
-        a, b = self.a, self.b
-        return ConvexPolygon(((-a, -b), (a, -b), (a, b), (-a, b)))
-
-    def boundary_sample(self, n):
-        return self.as_polygon().boundary_sample(n)
-
-    def corner_points(self):
-        a, b = self.a, self.b
-        return np.array([(-a, -b), (a, -b), (a, b), (-a, b)], dtype=float)
-
-    def bbox(self):
-        return ((-self.a, -self.b), (self.a, self.b))
-
-    def area(self):
-        return float(4 * self.a * self.b)
-
-    def region(self):
-        return self.as_polygon().region()
-
-    def perimeter(self):
-        return float(4 * (self.a + self.b))
-
-    def spec(self):
-        return {"shape": "rectangle", "a": self.a, "b": self.b}
 
 
 @dataclass(frozen=True)
@@ -759,7 +719,7 @@ class ConvexPolygon(Domain):
                     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
                     if abs(det) < 1e-14:
                         continue
-                    p = np.linalg.solve(A, b)
+                    p = np.linalg.solve(A, b) + 0.0  # +0.0: no -0.0 in exported nodes
                     sd = self.side_distances(p)[0]
                     di = sd[i]
                     if di < -tol or sd.min() < di - tol:
@@ -870,11 +830,55 @@ class ConvexPolygon(Domain):
     def region(self):
         return np.column_stack([self.edge_normals, self.edge_offsets]), None
 
+    def line_spans(self, pts, d):
+        """(t_lo, t_hi) where each line {p + t d} enters and leaves the
+        polygon; a line that misses it gets t_lo > t_hi."""
+        num = self.side_distances(pts)
+        den = self.edge_normals @ np.asarray(d, float)
+        t_lo = np.full(len(num), -np.inf)
+        t_hi = np.full(len(num), np.inf)
+        for j, dn in enumerate(den):
+            if abs(dn) < 1e-14:
+                # a point on a side parallel to d: the same slack that chord
+                # charts allow in contains
+                bad = num[:, j] < -1e-12
+                t_lo = np.where(bad, 1.0, t_lo)
+                t_hi = np.where(bad, 0.0, t_hi)
+            elif dn > 0:
+                t_hi = np.minimum(t_hi, num[:, j] / dn)
+            else:
+                t_lo = np.maximum(t_lo, num[:, j] / dn)
+        return t_lo, t_hi
+
+    def extent(self, m):
+        """(min, max) of x . m over the polygon."""
+        vals = self.vertices @ np.asarray(m, float)
+        return float(vals.min()), float(vals.max())
+
     def perimeter(self):
         return float(self.edge_lengths.sum())
 
     def spec(self):
         return {"shape": "convex_polygon", "vertices": self.vertices.tolist()}
+
+
+class Rectangle(ConvexPolygon):
+    """Axis-aligned rectangle (-a, a) x (-b, b) with 0 < b < a: the convex
+    polygon with vertices (-a, -b), (a, -b), (a, b), (-a, b)."""
+
+    name = "rectangle"
+
+    def __init__(self, a, b):
+        if not (0 < b < a):
+            raise ParameterError("rectangle requires 0 < b < a")
+        self.a, self.b = a, b
+        super().__init__(((-a, -b), (a, -b), (a, b), (-a, b)))
+
+    def __repr__(self):
+        return f"Rectangle(a={self.a!r}, b={self.b!r})"
+
+    def spec(self):
+        return {"shape": "rectangle", "a": self.a, "b": self.b}
 
 
 def make_domain(spec):

@@ -359,6 +359,19 @@ class HerringboneField:
         return e_v + 0.5 * np.einsum("ni,nj->nij", gw, gw) - 0.5 * self.mu[None, :, :]
 
 
+def _eroded(mask, cells=2):
+    """Erode a boolean mask so centered stencils stay on valid samples."""
+    out = mask.copy()
+    for _ in range(cells):
+        shrunk = out.copy()
+        shrunk[1:, :] &= out[:-1, :]
+        shrunk[:-1, :] &= out[1:, :]
+        shrunk[:, 1:] &= out[:, :-1]
+        shrunk[:, :-1] &= out[:, 1:]
+        out = shrunk
+    return out
+
+
 @dataclass
 class DisplacementField:
     """Sampled displacements on a square-cell grid with derivative stencils.
@@ -381,15 +394,7 @@ class DisplacementField:
 
     def stencil_bulk_mask(self, cells=2):
         """Bulk mask eroded so centered stencils never read wall samples."""
-        out = self.bulk_mask.copy()
-        for _ in range(cells):
-            shrunk = out.copy()
-            shrunk[1:, :] &= out[:-1, :]
-            shrunk[:-1, :] &= out[1:, :]
-            shrunk[:, 1:] &= out[:, :-1]
-            shrunk[:, :-1] &= out[:, 1:]
-            out = shrunk
-        return out
+        return _eroded(self.bulk_mask, cells)
 
     def points(self):
         nx, ny = self.w.shape

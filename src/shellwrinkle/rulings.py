@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import UnsupportedShapeError
+from .errors import ParameterError, UnsupportedShapeError
 from .geometry import ConvexPolygon, Disc, Ellipse, HalfDisc, Rectangle, rot90
 
 
@@ -143,150 +143,24 @@ def locate(charts, pts):
     return which
 
 
-# ----------------------------------------------------------------------
-# clip regions for chord charts
-# ----------------------------------------------------------------------
-
-
-class PolygonClip:
-    def __init__(self, vertices):
-        v = np.asarray(vertices, dtype=float)
-        self.vertices = v
-        d = np.roll(v, -1, axis=0) - v
-        L = np.hypot(d[:, 0], d[:, 1])
-        keep = L > 1e-14
-        v2 = v[keep]
-        d = np.roll(v2, -1, axis=0) - v2
-        L = np.hypot(d[:, 0], d[:, 1])
-        t = d / L[:, None]
-        # outward normals assuming CCW ordering
-        self.normals = -rot90(t)
-        self.offsets = np.sum(self.normals * v2, axis=1)
-        self.vertices = v2
-
-    def contains(self, x, tol=1e-12):
-        x = np.atleast_2d(x)
-        return np.all(x @ self.normals.T <= self.offsets[None, :] + tol, axis=1)
-
-    def line_span(self, p, d):
-        """Intersect {p + t d} with the region: (t_lo, t_hi); empty -> lo>hi."""
-        lo, hi = self.line_spans(np.asarray(p, float)[None, :], d)
-        return float(lo[0]), float(hi[0])
-
-    def line_spans(self, pts, d):
-        """Vectorized line_span for many base points, one direction."""
-        pts = np.atleast_2d(pts)
-        num = self.offsets[None, :] - pts @ self.normals.T
-        den = self.normals @ np.asarray(d, float)
-        t_lo = np.full(len(pts), -np.inf)
-        t_hi = np.full(len(pts), np.inf)
-        for j, dn in enumerate(den):
-            if abs(dn) < 1e-14:
-                # a point on an edge parallel to d: the same slack as contains
-                bad = num[:, j] < -1e-12
-                t_lo = np.where(bad, 1.0, t_lo)
-                t_hi = np.where(bad, 0.0, t_hi)
-            elif dn > 0:
-                t_hi = np.minimum(t_hi, num[:, j] / dn)
-            else:
-                t_lo = np.maximum(t_lo, num[:, j] / dn)
-        return t_lo, t_hi
-
-    def extent(self, m):
-        vals = self.vertices @ np.asarray(m, float)
-        return float(vals.min()), float(vals.max())
-
-    def affine_roof(self):
-        """(c, g): the affine c + g . x matching |y|^2/2 at the vertices."""
-        v = self.vertices
-        A = np.column_stack([np.ones(len(v)), v])
-        coef, *_ = np.linalg.lstsq(A, 0.5 * np.sum(v * v, axis=1), rcond=None)
-        return coef[0], coef[1:]
-
-
-class DiscClip:
-    def __init__(self, center, radius):
-        self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-
-    def contains(self, x, tol=1e-12):
-        x = np.atleast_2d(x)
-        return np.hypot(*(x - self.center).T) <= self.radius + tol
-
-    def line_span(self, p, d):
-        lo, hi = self.line_spans(np.asarray(p, float)[None, :], d)
-        return float(lo[0]), float(hi[0])
-
-    def line_spans(self, pts, d):
-        pts = np.atleast_2d(pts)
-        d = np.asarray(d, float)
-        q = pts - self.center
-        b = q @ d
-        c = np.sum(q * q, axis=1) - self.radius**2
-        disc = b * b - c
-        ok = disc >= 0
-        r = np.sqrt(np.maximum(disc, 0.0))
-        t_lo = np.where(ok, -b - r, 1.0)
-        t_hi = np.where(ok, -b + r, 0.0)
-        return t_lo, t_hi
-
-    def extent(self, m):
-        c = self.center @ np.asarray(m, float)
-        return c - self.radius, c + self.radius
-
-    def affine_roof(self):
-        """(c, g): on the circle |y - center| = R, |y|^2/2 equals c + g . y
-        with g = center and c = (R^2 - |center|^2)/2."""
-        c = self.center
-        return 0.5 * self.radius**2 - 0.5 * c @ c, c
-
-
-class EllipseClip:
-    def __init__(self, a, b):
-        self.a, self.b = float(a), float(b)
-
-    def contains(self, x, tol=1e-12):
-        x = np.atleast_2d(x)
-        return (x[:, 0] / self.a) ** 2 + (x[:, 1] / self.b) ** 2 <= 1 + tol
-
-    def line_span(self, p, d):
-        lo, hi = self.line_spans(np.asarray(p, float)[None, :], d)
-        return float(lo[0]), float(hi[0])
-
-    def line_spans(self, pts, d):
-        pts = np.atleast_2d(pts)
-        q = pts / np.array([self.a, self.b])
-        e = np.asarray(d, float) / np.array([self.a, self.b])
-        A = e @ e
-        B = q @ e
-        C = np.sum(q * q, axis=1) - 1.0
-        disc = B * B - A * C
-        ok = disc >= 0
-        r = np.sqrt(np.maximum(disc, 0.0))
-        t_lo = np.where(ok, (-B - r) / A, 1.0)
-        t_hi = np.where(ok, (-B + r) / A, 0.0)
-        return t_lo, t_hi
-
-    def extent(self, m):
-        m = np.asarray(m, float)
-        r = np.hypot(self.a * m[0], self.b * m[1])
-        return -r, r
-
-
 class ChordChart(Chart):
-    """Parallel chords of a convex clip region in a fixed direction.
+    """Parallel chords of a convex shape in a fixed direction.
 
-    ``direction`` is the line direction; the index coordinate is the signed
-    offset s = x . m with m = rot90(direction).  Start = the end with smaller
-    t so that eta = rot_minus90(direction) points consistently.
+    ``shape`` is a `Disc`, `Ellipse` or `ConvexPolygon`: the chart reads its
+    ``contains``, ``line_spans`` and ``extent``.  ``direction`` is the line
+    direction; the index coordinate is the signed offset s = x . m with
+    m = rot90(direction).  Start = the end with smaller t so that
+    eta = rot_minus90(direction) points consistently.  An unconstrained
+    chart carries its affine roof ``(c, g)``: phi = c + g . x on it.
     """
 
-    def __init__(self, clip, direction, label="O", kinds=("boundary", "boundary"),
-                 zeta=None, data_kind="bvp"):
+    def __init__(self, shape, direction, label="O", kinds=("boundary", "boundary"),
+                 zeta=None, data_kind="bvp", roof=None):
         d = np.asarray(direction, dtype=float)
         self.d = d / np.hypot(*d)
         self.m = rot90(self.d)
-        self.clip = clip
+        self.shape = shape
+        self.roof = roof
         self.label = label
         self.start_kind, self.end_kind = kinds
         self.zeta = zeta
@@ -294,25 +168,25 @@ class ChordChart(Chart):
         self._eta = rot_minus90(self.d)
 
     def contains(self, x):
-        return self.clip.contains(x)
+        return self.shape.contains(np.atleast_2d(x), tol=1e-12)
 
     def coords(self, x):
         x = np.atleast_2d(x)
         s = x @ self.m
-        rel_lo, rel_hi = self.clip.line_spans(x, self.d)
+        rel_lo, rel_hi = self.shape.line_spans(x, self.d)
         return s, -rel_lo, np.maximum(rel_hi - rel_lo, 0.0)
 
     def endpoints(self, x):
         """Start and end of the ruling through each point."""
         x = np.atleast_2d(x)
-        rel_lo, rel_hi = self.clip.line_spans(x, self.d)
+        rel_lo, rel_hi = self.shape.line_spans(x, self.d)
         return x + rel_lo[:, None] * self.d, x + rel_hi[:, None] * self.d
 
     def line_at(self, s):
         p = s * self.m
-        lo, hi = self.clip.line_span(p, self.d)
-        start = p + lo * self.d
-        end = p + hi * self.d
+        lo, hi = self.shape.line_spans(p, self.d)
+        start = p + lo[0] * self.d
+        end = p + hi[0] * self.d
         return LineGeometry(
             s=float(s), start=start, end=end, eta=self._eta.copy(),
             start_kind=self.start_kind, end_kind=self.end_kind,
@@ -320,7 +194,7 @@ class ChordChart(Chart):
         )
 
     def s_range(self):
-        return self.clip.extent(self.m)
+        return self.shape.extent(self.m)
 
     def zeta_at(self, x):
         if self.zeta is None:
@@ -644,6 +518,12 @@ class UDecomposition:
     angle2: float = np.pi / 4
     weight: float = 0.5  # mixture weight on the first angle
 
+    def __post_init__(self):
+        if self.kind not in ("parallel", "mixture"):
+            raise ParameterError(
+                f"unknown u_decomposition kind {self.kind!r}: use 'parallel' or 'mixture'"
+            )
+
 
 def tangential_data(poly: ConvexPolygon):
     """(incenter, inradius, vertex list data) for a tangential polygon."""
@@ -672,8 +552,7 @@ def tangential_data(poly: ConvexPolygon):
 
 
 def rectangle_regions(rect: Rectangle):
-    """The five ordered regions and two unconstrained triangles, as vertex
-    lists (CCW)."""
+    """The five ordered regions and the two unconstrained triangles."""
     a, b = rect.a, rect.b
     m = a - b
     regions = {
@@ -685,13 +564,21 @@ def rectangle_regions(rect: Rectangle):
         "t_left": [(-a, 0.0), (-m, -b), (-m, b)],
         "t_right": [(a, 0.0), (m, b), (m, -b)],
     }
-    return {k: np.asarray(vv, dtype=float) for k, vv in regions.items()}
+    return {k: ConvexPolygon(vv) for k, vv in regions.items()}
 
 
-def _u_charts_for_clip(clip, decomposition: UDecomposition, kinds):
+def _vertex_roof(poly: ConvexPolygon):
+    """(c, g): the affine c + g . x matching |y|^2/2 at the vertices."""
+    v = poly.vertices
+    A = np.column_stack([np.ones(len(v)), v])
+    coef, *_ = np.linalg.lstsq(A, 0.5 * np.sum(v * v, axis=1), rcond=None)
+    return coef[0], coef[1:]
+
+
+def _u_chart(shape, roof, decomposition: UDecomposition, kinds):
     ang = decomposition.angle
     d = np.array([np.cos(ang), np.sin(ang)])
-    return [ChordChart(clip, d, label="U", kinds=kinds, zeta=None, data_kind="bvp")]
+    return ChordChart(shape, d, label="U", kinds=kinds, zeta=None, data_kind="bvp", roof=roof)
 
 
 def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
@@ -707,12 +594,12 @@ def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
     if sign >= 0:
         if isinstance(domain, Ellipse):
             zeta = 1.0 - domain.b**2 / domain.a**2
-            chart = ChordChart(EllipseClip(domain.a, domain.b), (0.0, 1.0),
-                               label="O", zeta=zeta)
-            return [chart], meta
+            return [ChordChart(domain, (0.0, 1.0), label="O", zeta=zeta)], meta
         if isinstance(domain, Disc):
-            clip = DiscClip(domain.center, domain.radius)
-            return _u_charts_for_clip(clip, decomposition, ("boundary", "boundary")), meta
+            # on the circle |y - c| = R, |y|^2/2 = (R^2 - |c|^2)/2 + c . y
+            c = np.asarray(domain.center, dtype=float)
+            roof = (0.5 * domain.radius**2 - 0.5 * c @ c, c)
+            return [_u_chart(domain, roof, decomposition, ("boundary", "boundary"))], meta
         if isinstance(domain, HalfDisc):
             R = domain.radius
             c, u, w = domain._frame()
@@ -730,15 +617,16 @@ def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
         if isinstance(domain, Rectangle):
             regs = rectangle_regions(domain)
             charts = [
-                ChordChart(PolygonClip(regs["band"]), (0.0, 1.0), label="O", zeta=1.0),
-                ChordChart(PolygonClip(regs["ne"]), (1.0, -1.0), label="O", zeta=2.0),
-                ChordChart(PolygonClip(regs["sw"]), (1.0, -1.0), label="O", zeta=2.0),
-                ChordChart(PolygonClip(regs["se"]), (1.0, 1.0), label="O", zeta=2.0),
-                ChordChart(PolygonClip(regs["nw"]), (1.0, 1.0), label="O", zeta=2.0),
+                ChordChart(regs["band"], (0.0, 1.0), label="O", zeta=1.0),
+                ChordChart(regs["ne"], (1.0, -1.0), label="O", zeta=2.0),
+                ChordChart(regs["sw"], (1.0, -1.0), label="O", zeta=2.0),
+                ChordChart(regs["se"], (1.0, 1.0), label="O", zeta=2.0),
+                ChordChart(regs["nw"], (1.0, 1.0), label="O", zeta=2.0),
             ]
             for key in ("t_left", "t_right"):
-                clip = PolygonClip(regs[key])
-                charts += _u_charts_for_clip(clip, decomposition, ("interface", "interface"))
+                tri = regs[key]
+                charts.append(_u_chart(tri, _vertex_roof(tri), decomposition,
+                                       ("interface", "interface")))
             return charts, meta
         if isinstance(domain, ConvexPolygon):
             if not domain.is_tangential():
@@ -748,25 +636,20 @@ def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
             c, r, data = tangential_data(domain)
             charts = []
             contact_pts = []
-            for i, rec in enumerate(data):
-                tri = PolygonClip(
-                    np.asarray([rec["vertex"], rec["contacts"][0], rec["contacts"][1]]) + c
-                )
-                # ensure CCW orientation of the small triangle
-                vv = tri.vertices - c
-                e1, e2 = vv[1] - vv[0], vv[2] - vv[0]
-                area2 = e1[0] * e2[1] - e1[1] * e2[0]
-                if area2 < 0:
-                    tri = PolygonClip(
-                        np.asarray([rec["vertex"], rec["contacts"][1], rec["contacts"][0]]) + c
-                    )
+            for rec in data:
+                tri = np.asarray([rec["vertex"], rec["contacts"][0], rec["contacts"][1]]) + c
+                # orient the small triangle counterclockwise
+                e1, e2 = tri[1] - tri[0], tri[2] - tri[0]
+                if e1[0] * e2[1] - e1[1] * e2[0] < 0:
+                    tri = tri[[0, 2, 1]]
                 zeta = 1.0 + np.tan(rec["alpha"] / 2) ** 2
                 charts.append(
-                    ChordChart(tri, rot90(rec["ahat"]), label="O", zeta=zeta)
+                    ChordChart(ConvexPolygon(tri), rot90(rec["ahat"]), label="O", zeta=zeta)
                 )
                 contact_pts.append(rec["contacts"][1] + c)
-            contact_poly = PolygonClip(np.asarray(contact_pts))
-            charts += _u_charts_for_clip(contact_poly, decomposition, ("interface", "interface"))
+            contact_poly = ConvexPolygon(np.asarray(contact_pts))
+            charts.append(_u_chart(contact_poly, _vertex_roof(contact_poly), decomposition,
+                                   ("interface", "interface")))
             return charts, meta
         raise UnsupportedShapeError(f"no positive-curvature charts for {domain.name}")
 
@@ -788,9 +671,8 @@ def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
         m = domain.medial_segment_halflength()
         meta["sigma"] = {"kind": "segment", "p0": np.array([-m, 0.0]), "p1": np.array([m, 0.0])}
         return charts, meta
-    if isinstance(domain, (Rectangle, ConvexPolygon)):
-        poly = domain.as_polygon() if isinstance(domain, Rectangle) else domain
-        charts = [PolygonSideChart(poly, i) for i in range(poly.n_sides())]
+    if isinstance(domain, ConvexPolygon):
+        charts = [PolygonSideChart(domain, i) for i in range(domain.n_sides())]
         meta["sigma"] = {"kind": "tree", "axis": domain.medial_axis()}
         return charts, meta
     if isinstance(domain, HalfDisc):

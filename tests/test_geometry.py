@@ -154,6 +154,19 @@ class TestMedialAxis:
             v = np.subtract(q, p)
             assert abs(abs(v[0]) - abs(v[1])) < 1e-10  # 45 degree bisectors
 
+    def test_rectangle_axis_is_the_closed_form(self, rect):
+        def key(seg):
+            return tuple(sorted(tuple(np.round(np.asarray(p, float), 12) + 0.0) for p in seg))
+
+        ma = rect.medial_axis()
+        expected = [((-1.0, 0.0), (1.0, 0.0))] + [
+            ((sx * 2.0, sy * 1.0), (sx * 1.0, 0.0)) for sx in (-1, 1) for sy in (-1, 1)
+        ]
+        assert len(ma.segments) == 5
+        assert {key(seg) for seg in ma.segments} == {key(seg) for seg in expected}
+        got = {(tuple(np.round(np.asarray(p, float), 12) + 0.0), deg) for p, deg in ma.vertices}
+        assert got == {((-1.0, 0.0), 3), ((1.0, 0.0), 3)}
+
     def test_square_collapses_to_center(self):
         sq = ConvexPolygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
         ma = sq.medial_axis()
@@ -221,6 +234,61 @@ class TestBoundarySample:
                 assert np.allclose(bp.tau, (-bp.nu[1], bp.nu[0]), atol=1e-12)
 
 
+CLIP_SHAPES = {
+    "disc": Disc(1.0),
+    "offset_disc": Disc(0.8, (0.4, -0.3)),
+    "ellipse": Ellipse(2.0, 1.0),
+    "rectangle": Rectangle(2.0, 1.0),
+    "triangle": ConvexPolygon([(1.2, 0.0), (-0.6, 1.0), (-0.6, -1.0)]),
+    "regular_pentagon": ConvexPolygon(
+        np.stack([np.cos(0.3 + 2 * np.pi * np.arange(5) / 5),
+                  np.sin(0.3 + 2 * np.pi * np.arange(5) / 5)], axis=1)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CLIP_SHAPES))
+class TestLineClipping:
+    """`line_spans` and `extent`, which the chord charts clip with."""
+
+    def test_span_ends_lie_on_the_boundary(self, name):
+        dom = CLIP_SHAPES[name]
+        rng = np.random.default_rng(5)
+        (x0, y0), (x1, y1) = dom.bbox()
+        base = rng.uniform([x0 - 0.5, y0 - 0.5], [x1 + 0.5, y1 + 0.5], size=(400, 2))
+        eps = 1e-9 * dom.diameter()
+        hits = 0
+        for ang in (0.0, np.pi / 2, np.pi / 4, 1.1, 2.9):
+            d = np.array([np.cos(ang), np.sin(ang)])
+            lo, hi = dom.line_spans(base, d)
+            met = hi - lo > 10 * eps
+            hits += met.sum()
+            start = base[met] + lo[met, None] * d
+            end = base[met] + hi[met, None] * d
+            for ends in (start, end):
+                assert np.all(dom.boundary_distance(ends) <= 1e-12 * dom.diameter())
+            assert np.all(dom.contains(0.5 * (start + end)))
+            assert not np.any(dom.contains(start - eps * d))
+            assert not np.any(dom.contains(end + eps * d))
+            # a line farther from the box centre than its corners misses
+            centre = 0.5 * np.array([x0 + x1, y0 + y1])
+            far = centre + (0.5 * dom.diameter() + 1.0) * np.array([d[1], -d[0]])
+            lo, hi = dom.line_spans(far, d)
+            assert lo[0] > hi[0]
+        assert hits > 500
+
+    def test_extent_matches_boundary_samples(self, name):
+        dom = CLIP_SHAPES[name]
+        bnd = np.array([bp.position for bp in dom.boundary_sample(4096)])
+        spacing = np.hypot(*np.diff(np.vstack([bnd, bnd[:1]]), axis=0).T).max()
+        for ang in np.linspace(0.0, np.pi, 7):
+            m = np.array([np.cos(ang), np.sin(ang)])
+            lo, hi = dom.extent(m)
+            vals = bnd @ m
+            assert lo <= vals.min() + 1e-12 and vals.min() - lo <= spacing
+            assert hi >= vals.max() - 1e-12 and hi - vals.max() <= spacing
+
+
 class TestValidationAndConfig:
     def test_ellipse_needs_b_below_a(self):
         with pytest.raises(ParameterError):
@@ -238,6 +306,15 @@ class TestValidationAndConfig:
         for dom in (ellipse, disc, rect, half_disc_neg, triangle):
             clone = make_domain(dom.spec())
             assert clone.spec() == dom.spec()
+
+    def test_rectangle_is_a_polygon(self, rect):
+        assert isinstance(rect, ConvexPolygon)
+        np.testing.assert_array_equal(rect.vertices, [(-2, -1), (2, -1), (2, 1), (-2, 1)])
+        clone = make_domain(rect.spec())
+        assert isinstance(clone, Rectangle) and clone.spec() == rect.spec()
+        np.testing.assert_array_equal(clone.vertices, rect.vertices)
+        with pytest.raises(ParameterError):
+            Rectangle(1.0, 1.0)
 
     def test_make_domain_rejects_unknown(self):
         with pytest.raises(Exception):

@@ -1,11 +1,15 @@
-"""The point-to-chart locator and the values its consumers read at seams."""
+"""The point-to-chart locator, the values its consumers read at seams, and
+the unconstrained-set decomposition's input check."""
+
+import json
 
 import numpy as np
 import pytest
 
-from shellwrinkle import airy
+from shellwrinkle import airy, cli
+from shellwrinkle.errors import ParameterError
 from shellwrinkle.grids import MaskedGrid
-from shellwrinkle.rulings import locate
+from shellwrinkle.rulings import UDecomposition, locate
 from shellwrinkle.shell import ShellProfile
 
 POS = ShellProfile.constant(1.0)
@@ -78,6 +82,26 @@ def test_phi_plus_at_seams_agrees_with_every_chart(rect):
         if chart.label == "O":
             own = airy.AiryField._interp_along_rulings(chart, pts[held])
         else:
-            c, g = chart.clip.affine_roof()
+            c, g = chart.roof
             own = c + pts[held] @ g
         np.testing.assert_allclose(own, phi[held], rtol=0, atol=1e-12)
+
+
+def test_unknown_decomposition_kind_is_rejected():
+    assert UDecomposition(kind="parallel").kind == "parallel"
+    assert UDecomposition(kind="mixture").kind == "mixture"
+    with pytest.raises(ParameterError, match="mixure"):
+        UDecomposition(kind="mixure")
+
+
+def test_cli_reports_unknown_decomposition_kind(tmp_path, capsys):
+    cfg = {
+        "domain": {"shape": "disc", "radius": 1.0},
+        "shell": {"sign": "positive"},
+        "u_decomposition": {"kind": "mixure"},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["defect", "--config", str(path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "mixure" in err
