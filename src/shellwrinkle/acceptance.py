@@ -263,13 +263,18 @@ def criterion_2():
 
 
 def criterion_3():
-    """Strong duality on four catalog cases at 256^2 and 512^2."""
+    """Strong duality on five catalog cases at 256^2 and 512^2.
+
+    The negative ellipse has no closed-form optimum, so only its gap is
+    checked.
+    """
     t0 = time.time()
     targets = [
         ("pos ellipse", Ellipse(2.0, 1.0), 1.0, np.pi / 2),
         ("pos disc", Disc(1.0), 1.0, np.pi / 4),
         ("neg disc", Disc(1.0), -1.0, np.pi / 12),
         ("neg rectangle", Rectangle(2.0, 1.0), -1.0, 1.0),
+        ("neg ellipse", Ellipse(2.0, 1.0), -1.0, None),
     ]
     details = []
     passed = True
@@ -281,7 +286,7 @@ def criterion_3():
             p = df.primal_value()
             d = airy_mod.dual_value(dom, sh, df.airy, res)
             gaps[res] = abs(p - d) / max(p, d)
-            if res == 512 and _rel(p, ref) > 3e-3:
+            if res == 512 and ref is not None and _rel(p, ref) > 3e-3:
                 passed = False
         ok = gaps[256] < 1e-2 and gaps[512] < 3e-3
         passed = passed and ok
@@ -307,7 +312,7 @@ def criterion_4():
         res[n] = chars.curlcurl_residual(df, sh, 8)
     order = np.log2(res[256] / res[512])
     elapsed = time.time() - t0
-    passed = res[256] < 1e-3 * norm_k and res[512] <= 0.5 * res[256] and order >= 1.5
+    passed = bool(res[256] < 1e-3 * norm_k and res[512] <= 0.5 * res[256] and order >= 1.5)
     detail = (
         f"residual 256: {res[256]:.2e} (tol {1e-3 * norm_k:.2e}), "
         f"512: {res[512]:.2e}, order {order:.2f}; {elapsed:.1f} s"
@@ -342,7 +347,7 @@ def criterion_5():
     mu_diff = np.abs(df0.mu - df1.mu)[df0.grid.mask & df1.grid.mask].max()
     lam_diff = np.abs(df0.lam - df1.lam)[df0.grid.mask & df1.grid.mask].max()
     elapsed = time.time() - t0
-    passed = gap_ok and res_ok and primal_close and mu_diff > 0.1
+    passed = bool(gap_ok and res_ok and primal_close and mu_diff > 0.1)
     detail = (
         f"primals {p0:.5f}/{p1:.5f} (rel {_rel(p0, p1):.1e}); residuals "
         f"{r0:.1e}/{r1:.1e}; |mu0-mu45| max {mu_diff:.3f} (>0.1); "

@@ -14,6 +14,7 @@ check is the safeguard that would expose that choice if it were wrong.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,14 +35,27 @@ CAUCHY_SIGN_TOL = 1e-8
 
 @dataclass
 class LineSolution:
-    """Density samples along one line; lam_sing is identically zero."""
+    """Density lam along one line, sampled at n uniform nodes t = L u with
+    u = linspace(0, 1, n) and L the line length; lam_sing is identically
+    zero.
+
+    Only lam is stored.  The nodes ``t`` and the product ``rho_lam`` follow
+    from the line and are rebuilt on demand, so a field with thousands of
+    lines keeps one sample array per line, not three.
+    """
 
     line: LineGeometry
-    t: np.ndarray
     lam: np.ndarray
-    rho_lam: np.ndarray
     data_kind: str  # 'two_point_bvp' | 'cauchy'
     sign_violation: bool = False
+
+    @property
+    def t(self):
+        return self.line.length * _unit_grid(len(self.lam))
+
+    @property
+    def rho_lam(self):
+        return self.line.rho_at(self.t) * self.lam
 
     def lam_at(self, u):
         return np.interp(u, self.t, self.lam)
@@ -51,20 +65,34 @@ class LineSolution:
         return 0.0
 
 
-def _cumtrapz(y, t):
-    out = np.zeros_like(y)
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(t))
+@functools.lru_cache(maxsize=4)
+def _unit_grid(n):
+    """linspace(0, 1, n), shared read-only by every line with n samples."""
+    u = np.linspace(0.0, 1.0, n)
+    u.flags.writeable = False
+    return u
+
+
+def _cumtrapz(y, h):
+    """Cumulative trapezoid sum of samples y on a uniform step h."""
+    out = np.empty_like(y)
+    out[0] = 0.0
+    np.cumsum(y[1:] + y[:-1], out=out[1:])
+    out[1:] *= 0.5 * h
     return out
 
 
-def _sample_line(line: LineGeometry, K, n):
-    if line.length <= 0:
+def _integrate_line(line: LineGeometry, K, n):
+    """Nodes t, rho(t) and I2, the double cumulative integral of rho K."""
+    L = line.length
+    if L <= 0:
         raise ParameterError("degenerate line")
-    t = np.linspace(0.0, line.length, n)
-    pos = line.point_at(t)
-    rho = line.rho_at(t)
-    k = np.asarray(K(pos), dtype=float)
-    return t, rho, k
+    t = L * _unit_grid(n)
+    rho = line.rho0 + line.rho1 * t
+    k = np.asarray(K(line.point_at(t)), dtype=float)
+    h = L / (n - 1)
+    i2 = _cumtrapz(_cumtrapz(rho * k, h), h)
+    return t, rho, i2
 
 
 def solve_bvp(line: LineGeometry, K, n=DEFAULT_SAMPLES_PER_LINE) -> LineSolution:
@@ -73,15 +101,12 @@ def solve_bvp(line: LineGeometry, K, n=DEFAULT_SAMPLES_PER_LINE) -> LineSolution
     (rho lam)(t) = -2 I2(t) + c t with I2 the double cumulative integral of
     rho K and c fixed by the right endpoint.
     """
-    t, rho, k = _sample_line(line, K, n)
-    if np.any(rho <= 0):
+    t, rho, i2 = _integrate_line(line, K, n)
+    # rho is affine, so it is positive along the line iff at both ends
+    if not (rho[0] > 0 and rho[-1] > 0):
         raise DataError("rho must be positive along a two-point line")
-    i1 = _cumtrapz(rho * k, t)
-    i2 = _cumtrapz(i1, t)
     c = 2.0 * i2[-1] / t[-1]
-    rho_lam = -2.0 * i2 + c * t
-    lam = rho_lam / rho
-    return LineSolution(line=line, t=t, lam=lam, rho_lam=rho_lam, data_kind="two_point_bvp")
+    return LineSolution(line=line, lam=(c * t - 2.0 * i2) / rho, data_kind="two_point_bvp")
 
 
 def solve_cauchy(line: LineGeometry, K, n=DEFAULT_SAMPLES_PER_LINE) -> LineSolution:
@@ -92,19 +117,12 @@ def solve_cauchy(line: LineGeometry, K, n=DEFAULT_SAMPLES_PER_LINE) -> LineSolut
     """
     if line.start_kind == "boundary":
         raise DataError("Cauchy data must start on the singular set or a focal point")
-    t, rho, k = _sample_line(line, K, n)
-    i1 = _cumtrapz(rho * k, t)
-    i2 = _cumtrapz(i1, t)
-    rho_lam = -2.0 * i2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam = np.where(rho > 0, rho_lam / np.where(rho > 0, rho, 1.0), 0.0)
-    if rho[0] == 0.0:
-        lam[0] = 0.0  # fan center: lam ~ -K u^2 / 3 -> 0
-    violation = bool(np.min(lam) < -CAUCHY_SIGN_TOL)
-    return LineSolution(
-        line=line, t=t, lam=lam, rho_lam=rho_lam,
-        data_kind="cauchy", sign_violation=violation,
-    )
+    t, rho, i2 = _integrate_line(line, K, n)
+    # lam = 0 where rho vanishes: at a fan center lam ~ -K u^2 / 3 -> 0
+    lam = np.zeros(n)
+    np.divide(-2.0 * i2, rho, out=lam, where=rho > 0)
+    violation = bool(lam.min() < -CAUCHY_SIGN_TOL)
+    return LineSolution(line=line, lam=lam, data_kind="cauchy", sign_violation=violation)
 
 
 def solve_line(line: LineGeometry, K, data_kind, n=DEFAULT_SAMPLES_PER_LINE):

@@ -23,6 +23,7 @@ from .errors import AmbiguityError, DomainError, ParameterError, UnsupportedShap
 
 CORNER_DELTA_FACTOR = 1e-3  # corner cutoff: delta = 1e-3 * diam by default
 _BISECT_TOL = 1e-10  # bisector intersection tolerance for polygon axes
+_FOOT_MAX_STEPS = 100  # guard on the ellipse foot Newton iteration (~12 taken)
 
 
 def rot90(v):
@@ -322,27 +323,37 @@ class Ellipse(Domain):
         q = (x[:, 0] / self.a) ** 2 + (x[:, 1] / self.b) ** 2
         return _unsingle(q <= 1.0 + tol, single)
 
-    def _foot_parameter(self, x):
-        """Largest root t of the foot equation, vectorized bisection.
+    def _foot_parameter(self, p):
+        """delta = t + b^2 for the foot of each point p (p1, p2 >= 0).
 
-        The nearest boundary point of p is ((a^2 p1)/(t+a^2), (b^2 p2)/(t+b^2))
-        where t solves (a p1/(t+a^2))^2 + (b p2/(t+b^2))^2 = 1.  For points in
-        the closed ellipse the relevant root is the largest one, which lies in
-        [-b^2 + b|p2|, -b^2 + hypot(a p1, b p2)].
+        The nearest boundary point of p is (a^2 p1 / (delta + a^2 - b^2),
+        b^2 p2 / delta), where delta is the largest root of
+
+            f(delta) = (a p1 / (delta + a^2 - b^2))^2 + (b p2 / delta)^2 - 1,
+
+        bracketed by [b p2, hypot(a p1, b p2)].  On delta > 0, f is convex
+        and decreasing, and f >= 0 at the left bracket.  Newton's tangent at
+        a point where f >= 0 then lies below f and meets zero at or before
+        the root, so iterates started from the left bracket climb to the root
+        without overshooting; they are clamped to the right bracket and
+        stopped once no iterate changes.  Working in delta rather than t
+        keeps b^2 p2 / delta exact near the major axis, where delta ~ p2.
         """
         a, b = self.a, self.b
-        p = np.abs(x)
-        r = np.hypot(a * p[:, 0], b * p[:, 1])
-        lo = -b * b + b * p[:, 1]
-        hi = -b * b + r
-        hi = np.maximum(hi, lo + 1e-300)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            f = (a * p[:, 0] / (mid + a * a)) ** 2 + (b * p[:, 1] / (mid + b * b)) ** 2 - 1.0
-            take = f > 0.0
-            lo = np.where(take, mid, lo)
-            hi = np.where(take, hi, mid)
-        return 0.5 * (lo + hi)
+        c2 = a * a - b * b
+        ap, bp = a * p[:, 0], b * p[:, 1]
+        hi = np.hypot(ap, bp)
+        delta = bp.copy()
+        for _ in range(_FOOT_MAX_STEPS):
+            q1 = ap / (delta + c2)
+            q2 = bp / delta
+            f = q1 * q1 + q2 * q2 - 1.0
+            df = -2.0 * (q1 * q1 / (delta + c2) + q2 * q2 / delta)
+            nxt = np.minimum(np.maximum(delta - f / df, delta), hi)
+            if np.array_equal(nxt, delta):
+                break
+            delta = nxt
+        return delta
 
     def nearest_boundary_point(self, x):
         x, single = _as_points(x)
@@ -353,9 +364,9 @@ class Ellipse(Domain):
         # off-axis (or on the minor axis): the foot equation is well posed
         gen = ~on_major
         if np.any(gen):
-            t = self._foot_parameter(x[gen])
-            y[gen, 0] = a * a * p[gen, 0] / (t + a * a)
-            y[gen, 1] = b * b * p[gen, 1] / (t + b * b)
+            delta = self._foot_parameter(p[gen])
+            y[gen, 0] = a * a * p[gen, 0] / (delta + (a * a - b * b))
+            y[gen, 1] = b * b * p[gen, 1] / delta
         if np.any(on_major):
             # on the major axis the foot is either the vertex or a symmetric
             # off-axis pair; return the upper representative of the pair.

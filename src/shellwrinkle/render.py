@@ -160,20 +160,17 @@ def medial_csv(medial):
 
 
 def defect_csv(defect):
+    """Masked cells in row-major order: x, y, lambda, eta (NaN eta as 0),
+    each value formatted like `FMT`, one ``%`` per row."""
     grid = defect.grid
-    rows = []
-    X, Y = grid.X, grid.Y
-    for i in range(grid.nx):
-        for j in range(grid.ny):
-            if not grid.mask[i, j]:
-                continue
-            e = defect.eta[i, j]
-            rows.append(
-                (X[i, j], Y[i, j], defect.lam[i, j],
-                 e[0] if np.isfinite(e[0]) else 0.0,
-                 e[1] if np.isfinite(e[1]) else 0.0)
-            )
-    return csv_lines(["x", "y", "lambda", "eta_x", "eta_y"], rows)
+    m = grid.mask
+    eta = defect.eta[m]
+    eta = np.where(np.isfinite(eta), eta, 0.0)
+    cols = np.column_stack([grid.X[m], grid.Y[m], defect.lam[m], eta])
+    row = ",".join(["%.9g"] * cols.shape[1])
+    lines = ["x,y,lambda,eta_x,eta_y"]
+    lines.extend(row % tuple(r) for r in cols.tolist())
+    return "\n".join(lines) + "\n"
 
 
 def heightmap_csv(field):

@@ -32,6 +32,15 @@ def rot_minus90(v):
     return out
 
 
+def _pair(u, v):
+    """np.stack([u, v], axis=-1) for u of any shape and v broadcast to it,
+    without stack's per-call checks (one call per station on line_at)."""
+    out = np.empty(np.shape(u) + (2,))
+    out[..., 0] = u
+    out[..., 1] = v
+    return out
+
+
 @dataclass(frozen=True)
 class LineGeometry:
     """One ruling segment: start -> end with transverse direction eta.
@@ -59,8 +68,9 @@ class LineGeometry:
         return d / np.hypot(*d)
 
     def point_at(self, u):
-        u = np.asarray(u, dtype=float)
-        return self.start + np.multiply.outer(u, self.direction())
+        """(len(u), 2) points at distances u (a 1-D array) from the start."""
+        x0, d = self.start, self.direction()
+        return np.column_stack((x0[0] + u * d[0], x0[1] + u * d[1]))
 
     def rho_at(self, u):
         return self.rho0 + self.rho1 * np.asarray(u, dtype=float)
@@ -374,12 +384,12 @@ class EllipseExitChart(Chart):
     def _phi_data(self, phi):
         a, b = self.E.a, self.E.b
         cs, sn = np.cos(phi), np.sin(phi)
-        y = np.stack([a * cs, b * sn], axis=-1)
-        g = np.stack([cs / a, sn / b], axis=-1)
+        y = _pair(a * cs, b * sn)
+        g = _pair(cs / a, sn / b)
         N = np.hypot(g[..., 0], g[..., 1])
         nu = g / N[..., None]
         t_cut = b * b * N
-        z = np.stack([cs * (a - b * b / a), np.zeros_like(sn)], axis=-1)
+        z = _pair(cs * (a - b * b / a), 0.0)
         return y, nu, t_cut, z
 
     def contains(self, x):
@@ -444,13 +454,10 @@ class EllipseExitChart(Chart):
         return 1.0 / (1.0 - d * kappa)
 
     def eta_at(self, x):
-        x = np.atleast_2d(x)
-        y = np.atleast_2d(self.E.nearest_boundary_point(x))
-        g = x - y
-        n = np.hypot(g[:, 0], g[:, 1])
-        n = np.where(n < 1e-300, 1.0, n)
-        grad_d = g / n[:, None]
-        return rot90(grad_d)
+        # from the boundary normal at the foot, as in line_at: x - foot
+        # vanishes on cells projected onto the boundary
+        phi = self._phi_of(np.atleast_2d(x))
+        return rot_minus90(self._phi_data(phi)[1])
 
 
 class HalfDiscSouthChart(Chart):

@@ -20,7 +20,7 @@ from .errors import DataError
 class ShellProfile:
     """Curvature data K = det(grad grad p) with a declared sign.
 
-    sign is one of {"positive", "negative", "zero"}; K samples must not
+    sign is one of {"positive", "negative", "zero"}; a constant K must not
     contradict it beyond ``tol``.  grad_p / p_field are only needed for
     energy evaluation with a nonflat reference profile.
     """
@@ -53,15 +53,6 @@ class ShellProfile:
         else:
             vals = np.full(len(pts), float(self.curvature))
         return vals if x.ndim == 2 else float(vals[0])
-
-    def check_sign(self, x):
-        """Verify sampled K values against the declared sign."""
-        vals = np.atleast_1d(self.k(x))
-        if self.sign == "positive":
-            return bool(np.all(vals >= -self.tol))
-        if self.sign == "negative":
-            return bool(np.all(vals <= self.tol))
-        return bool(np.all(np.abs(vals) <= self.tol))
 
     def gradient(self, x):
         """Profile gradient; zero for a flat reference profile."""

@@ -2,6 +2,19 @@ import numpy as np
 import pytest
 
 from shellwrinkle.geometry import ConvexPolygon, Disc, Ellipse, HalfDisc, Rectangle
+from shellwrinkle.shell import ShellProfile
+
+_POS = ShellProfile.constant(1.0)
+_NEG = ShellProfile.constant(-1.0)
+
+# The catalog's shape/sign cases, by fixture name.
+CASES = [
+    ("ellipse", _POS), ("disc", _POS), ("rect", _POS), ("half_disc_pos", _POS),
+    ("triangle", _POS), ("regular_pentagon", _POS),
+    ("ellipse", _NEG), ("disc", _NEG), ("rect", _NEG), ("half_disc_neg", _NEG),
+    ("triangle", _NEG), ("pentagon", _NEG),
+]
+CASE_IDS = [f"{n}-{s.sign}" for n, s in CASES]
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ assembled defect fields against closed forms, and the weak-form residual."""
 import numpy as np
 import pytest
 
+from conftest import CASE_IDS, CASES
 from shellwrinkle import airy
 from shellwrinkle import characteristics as chars
 from shellwrinkle.errors import DataError, ResolutionError
@@ -180,6 +181,23 @@ class TestDefectField:
         # the half-chart holding their foot parameter, not to the first one
         df = chars.defect_field(ellipse, NEG, resolution)
         assert int(df.uncovered.sum()) == 0
+
+    @pytest.mark.parametrize("name,shell", CASES, ids=CASE_IDS)
+    def test_eta_is_unit_on_every_covered_cell(self, request, name, shell):
+        # mu = lam eta (x) eta carries the cell's mass only when |eta| = 1;
+        # cells projected onto the boundary must keep theirs too
+        df = chars.defect_field(request.getfixturevalue(name), shell, 128)
+        covered = df.grid.mask & ~df.uncovered
+        norm = np.hypot(df.eta[..., 0], df.eta[..., 1])[covered]
+        bad = ~(np.abs(norm - 1.0) <= 1e-12)
+        assert not bad.any(), f"{bad.sum()} of {bad.size} covered cells have |eta| != 1"
+
+    def test_line_solution_derives_t_and_rho_lam(self):
+        # only lam is stored; the nodes and rho lam follow from the line
+        line = make_line((0.0, 1.0), (0.0, 3.0), rho0=1.0, rho1=1.0)
+        sol = chars.solve_bvp(line, lambda x: np.ones(len(x)), n=501)
+        assert np.array_equal(sol.t, 2.0 * np.linspace(0.0, 1.0, 501))
+        assert np.array_equal(sol.rho_lam, (1.0 + sol.t) * sol.lam)
 
     def test_internal_vertex_lines_carry_no_singular_part(self, rect):
         # the solver represents the singular density as identically zero, so

@@ -129,6 +129,46 @@ class TestExitGradient:
                 assert g[axis] == pytest.approx(fd, abs=1e-6)
 
 
+class TestEllipseFootPoint:
+    """nearest_boundary_point on Ellipse(2, 1) at seeded points: the foot lies
+    on the ellipse, x - foot is normal there, and it is the nearest point."""
+
+    @staticmethod
+    def check_foot(ellipse, x, y):
+        a, b = ellipse.a, ellipse.b
+        assert np.abs((y[:, 0] / a) ** 2 + (y[:, 1] / b) ** 2 - 1.0).max() < 1e-12
+        n = np.stack([y[:, 0] / a**2, y[:, 1] / b**2], axis=1)
+        n /= np.hypot(n[:, 0], n[:, 1])[:, None]
+        r = x - y
+        assert np.abs(r[:, 0] * n[:, 1] - r[:, 1] * n[:, 0]).max() < 1e-12
+
+    def test_seeded_points_inside_and_just_outside(self, ellipse):
+        rng = np.random.default_rng(5)
+        x = rng.uniform([-2.1, -1.1], [2.1, 1.1], size=(2000, 2))
+        y = ellipse.nearest_boundary_point(x)
+        self.check_foot(ellipse, x, y)
+        phi = np.linspace(0.0, 2 * np.pi, 100_001)
+        bnd = np.stack([2 * np.cos(phi), np.sin(phi)], axis=1)
+        d = np.hypot(*(x - y).T)
+        for p, dd in zip(x[:200], d[:200]):
+            assert dd <= np.min(np.hypot(*(bnd - p).T)) + 1e-12
+
+    def test_near_the_major_axis(self, ellipse):
+        # 1e-13 <= |x2| <= 1e-10 inside the medial segment: the feet are
+        # the closed-form symmetric pair of the axis point to O(|x2|)
+        a, b = ellipse.a, ellipse.b
+        rng = np.random.default_rng(6)
+        m = 0.9 * ellipse.medial_segment_halflength()
+        x1 = rng.uniform(-m, m, size=400)
+        x2 = 10 ** rng.uniform(-13, -10, size=400) * rng.choice([-1.0, 1.0], size=400)
+        x = np.stack([x1, x2], axis=1)
+        y = ellipse.nearest_boundary_point(x)
+        self.check_foot(ellipse, x, y)
+        c = x1 * a / (a * a - b * b)
+        pair = np.stack([a * c, np.sign(x2) * b * np.sqrt(1.0 - c * c)], axis=1)
+        assert np.abs(y - pair).max() < 1e-8
+
+
 class TestMedialAxis:
     def test_disc_is_center(self, disc):
         ma = disc.medial_axis()

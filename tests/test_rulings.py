@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import CASE_IDS, CASES
 from shellwrinkle import airy, cli
 from shellwrinkle.errors import ParameterError
 from shellwrinkle.grids import MaskedGrid
@@ -14,13 +15,6 @@ from shellwrinkle.shell import ShellProfile
 
 POS = ShellProfile.constant(1.0)
 NEG = ShellProfile.constant(-1.0)
-
-CASES = [
-    ("ellipse", POS), ("disc", POS), ("rect", POS), ("half_disc_pos", POS),
-    ("triangle", POS), ("regular_pentagon", POS),
-    ("ellipse", NEG), ("disc", NEG), ("rect", NEG), ("half_disc_neg", NEG),
-    ("triangle", NEG), ("pentagon", NEG),
-]
 
 
 def projected_masked_points(domain, resolution):
@@ -43,7 +37,7 @@ def seam_points(charts, pts):
     return pts[seam], hits[:, seam]
 
 
-@pytest.mark.parametrize("name,shell", CASES, ids=[f"{n}-{s.sign}" for n, s in CASES])
+@pytest.mark.parametrize("name,shell", CASES, ids=CASE_IDS)
 def test_every_masked_point_has_a_chart(request, name, shell):
     domain = request.getfixturevalue(name)
     charts = airy.solve_dual(domain, shell).charts
