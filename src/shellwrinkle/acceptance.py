@@ -375,11 +375,10 @@ def criterion_6():
     sh = ShellProfile(curvature=0.0, sign="zero")
     bulk = fld.stencil_bulk_mask()
     st = strain(fld, sh)
-    eps = st.eps.copy()
-    eps[..., 0] -= 0.5
-    eps[..., 2] -= 0.5
-    m = bulk & st.mask
-    strain_max = float(np.sqrt(_frob2_sym(eps)[m].max()))
+    eps = st.eps[bulk & st.mask]
+    eps[:, 0] -= 0.5
+    eps[:, 2] -= 0.5
+    strain_max = float(np.sqrt(_frob2_sym(eps).max()))
     br = energy(fld, sh, ep, region=bulk, renormalize=True, target=target)
     ratio = (br.bending + br.substrate) / ep.gamma_eff
     stretch = br.stretching
@@ -388,7 +387,7 @@ def criterion_6():
     ok_i = strain_max < 10 * fld.h
     ok_ii = 0.8 <= ratio <= 1.2
     ok_iii = stretch < 0.3 * np.sqrt(b * k)
-    passed = ok_i and ok_ii and ok_iii and elapsed < 120.0
+    passed = bool(ok_i and ok_ii and ok_iii and elapsed < 120.0)
     detail = (
         f"(i) bulk strain {strain_max:.2e} vs 10h={10 * fld.h:.2e}; "
         f"(ii) (bending+substrate)/(2 sqrt(bk)) = {ratio:.3f} in [0.8, 1.2]; "
@@ -504,7 +503,7 @@ def criterion_8():
     worst = np.inf
     for _ in range(100):
         w_field = _band_limited_field(rng)
-        margin = interpolation_check(w_field, chi, b, k, R, resolution=128)
+        margin = interpolation_check(w_field, chi, b, k, grid)
         scale = b * np.sum(wts * _frob2_sym(w_field.hess(pts))) + k * np.sum(
             wts * w_field.value(pts) ** 2
         )
@@ -529,7 +528,7 @@ def criterion_8():
         return out
 
     sin_field = AnalyticScalarField(value, grad, hess)
-    margin_sin = interpolation_check(sin_field, chi, b, k, R, resolution=256)
+    margin_sin = interpolation_check(sin_field, chi, b, k, MaskedGrid(R, 256))
     elapsed = time.time() - t0
     passed = worst >= -1e-6 and margin_sin >= -1e-9
     detail = (

@@ -22,11 +22,13 @@ from .airy import dual_value, solve_dual
 from .characteristics import defect_field, primal_value
 from .errors import DataError, ParameterError, RegimeError, ResolutionError
 from .geometry import Domain
+from .grids import MaskedGrid
 from .herringbone import (
     HerringboneParams,
     PiecewiseHerringboneField,
     TargetDefect,
     DisplacementField,
+    _BLOCK_ROWS,
     _eroded,
     optimal_params,
 )
@@ -69,19 +71,72 @@ class StrainField:
     h: float
 
 
-def strain(field: DisplacementField, shell: ShellProfile) -> StrainField:
-    """Geometrically linear strain by centered differences."""
-    if shell.sign != "zero" and shell.grad_p is None and callable(shell.curvature):
-        raise DataError("nonflat shell requires grad_p for strain evaluation")
-    e_u = field.sym_grad_u()
-    gw = field.grad_w()
-    X, Y = field.points()
-    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    gp = shell.gradient(pts).reshape(field.shape + (2,))
-    eps = np.empty(field.shape + (3,))
+def _row_blocks(field: DisplacementField):
+    """Walk the field in blocks of ``_BLOCK_ROWS`` grid rows.
+
+    Yields (rows, halo, keep, slab): ``halo`` is the block's grid rows
+    ``rows`` widened by 2 rows on each side (clipped to the array), ``slab``
+    is the field restricted to ``halo``, and ``keep`` selects ``rows``
+    within the slab.  A centered second difference on a kept row reads first
+    differences on the neighbouring rows, which read samples at most 2 rows
+    away, so on the kept rows every stencil of ``slab`` equals the
+    whole-grid stencil bit for bit: the one-sided edge formulas that the
+    slab applies at its halo rows never reach a kept row, and at the true
+    array edges they are the whole grid's.
+    """
+    nx = field.shape[0]
+    for r0 in range(0, nx, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, nx)
+        lo, hi = max(r0 - 2, 0), min(r1 + 2, nx)
+        slab = DisplacementField(
+            origin=(field.origin[0] + lo * field.h, field.origin[1]), h=field.h,
+            u=field.u[lo:hi], w=field.w[lo:hi],
+            domain_mask=field.domain_mask[lo:hi], bulk_mask=field.bulk_mask[lo:hi],
+        )
+        yield slice(r0, r1), slice(lo, hi), slice(r0 - lo, r1 - lo), slab
+
+
+def _centres(field: DisplacementField, rows: slice):
+    """Cell centres of grid rows ``rows`` as an (n, ny, 2) array, the values
+    ``field.points()`` gives for those rows."""
+    xs = field.origin[0] + (np.arange(rows.start, rows.stop) + 0.5) * field.h
+    ys = field.origin[1] + (np.arange(field.shape[1]) + 0.5) * field.h
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    return np.stack([X, Y], axis=-1)
+
+
+def _grad_p(shell: ShellProfile, centres):
+    return shell.gradient(centres.reshape(-1, 2)).reshape(centres.shape)
+
+
+def _slab_strain(slab: DisplacementField, keep: slice, gp):
+    """e(u) + grad w (x) grad w / 2 - grad p (x) grad p / 2 on the kept rows,
+    with gp the profile gradient there."""
+    e_u = slab.sym_grad_u()[keep]
+    gw = slab.grad_w()[keep]
+    eps = np.empty(e_u.shape)
     eps[..., 0] = e_u[..., 0] + 0.5 * gw[..., 0] ** 2 - 0.5 * gp[..., 0] ** 2
     eps[..., 1] = e_u[..., 1] + 0.5 * gw[..., 0] * gw[..., 1] - 0.5 * gp[..., 0] * gp[..., 1]
     eps[..., 2] = e_u[..., 2] + 0.5 * gw[..., 1] ** 2 - 0.5 * gp[..., 1] ** 2
+    return eps
+
+
+def _check_profile(shell: ShellProfile):
+    if shell.sign != "zero" and shell.grad_p is None and callable(shell.curvature):
+        raise DataError("nonflat shell requires grad_p for strain evaluation")
+
+
+def strain(field: DisplacementField, shell: ShellProfile) -> StrainField:
+    """Geometrically linear strain by centered differences.
+
+    The stencils are evaluated in blocks of grid rows with a 2-row halo
+    (see ``_row_blocks``), so no whole-grid derivative array is built; each
+    value equals the whole-grid stencil's bit for bit.
+    """
+    _check_profile(shell)
+    eps = np.empty(field.shape + (3,))
+    for rows, _, keep, slab in _row_blocks(field):
+        eps[rows] = _slab_strain(slab, keep, _grad_p(shell, _centres(field, rows)))
     return StrainField(eps=eps, mask=_eroded(field.domain_mask), h=field.h)
 
 
@@ -136,6 +191,12 @@ def energy(field: DisplacementField, shell: ShellProfile, params: EnergyParams,
     When ``target`` is given, the stretching term measures the deviation
     from the target defect, e(u) + grad w (x) grad w / 2 - mu/2 (the form
     the pattern is built to annihilate); otherwise it uses the shell profile.
+
+    The stencils are evaluated in blocks of grid rows with a 2-row halo
+    (see ``_row_blocks``), which reproduces every whole-grid stencil value
+    bit for bit, and each quadrature sum is added up block by block: no
+    whole-grid strain, Hessian or target array is built, and only the
+    summation order differs from one sum over the whole grid.
     """
     if field.params is not None and field.h > field.params.l_wr / 16 + 1e-15:
         raise ResolutionError("grid does not resolve the finest field scale")
@@ -148,46 +209,40 @@ def energy(field: DisplacementField, shell: ShellProfile, params: EnergyParams,
             area_factor = total / covered
     cell = field.h**2
 
-    st = strain(field, shell)
-    eps = st.eps
-    if target is not None:
-        X, Y = field.points()
-        pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-        mu_loc = target.matrix_at(pts).reshape(field.shape + (2, 2))
-        eps = np.empty_like(st.eps)
-        eps[..., 0] = st.eps[..., 0] - 0.5 * mu_loc[..., 0, 0]
-        eps[..., 1] = st.eps[..., 1] - 0.5 * mu_loc[..., 0, 1]
-        eps[..., 2] = st.eps[..., 2] - 0.5 * mu_loc[..., 1, 1]
-    stretching = 0.5 * float(np.sum(_frob2_sym(eps)[mask])) * cell * area_factor
+    _check_profile(shell)
+    curved = shell.p_field is not None or shell.grad_p is not None
+    stretching = bending = substrate = slope = 0.0
+    for rows, halo, keep, slab in _row_blocks(field):
+        m = mask[rows]
+        centres = _centres(field, halo)
+        gp_halo = _grad_p(shell, centres)
+        gp = gp_halo[keep]
+        eps = _slab_strain(slab, keep, gp)
+        if target is not None:
+            mu_loc = target.matrix_at(centres[keep].reshape(-1, 2)).reshape(gp.shape + (2,))
+            eps[..., 0] -= 0.5 * mu_loc[..., 0, 0]
+            eps[..., 1] -= 0.5 * mu_loc[..., 0, 1]
+            eps[..., 2] -= 0.5 * mu_loc[..., 1, 1]
+        stretching += np.sum(_frob2_sym(eps)[m])
 
-    hw = field.hess_w()
-    if shell.p_field is not None or shell.grad_p is not None:
-        # reference profile curvature by differencing its gradient samples
-        X, Y = field.points()
-        pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-        gp = shell.gradient(pts).reshape(field.shape + (2,))
-        hp = np.stack(
-            [
-                np.gradient(gp[..., 0], field.h, axis=0, edge_order=2),
-                0.5
-                * (
-                    np.gradient(gp[..., 0], field.h, axis=1, edge_order=2)
-                    + np.gradient(gp[..., 1], field.h, axis=0, edge_order=2)
-                ),
-                np.gradient(gp[..., 1], field.h, axis=1, edge_order=2),
-            ],
-            axis=-1,
-        )
-        hw = hw - hp
-    bending = 0.5 * params.b * float(np.sum(_frob2_sym(hw)[mask])) * cell * area_factor
-    substrate = 0.5 * params.k * float(np.sum(field.w[mask] ** 2)) * cell * area_factor
+        hw = slab.hess_w()[keep]
+        if curved:
+            # reference profile curvature by differencing its gradient samples
+            gx, gy = gp_halo[..., 0], gp_halo[..., 1]
+            hw[..., 0] -= slab._d(gx, 0)[keep]
+            hw[..., 1] -= 0.5 * (slab._d(gx, 1) + slab._d(gy, 0))[keep]
+            hw[..., 2] -= slab._d(gy, 1)[keep]
+        bending += np.sum(_frob2_sym(hw)[m])
+        substrate += np.sum(field.w[rows][m] ** 2)
+        if params.gamma > 0:
+            slope += np.sum(np.sum(gp**2, axis=-1)[field.domain_mask[rows]])
+    stretching = 0.5 * float(stretching) * cell * area_factor
+    bending = 0.5 * params.b * float(bending) * cell * area_factor
+    substrate = 0.5 * params.k * float(substrate) * cell * area_factor
 
     surface = 0.0
     if params.gamma > 0:
-        X, Y = field.points()
-        pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-        gp2 = np.sum(shell.gradient(pts) ** 2, axis=1).reshape(field.shape)
-        slope_term = 0.5 * float(np.sum(gp2[field.domain_mask])) * cell
+        slope_term = 0.5 * float(slope) * cell
         flux = _boundary_flux(field, domain) if domain is not None else 0.0
         surface = params.gamma * (slope_term - flux)
     return EnergyBreakdown(
@@ -224,7 +279,7 @@ class AnalyticScalarField:
 
 
 def interpolation_check(w_field: AnalyticScalarField, chi_field: AnalyticScalarField,
-                        b: float, k: float, domain: Domain, resolution=192):
+                        b: float, k: float, grid: MaskedGrid):
     """Margin of the sharpened interpolation inequality:
 
         b int |hess w|^2 + k int |w|^2
@@ -248,10 +303,9 @@ def interpolation_check(w_field: AnalyticScalarField, chi_field: AnalyticScalarF
     l^2 |hess chi|_inf lhs / 2 to leading order, so its margin exceeds the
     cutoff loss by a small fraction of lhs only once l is small against the
     width over which chi ramps.
-    """
-    from .grids import MaskedGrid
 
-    grid = MaskedGrid(domain, resolution)
+    The integrals are cut-cell quadratures over ``grid``.
+    """
     pts = grid.masked_points()
     wts = grid.weights[grid.mask]
     w = np.asarray(w_field.value(pts), dtype=float)

@@ -23,6 +23,7 @@ from .errors import ParameterError, RegimeError
 from .geometry import Domain, Rectangle
 
 GRID_PER_WAVELENGTH = 32  # default h = l_wr / 32
+_BLOCK_ROWS = 64  # grid rows per block when sampling and differencing fields
 
 
 # ----------------------------------------------------------------------
@@ -271,13 +272,13 @@ class HerringboneField:
         dsign = np.where(d0 <= d1, np.where(up0, 1.0, -1.0), np.where(up1, -1.0, 1.0))
         return eta, dist, dsign
 
-    def chi_int(self, x):
-        """Internal cutoff and derivatives: (chi, grad chi, hess chi)."""
-        x = np.atleast_2d(x)
+    def chi_int(self, band):
+        """Internal cutoff and derivatives from ``self._band(x)``:
+        (chi, grad chi, hess chi)."""
+        _, dist, dsign = band
         if self.rank_one:
-            n = len(x)
+            n = len(dist)
             return np.ones(n), np.zeros((n, 2)), np.zeros((n, 2, 2))
-        eta, dist, dsign = self._band(x)
         val, d1, d2 = ramp(dist, 0.5 * self.d_int, self.d_int)
         grad = (d1 * dsign)[:, None] * self.mdir[None, :]
         hess = (d2)[:, None, None] * np.einsum("i,j->ij", self.mdir, self.mdir)[None, :, :]
@@ -298,14 +299,15 @@ class HerringboneField:
         )[None, :, :] * np.sqrt(2.0)
         return v, grad
 
-    def wrinkle(self, x):
-        """(v_wr, grad v_wr, w_wr, grad w_wr, hess w_wr), before cutoffs.
+    def wrinkle(self, x, band):
+        """(v_wr, grad v_wr, w_wr, grad w_wr, hess w_wr), before cutoffs, at
+        points x with ``band = self._band(x)``.
 
         eta is constant within each band so derivatives are taken at fixed
         eta; the cutoff removes the bands' jump set from the support.
         """
         x = np.atleast_2d(x)
-        eta, dist, _ = self._band(x)
+        eta = band[0]
         t = np.sum(x * eta, axis=1) / self.l_wr
         ct, st = np.cos(t), np.sin(t)
         amp_w = np.sqrt(self.tr) * self.l_wr
@@ -326,9 +328,10 @@ class HerringboneField:
         """All assembled fields at points x: dict with v, grad_v, w, grad_w,
         hess_w, chi (internal cutoff), wall mask."""
         x = np.atleast_2d(x)
-        chi, gchi, hchi = self.chi_int(x)
+        band = self._band(x)
+        chi, gchi, hchi = self.chi_int(band)
         v_sh, g_sh = self.shear(x)
-        v_wr, g_wr, w_wr, gw_wr, hw_wr = self.wrinkle(x)
+        v_wr, g_wr, w_wr, gw_wr, hw_wr = self.wrinkle(x, band)
         v = v_sh + v_wr * chi[:, None]
         grad_v = (
             g_sh
@@ -343,8 +346,7 @@ class HerringboneField:
             + np.einsum("ni,nj->nij", gchi, gw_wr)
             + w_wr[:, None, None] * hchi
         )
-        _, dist, _ = self._band(x)
-        bulk = dist >= self.d_int
+        bulk = band[1] >= self.d_int
         return {
             "v": v, "grad_v": grad_v, "w": w, "grad_w": grad_w,
             "hess_w": hess_w, "chi_int": chi, "bulk": bulk,
@@ -443,16 +445,17 @@ def _square_bounds(square):
     return (x0, y0), (x0 + side, y0 + side)
 
 
-def _sample_rows(evaluator, lo, h, nx, ny, keys=("v", "w", "bulk"), block_rows=64):
-    """Sample evaluator fields on the cell-centered grid, in row blocks."""
+def _sample_rows(evaluator, lo, h, nx, ny):
+    """Sample evaluator fields v, w and bulk on the cell-centered grid, in
+    row blocks."""
     store = {
         "v": np.empty((nx, ny, 2)),
         "w": np.empty((nx, ny)),
         "bulk": np.empty((nx, ny), dtype=bool),
     }
     ys = lo[1] + (np.arange(ny) + 0.5) * h
-    for r0 in range(0, nx, block_rows):
-        r1 = min(r0 + block_rows, nx)
+    for r0 in range(0, nx, _BLOCK_ROWS):
+        r1 = min(r0 + _BLOCK_ROWS, nx)
         xs = lo[0] + (np.arange(r0, r1) + 0.5) * h
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         pts = np.stack([X.ravel(), Y.ravel()], axis=1)

@@ -1,6 +1,8 @@
 """Energy quadrature: breakdown values, the shifted-energy identity, grid
 convergence, duality gaps, interpolation margins, and the scaling fit."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,20 @@ from shellwrinkle.energy import (
     interpolation_check,
     scaling_study,
     strain,
+    _boundary_flux,
     _eroded,
     _frob2_sym,
 )
 from shellwrinkle.errors import ParameterError, RegimeError
 from shellwrinkle.geometry import Disc, Ellipse, Rectangle
-from shellwrinkle.herringbone import DisplacementField, TargetDefect, optimal_params, herringbone
+from shellwrinkle.grids import MaskedGrid
+from shellwrinkle.herringbone import (
+    DisplacementField,
+    TargetDefect,
+    herringbone,
+    optimal_params,
+    piecewise_herringbone,
+)
 from shellwrinkle.shell import ShellProfile
 
 FLAT = ShellProfile(curvature=0.0, sign="zero")
@@ -27,14 +37,18 @@ FLAT = ShellProfile(curvature=0.0, sign="zero")
 def make_field(rect, h, u_fn, w_fn):
     nx = int(round(2 * rect.a / h))
     ny = int(round(2 * rect.b / h))
-    xs = -rect.a + (np.arange(nx) + 0.5) * h
-    ys = -rect.b + (np.arange(ny) + 0.5) * h
+    return grid_field((-rect.a, -rect.b), h, nx, ny, u_fn, w_fn)
+
+
+def grid_field(origin, h, nx, ny, u_fn, w_fn):
+    xs = origin[0] + (np.arange(nx) + 0.5) * h
+    ys = origin[1] + (np.arange(ny) + 0.5) * h
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel()], axis=1)
     u = u_fn(pts).reshape(nx, ny, 2)
     w = w_fn(pts).reshape(nx, ny)
     return DisplacementField(
-        origin=(-rect.a, -rect.b), h=h, u=u, w=w,
+        origin=origin, h=h, u=u, w=w,
         domain_mask=np.ones((nx, ny), dtype=bool),
         bulk_mask=np.ones((nx, ny), dtype=bool),
     )
@@ -175,11 +189,180 @@ class TestEnergyBreakdown:
         assert br.stretching >= 0 and br.bending >= 0 and br.substrate >= 0
 
 
+class TestHerringboneStencilsAtSmallB:
+    def test_b_1e10_ladder(self):
+        # criterion 6's checks at b = 1e-10 on a 0.05 square, h = l_wr / n.
+        # The strain bound is an order over the ladder: the deviation depends
+        # on h / l_wr alone, so a bound in h (criterion 6's 10 h) would
+        # measure b rather than the stencil.
+        b, k = 1e-10, 1.0
+        ep = EnergyParams(b=b, k=k)
+        target = TargetDefect(np.eye(2))
+        hp = optimal_params(b, k, target)
+        devs = []
+        for n, side in ((16, 253), (32, 506), (64, 1012)):
+            fld = herringbone(((0.0, 0.0), 0.05), np.eye(2), hp, h=hp.l_wr / n)
+            assert fld.shape == (side, side)
+            bulk = fld.stencil_bulk_mask()
+            st = strain(fld, FLAT)
+            eps = st.eps[bulk & st.mask]
+            eps[:, 0] -= 0.5
+            eps[:, 2] -= 0.5
+            devs.append(np.sqrt(_frob2_sym(eps).max()))
+            br = energy(fld, FLAT, ep, region=bulk, renormalize=True, target=target)
+            area = fld.domain_mask.sum() * fld.h**2
+            ratio = (br.bending + br.substrate) / ep.gamma_eff / area
+            assert abs(ratio - 1.0) < 0.05, (n, ratio)
+            if n >= 32:
+                assert br.stretching / np.sqrt(b * k) / area < 0.3, n
+        orders = np.log2(np.array(devs[:-1]) / np.array(devs[1:]))
+        assert (orders >= 1.9).all(), (devs, orders)
+
+
 def _discrete_flux(fld, mask):
     """Flux integral of u through the grid via the discrete divergence, which
     telescopes exactly for compactly supported samples."""
     div = fld.sym_grad_u()[..., 0] + fld.sym_grad_u()[..., 2]
     return float(np.sum(div[mask]) * fld.h**2)
+
+
+def _whole_grid_reference(fld, shell, params, domain=None, region=None, renormalize=False,
+                          target=None):
+    """Strain and energy terms from the whole-grid stencils of the field,
+    each quadrature one sum over the whole grid."""
+    X, Y = fld.points()
+    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
+    gp = shell.gradient(pts).reshape(fld.shape + (2,))
+    e_u, gw, hw = fld.sym_grad_u(), fld.grad_w(), fld.hess_w()
+    eps = np.empty(fld.shape + (3,))
+    eps[..., 0] = e_u[..., 0] + 0.5 * gw[..., 0] ** 2 - 0.5 * gp[..., 0] ** 2
+    eps[..., 1] = e_u[..., 1] + 0.5 * gw[..., 0] * gw[..., 1] - 0.5 * gp[..., 0] * gp[..., 1]
+    eps[..., 2] = e_u[..., 2] + 0.5 * gw[..., 1] ** 2 - 0.5 * gp[..., 1] ** 2
+    mask = _eroded(fld.domain_mask) if region is None else region & _eroded(fld.domain_mask)
+    scale = fld.h**2 * (fld.domain_mask.sum() / mask.sum() if renormalize else 1.0)
+    dev = eps.copy()
+    if target is not None:
+        mu = target.matrix_at(pts).reshape(fld.shape + (2, 2))
+        dev -= 0.5 * np.stack([mu[..., 0, 0], mu[..., 0, 1], mu[..., 1, 1]], axis=-1)
+    if shell.grad_p is not None:
+        d = lambda a, axis: np.gradient(a, fld.h, axis=axis, edge_order=2)  # noqa: E731
+        gx, gy = gp[..., 0], gp[..., 1]
+        hw = hw - np.stack([d(gx, 0), 0.5 * (d(gx, 1) + d(gy, 0)), d(gy, 1)], axis=-1)
+    surface = 0.0
+    if params.gamma > 0:
+        slope = 0.5 * np.sum((gp[..., 0] ** 2 + gp[..., 1] ** 2)[fld.domain_mask]) * fld.h**2
+        surface = params.gamma * (slope - (_boundary_flux(fld, domain) if domain else 0.0))
+    terms = (
+        0.5 * np.sum(_frob2_sym(dev)[mask]) * scale,
+        0.5 * params.b * np.sum(_frob2_sym(hw)[mask]) * scale,
+        0.5 * params.k * np.sum(fld.w[mask] ** 2) * scale,
+        surface,
+    )
+    return eps, terms
+
+
+def _smooth_u(p):
+    return np.stack([np.sin(p[:, 0]) * np.cos(p[:, 1]), 0.3 * p[:, 0] * p[:, 1]], axis=1)
+
+
+def _smooth_w(p):
+    return 0.2 * np.sin(2.0 * p[:, 0]) * np.cos(3.0 * p[:, 1])
+
+
+def _slope_shell():
+    # the grad_p shell of test_surface_term_with_slope_field
+    return ShellProfile(
+        curvature=0.0, sign="zero",
+        grad_p=lambda p: np.stack([0.3 * np.ones(len(p)), np.zeros(len(p))], axis=1),
+    )
+
+
+def _curved_slope_shell():
+    return ShellProfile(
+        curvature=0.0, sign="zero",
+        grad_p=lambda p: np.stack([0.3 * p[:, 0] + 0.1 * p[:, 1] ** 2, 0.2 * np.sin(p[:, 0])],
+                                  axis=1),
+    )
+
+
+def _target_field(p):
+    m = np.empty((len(p), 2, 2))
+    m[:, 0, 0] = 1.0 + 0.1 * p[:, 0]
+    m[:, 0, 1] = m[:, 1, 0] = 0.05 * p[:, 1]
+    m[:, 1, 1] = 0.7 + 0.2 * p[:, 0] * p[:, 1]
+    return m
+
+
+_ID_PARAMS = optimal_params(1e-8, 1.0, TargetDefect(np.eye(2)))
+_MU = np.array([[1.0, 0.05], [0.05, 0.9]])
+
+
+def _odd_rows_case():
+    # 352 rows: five full blocks and a half block
+    fld = herringbone(((0.0, 0.0), 0.11), np.eye(2), _ID_PARAMS)
+    return fld, FLAT, EnergyParams(b=1e-8, k=1.0), dict(
+        region=fld.stencil_bulk_mask(), renormalize=True, target=TargetDefect(np.eye(2)))
+
+
+def _disc_case():
+    # the domain mask is not a rectangle, so its erosion differs from it
+    disc = Disc(0.08, center=(0.01, -0.02))
+    fld = piecewise_herringbone(disc, _MU, optimal_params(1e-8, 1.0, TargetDefect(_MU)))
+    return fld, _curved_slope_shell(), EnergyParams(b=1e-8, k=1.0, gamma=0.7), dict(
+        domain=disc, target=TargetDefect(_MU))
+
+
+def _smooth_case(shell, params, **kw):
+    rect = Rectangle(2.0, 1.0)  # 400 x 200 rows at h = 0.01
+    return make_field(rect, 0.01, _smooth_u, _smooth_w), shell, params, dict(domain=rect, **kw)
+
+
+# each builds (field, shell, params, energy keywords)
+_BLOCK_CASES = {
+    "rows-not-multiple-of-64": _odd_rows_case,
+    "fewer-than-64-rows": lambda: (
+        herringbone(((0.0, 0.0), 0.015), np.eye(2), _ID_PARAMS), FLAT,
+        EnergyParams(b=1e-8, k=1.0), {}),
+    "piecewise-on-disc": _disc_case,
+    "slope-shell-gamma": lambda: _smooth_case(
+        _slope_shell(), EnergyParams(b=0.3, k=2.0, gamma=0.7)),
+    "curved-slope-shell-gamma": lambda: _smooth_case(
+        _curved_slope_shell(), EnergyParams(b=0.3, k=2.0, gamma=0.7)),
+    "target-field": lambda: _smooth_case(
+        FLAT, EnergyParams(b=0.3, k=2.0), target=TargetDefect(_target_field)),
+}
+
+
+class TestRowBlocks:
+    """strain and energy walk the grid in row blocks with a 2-row halo."""
+
+    @pytest.mark.parametrize("name", list(_BLOCK_CASES))
+    def test_blocks_equal_whole_grid_stencils(self, name):
+        fld, shell, ep, kw = _BLOCK_CASES[name]()
+        eps_ref, terms_ref = _whole_grid_reference(fld, shell, ep, **kw)
+        st = strain(fld, shell)
+        assert np.array_equal(st.eps, eps_ref)
+        assert np.array_equal(st.mask, _eroded(fld.domain_mask))
+        br = energy(fld, shell, ep, **kw)
+        terms = (br.stretching, br.bending, br.substrate, br.surface)
+        assert terms == pytest.approx(terms_ref, rel=1e-12, abs=0.0)
+        assert br.bending > 0 and br.substrate > 0
+
+    def test_energy_memory_bounded_as_rows_grow(self):
+        # 8x the rows at fixed ny: whole-grid stencils would grow the peak 8x
+        h = 1.0 / 256
+        target = TargetDefect(np.eye(2))
+        ep = EnergyParams(b=1e-4, k=1.0)
+        peaks = []
+        for nx in (256, 2048):
+            fld = grid_field((0.0, 0.0), h, nx, 512, _smooth_u, _smooth_w)
+            tracemalloc.start()
+            try:
+                energy(fld, FLAT, ep, target=target)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2.0 * peaks[0], peaks
 
 
 class TestDualityGap:
@@ -238,7 +421,7 @@ class TestInterpolation:
         from shellwrinkle.acceptance import _plateau_cutoff
 
         chi = _plateau_cutoff(rect.a, rect.b)
-        assert interpolation_check(zero, chi, 1e-4, 1.0, rect) == 0.0
+        assert interpolation_check(zero, chi, 1e-4, 1.0, MaskedGrid(rect, 192)) == 0.0
 
     def test_near_equality_sinusoid(self, rect):
         # w = sqrt(2) l cos(x1 / l) with l = (b/k)^(1/4) is the equality case
@@ -247,7 +430,6 @@ class TestInterpolation:
         # sizes relative to the left side are l |grad chi|_inf and
         # l^2 |hess chi|_inf / 2: near equality holds as l -> 0.
         from shellwrinkle.acceptance import _plateau_cutoff
-        from shellwrinkle.grids import MaskedGrid
 
         k = 1.0
         chi = _plateau_cutoff(rect.a, rect.b)
@@ -258,7 +440,7 @@ class TestInterpolation:
         for b in (1e-4, 1e-6, 1e-8):
             ell = (b / k) ** 0.25
             w_field = _sinusoid(ell)
-            margin = interpolation_check(w_field, chi, b, k, rect, resolution=256)
+            margin = interpolation_check(w_field, chi, b, k, grid)
             assert margin >= -1e-9
             density = b * _frob2_sym(w_field.hess(pts)) + k * w_field.value(pts) ** 2
             lhs = np.sum(wts * density)
@@ -285,7 +467,7 @@ class TestInterpolation:
         from shellwrinkle.errors import DataError
 
         with pytest.raises(DataError):
-            interpolation_check(zero, bad, 1.0, 1.0, rect)
+            interpolation_check(zero, bad, 1.0, 1.0, MaskedGrid(rect, 192))
 
 
 class TestScalingStudy:
