@@ -224,11 +224,7 @@ def dual_value(domain: Domain, shell: ShellProfile, airy: AiryField, resolution=
     error is second order, matching the quadrature rule.
     """
     grid = MaskedGrid(domain, resolution)
-    pts = grid.masked_points()
-    outside = ~np.atleast_1d(domain.contains(pts, tol=0.0))
-    if np.any(outside):
-        pts = pts.copy()
-        pts[outside] = np.atleast_2d(domain.nearest_boundary_point(pts[outside]))
+    pts = grid.eval_points()
     dens = airy.dual_objective_density(pts) * shell.k(pts)
     return grid.integrate(dens)
 

@@ -26,7 +26,7 @@ from .geometry import Domain
 from .grids import MaskedGrid
 from .rulings import LineGeometry, UDecomposition, locate
 from .shell import ShellProfile
-from .stablelines import Partition, StableLineFamily, partition, stable_lines
+from .stablelines import stable_lines
 
 DEFAULT_SAMPLES_PER_LINE = 2000
 NEGATIVITY_TOL = 1e-10
@@ -133,7 +133,11 @@ def solve_line(line: LineGeometry, K, data_kind, n=DEFAULT_SAMPLES_PER_LINE):
 
 @dataclass
 class DefectField:
-    """Rank-one defect density on a masked grid, plus per-line solutions."""
+    """Rank-one defect density on a masked grid, plus per-line solutions.
+
+    ``uncovered`` marks the masked cells that no chart holds (``locate``
+    returns -1); they carry lam = 0 and mu = 0.
+    """
 
     domain: Domain
     shell: ShellProfile
@@ -142,9 +146,7 @@ class DefectField:
     eta: np.ndarray  # (nx, ny, 2); NaN where the field is rank two
     mu: np.ndarray  # (nx, ny, 3): components 11, 12, 22
     line_solutions: list
-    family: StableLineFamily
     airy: AiryField
-    part: Partition
     uncovered: np.ndarray
     interface_flag: bool = False
     primal: Optional[float] = None
@@ -164,8 +166,8 @@ def _rasterize_chart(solutions, s, u, L):
 
     Per-line solutions share a uniform parameter; interpolation is linear in
     the station index and in the normalized line coordinate.  Far points
-    (dropped short lines near degenerate chart ends) get clamped
-    extrapolations.
+    (beyond dropped short lines near degenerate chart ends) get clamped
+    extrapolations, which the caller replaces.
     """
     if len(solutions) == 0:
         return np.zeros(len(s)), np.ones(len(s), dtype=bool)
@@ -199,102 +201,100 @@ def _rasterize_chart(solutions, s, u, L):
     return lam, far
 
 
-def defect_field(domain: Domain, shell: ShellProfile, resolution=256,
-                 u_decomposition: Optional[UDecomposition] = None,
-                 line_spacing: Optional[float] = None,
-                 samples_per_line: int = DEFAULT_SAMPLES_PER_LINE,
-                 airy: Optional[AiryField] = None) -> DefectField:
-    """Full pipeline: dual potential -> partition -> stable lines ->
-    per-line ODE -> grid density.
+def _frozen_k_fill(chart, k, s, u, L):
+    """lam on each point's own line with K frozen at the point's value.
 
-    The default line count tracks the grid (about two lines per cell) so the
-    rasterization error refines with the quadrature error.
+    With constant K the line problem has a closed form: rho lam =
+    -K u^2 (rho0 + rho1 u/3) with Cauchy data, and K u (rho0 (L - u) +
+    rho1 (L^2 - u^2)/3) on two-point lines; lam = 0 where rho = 0 (a fan
+    center).  The error is O(L^3 Lip K), so it is exact on constant-K
+    shells.
+    """
+    lines = [chart.line_at(si) for si in s]
+    rho0 = np.array([ln.rho0 for ln in lines])
+    rho1 = np.array([ln.rho1 for ln in lines])
+    u = np.clip(u, 0.0, L)
+    if chart.data_kind == "bvp":
+        rho_lam = k * u * (rho0 * (L - u) + rho1 * (L**2 - u**2) / 3)
+    else:
+        rho_lam = -k * u**2 * (rho0 + rho1 * u / 3)
+    rho = rho0 + rho1 * u
+    lam = np.zeros(len(s))
+    np.divide(rho_lam, rho, out=lam, where=rho > 0)
+    return lam
+
+
+def defect_field(domain: Domain, shell: ShellProfile, resolution=256,
+                 u_decomposition: Optional[UDecomposition] = None) -> DefectField:
+    """Full pipeline: dual potential -> stable lines -> per-line ODE ->
+    grid density.
+
+    The line count tracks the grid (about two lines per cell) so the
+    rasterization error refines with the quadrature error.  Every masked
+    cell is evaluated at its ``grid.eval_points()`` point: between solved
+    lines lam is interpolated, and beyond them (lines shorter than 10 h are
+    dropped) it takes the frozen-K closed form on the cell's own line.
     """
     if resolution < 32:
         raise ResolutionError("resolution below 32")
     deco = u_decomposition or UDecomposition()
     if deco.kind == "mixture":
-        return _mixture_field(domain, shell, resolution, deco, line_spacing, samples_per_line)
-    if airy is None:
-        airy = solve_dual(domain, shell, deco)
+        return _mixture_field(domain, shell, resolution, deco)
+    airy = solve_dual(domain, shell, deco)
     grid = MaskedGrid(domain, resolution)
-    if line_spacing is None:
-        line_spacing = grid.h / 2.0
-    part = partition(domain, airy)
-    family = stable_lines(domain, airy, line_spacing, min_length=10.0 * grid.h)
+    family = stable_lines(domain, airy, grid.h / 2.0, min_length=10.0 * grid.h)
 
     solutions_by_chart = []
     interface_flag = False
     for chart, chart_lines in zip(family.charts, family.lines_by_chart):
         kind = chart.data_kind
-        sols = [solve_line(ln, shell.k, kind, samples_per_line) for ln in chart_lines]
-        solutions_by_chart.append(sols)
+        solutions_by_chart.append([solve_line(ln, shell.k, kind) for ln in chart_lines])
         if any(ln.start_kind == "interface" or ln.end_kind == "interface" for ln in chart_lines):
             interface_flag = True
 
-    pts = grid.points()
-    n_pts = len(pts)
-    lam_flat = np.zeros(n_pts)
-    eta_flat = np.full((n_pts, 2), np.nan)
-    inside = grid.mask.ravel()
-    # project boundary-cell centers that fall outside back onto the boundary
-    eval_pts = pts.copy()
-    out_centers = inside & ~np.asarray(domain.contains(pts, tol=0.0))
-    if np.any(out_centers):
-        eval_pts[out_centers] = np.atleast_2d(
-            domain.nearest_boundary_point(pts[out_centers])
-        )
-    which = np.full(n_pts, -1)
-    which[inside] = locate(family.charts, eval_pts[inside])
-    uncovered = inside & (which < 0)
+    pts = grid.eval_points()
+    lam_m = np.zeros(len(pts))
+    eta_m = np.full((len(pts), 2), np.nan)
+    which = locate(family.charts, pts)
     for ci, (chart, sols) in enumerate(zip(family.charts, solutions_by_chart)):
         idx = np.flatnonzero(which == ci)
         if len(idx) == 0:
             continue
-        x = eval_pts[idx]
+        x = pts[idx]
         s, u, L = chart.coords(x)
         lam, far = _rasterize_chart(sols, s, u, L)
-        eta_flat[idx] = chart.eta_at(x)
-        # near degenerate chart ends (dropped short lines), the local closed
-        # form of the line problem with frozen K is exact to O(L^3 Lip K):
-        # use it for unit-rho charts instead of extrapolating from the last
-        # solved line; elsewhere the far points stay uncovered
-        probe = chart.line_at(0.5 * sum(chart.s_range()))
-        if abs(probe.rho1) > 1e-13:
-            uncovered[idx[far]] = True
-        elif np.any(far):
-            k_loc = shell.k(x[far])
-            uf, Lf = np.maximum(u[far], 0.0), L[far]
-            if chart.data_kind == "bvp":
-                lam[far] = k_loc * uf * np.maximum(Lf - uf, 0.0)
-            else:
-                lam[far] = -k_loc * uf**2
-        lam_flat[idx] = lam
+        if np.any(far):
+            lam[far] = _frozen_k_fill(chart, shell.k(x[far]), s[far], u[far], L[far])
+        lam_m[idx] = lam
+        eta_m[idx] = chart.eta_at(x)
 
-    lam = lam_flat.reshape(grid.nx, grid.ny)
-    eta = eta_flat.reshape(grid.nx, grid.ny, 2)
+    lam = np.zeros((grid.nx, grid.ny))
+    lam[grid.mask] = lam_m
+    eta = np.full((grid.nx, grid.ny, 2), np.nan)
+    eta[grid.mask] = eta_m
     mu = np.zeros((grid.nx, grid.ny, 3))
     with np.errstate(invalid="ignore"):
         mu[..., 0] = lam * eta[..., 0] ** 2
         mu[..., 1] = lam * eta[..., 0] * eta[..., 1]
         mu[..., 2] = lam * eta[..., 1] ** 2
     mu[np.isnan(mu)] = 0.0
+    uncovered = np.zeros((grid.nx, grid.ny), dtype=bool)
+    uncovered[grid.mask] = which < 0
     line_solutions = [s for sols in solutions_by_chart for s in sols]
     return DefectField(
         domain=domain, shell=shell, grid=grid, lam=lam, eta=eta, mu=mu,
-        line_solutions=line_solutions, family=family, airy=airy, part=part,
-        uncovered=uncovered.reshape(grid.nx, grid.ny),
+        line_solutions=line_solutions, airy=airy, uncovered=uncovered,
         interface_flag=interface_flag,
     )
 
 
-def _mixture_field(domain, shell, resolution, deco, line_spacing, samples_per_line):
+def _mixture_field(domain, shell, resolution, deco):
     """Convex combination of two parallel-chord selections on the
     unconstrained set (rank-two there; constraint satisfaction only)."""
     d1 = UDecomposition(kind="parallel", angle=deco.angle)
     d2 = UDecomposition(kind="parallel", angle=deco.angle2)
-    f1 = defect_field(domain, shell, resolution, d1, line_spacing, samples_per_line)
-    f2 = defect_field(domain, shell, resolution, d2, line_spacing, samples_per_line)
+    f1 = defect_field(domain, shell, resolution, d1)
+    f2 = defect_field(domain, shell, resolution, d2)
     w = deco.weight
     mu = w * f1.mu + (1 - w) * f2.mu
     lam = mu[..., 0] + mu[..., 2]  # trace
@@ -311,20 +311,10 @@ def _mixture_field(domain, shell, resolution, deco, line_spacing, samples_per_li
 
 
 def primal_value(defect: DefectField):
-    """Half the integral of the density (trace of the rank-one measure).
-
-    Uncovered cells (beyond 1.5 line spacings from any solved line) are
-    excluded, with an area renormalization over the covered part.
-    """
+    """Half the integral of the density (trace of the rank-one measure)
+    against the grid's cut-cell weights."""
     trace = defect.mu[..., 0] + defect.mu[..., 2]
-    w = defect.grid.weights.copy()
-    w[defect.uncovered] = 0.0
-    covered_area = float(w.sum())
-    total_area = defect.grid.covered_area()
-    if covered_area <= 0:
-        return 0.0
-    raw = float(np.sum(w * trace))
-    return 0.5 * raw * (total_area / covered_area)
+    return 0.5 * float(np.sum(defect.grid.weights * trace))
 
 
 def tensor_bump(center, radius):

@@ -33,7 +33,7 @@ from .errors import (
     ShellWrinkleError,
     UnsupportedShapeError,
 )
-from .geometry import make_domain
+from .geometry import ConvexPolygon, make_domain
 from .herringbone import TargetDefect, herringbone, optimal_params
 from .rulings import UDecomposition
 from .shell import ShellProfile
@@ -179,12 +179,7 @@ def cmd_herringbone(cfg):
     b = float(cfg.get("b", 1e-8))
     k = float(cfg.get("k", 1.0))
     mu = np.asarray(cfg.get("mu", [[1.0, 0.0], [0.0, 1.0]]), dtype=float)
-    target = TargetDefect(mu)
-    if cfg.get("auto", True):
-        params = optimal_params(b, k, target)
-    else:
-        params = None
-        raise ShellWrinkleError("explicit parameters require auto=false with fields")
+    params = optimal_params(b, k, TargetDefect(mu))
     side = float(cfg.get("side", 1.0))
     fld = herringbone(((0.0, 0.0), side), mu, params)
     files = {}
@@ -220,10 +215,11 @@ def cmd_energy(cfg):
     params = optimal_params(b, k, target)
     side = float(cfg.get("side", 1.0))
     fld = herringbone(((0.0, 0.0), side), mu, params)
+    square = ConvexPolygon([(0.0, 0.0), (side, 0.0), (side, side), (0.0, side)])
     shell = ShellProfile(curvature=0.0, sign="zero")
-    full = energy(fld, shell, ep, target=target)
-    bulk = energy(fld, shell, ep, region=fld.stencil_bulk_mask(), renormalize=True,
-                  target=target)
+    full = energy(fld, shell, ep, domain=square, target=target)
+    bulk = energy(fld, shell, ep, domain=square, region=fld.stencil_bulk_mask(),
+                  renormalize=True, target=target)
     payload = {
         "command": "energy",
         "full": {

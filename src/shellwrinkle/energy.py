@@ -191,6 +191,7 @@ def energy(field: DisplacementField, shell: ShellProfile, params: EnergyParams,
     When ``target`` is given, the stretching term measures the deviation
     from the target defect, e(u) + grad w (x) grad w / 2 - mu/2 (the form
     the pattern is built to annihilate); otherwise it uses the shell profile.
+    The surface term (gamma > 0) needs ``domain`` for its boundary flux.
 
     The stencils are evaluated in blocks of grid rows with a 2-row halo
     (see ``_row_blocks``), which reproduces every whole-grid stencil value
@@ -200,6 +201,8 @@ def energy(field: DisplacementField, shell: ShellProfile, params: EnergyParams,
     """
     if field.params is not None and field.h > field.params.l_wr / 16 + 1e-15:
         raise ResolutionError("grid does not resolve the finest field scale")
+    if params.gamma > 0 and domain is None:
+        raise ParameterError("the surface term (gamma > 0) needs the domain")
     mask = _eroded(field.domain_mask) if region is None else (region & _eroded(field.domain_mask))
     area_factor = 1.0
     if renormalize:
@@ -210,7 +213,7 @@ def energy(field: DisplacementField, shell: ShellProfile, params: EnergyParams,
     cell = field.h**2
 
     _check_profile(shell)
-    curved = shell.p_field is not None or shell.grad_p is not None
+    curved = shell.grad_p is not None
     stretching = bending = substrate = slope = 0.0
     for rows, halo, keep, slab in _row_blocks(field):
         m = mask[rows]
@@ -243,8 +246,7 @@ def energy(field: DisplacementField, shell: ShellProfile, params: EnergyParams,
     surface = 0.0
     if params.gamma > 0:
         slope_term = 0.5 * float(slope) * cell
-        flux = _boundary_flux(field, domain) if domain is not None else 0.0
-        surface = params.gamma * (slope_term - flux)
+        surface = params.gamma * (slope_term - _boundary_flux(field, domain))
     return EnergyBreakdown(
         stretching=stretching, bending=bending, substrate=substrate, surface=surface
     )

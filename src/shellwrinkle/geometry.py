@@ -689,11 +689,23 @@ class ConvexPolygon(Domain):
         return self.side_distances(x).min(axis=1)
 
     def nearest_boundary_point(self, x):
+        """Inside, the foot on the nearest side's line; outside, the nearest
+        point of the closed sides (a vertex when the foot misses its side)."""
         x, single = _as_points(x)
         sd = self.side_distances(x)
         i = np.argmin(sd, axis=1)
-        nu = self.edge_normals[i]
-        y = x + sd[np.arange(len(x)), i][:, None] * nu
+        d = sd[np.arange(len(x)), i]
+        y = x + d[:, None] * self.edge_normals[i]
+        out = d < 0.0
+        if np.any(out):
+            xo = x[out]
+            feet = xo[:, None, :] + sd[out][..., None] * self.edge_normals
+            t = np.sum((feet - self.vertices) * self.edge_tangents, axis=-1)
+            feet = np.where((t < 0.0)[..., None], self.vertices, feet)
+            feet = np.where((t > self.edge_lengths)[..., None],
+                            np.roll(self.vertices, -1, axis=0), feet)
+            j = np.argmin(np.sum((feet - xo[:, None, :]) ** 2, axis=-1), axis=1)
+            y[out] = feet[np.arange(len(xo)), j]
         return _unsingle(y, single)
 
     def nearest_side(self, x):

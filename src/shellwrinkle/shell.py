@@ -21,14 +21,13 @@ class ShellProfile:
     """Curvature data K = det(grad grad p) with a declared sign.
 
     sign is one of {"positive", "negative", "zero"}; a constant K must not
-    contradict it beyond ``tol``.  grad_p / p_field are only needed for
-    energy evaluation with a nonflat reference profile.
+    contradict it beyond ``tol``.  grad_p is only needed for energy
+    evaluation with a nonflat reference profile.
     """
 
     curvature: float | Callable = 0.0
     sign: str = "zero"
     grad_p: Optional[Callable] = None
-    p_field: Optional[Callable] = None
     tol: float = 1e-10
 
     def __post_init__(self):

@@ -40,25 +40,16 @@ class Partition:
     def labels(self, grid: MaskedGrid):
         """Label array over a masked grid (OUTSIDE where uncovered).
 
-        Boundary cells whose centers fall just outside the domain are
-        labeled through their boundary projection.
+        Each masked cell is labeled at its ``grid.eval_points()`` point.
         """
-        lab = np.full((grid.nx, grid.ny), OUTSIDE, dtype=int)
-        pts = grid.points()
-        inside = grid.mask.ravel()
-        out_centers = inside & ~np.asarray(self.domain.contains(pts, tol=0.0))
-        if np.any(out_centers):
-            pts = pts.copy()
-            pts[out_centers] = np.atleast_2d(
-                self.domain.nearest_boundary_point(pts[out_centers])
-            )
-        lab_flat = lab.ravel()
-        lab_flat[inside] = self._chart_labels()[locate(self.airy.charts, pts[inside])]
+        pts = grid.eval_points()
+        lab = self._chart_labels()[locate(self.airy.charts, pts)]
         # singular set: measure-zero, override within half a cell
         if self.sigma is not None:
-            sig = self._sigma_distance(pts) <= 0.5 * grid.h
-            lab_flat[inside & sig] = SIGMA
-        return lab_flat.reshape(grid.nx, grid.ny)
+            lab[self._sigma_distance(pts) <= 0.5 * grid.h] = SIGMA
+        out = np.full((grid.nx, grid.ny), OUTSIDE, dtype=int)
+        out[grid.mask] = lab
+        return out
 
     def _sigma_distance(self, pts):
         pts = np.atleast_2d(pts)

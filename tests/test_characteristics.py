@@ -175,11 +175,13 @@ class TestDefectField:
         i = np.argmin(np.abs(df.grid.X.ravel()) + np.abs(df.grid.Y.ravel()))
         assert df.lam.ravel()[i] < 1e-3
 
-    @pytest.mark.parametrize("resolution", [128, 256])
-    def test_negative_ellipse_fully_covered(self, ellipse, resolution):
-        # boundary projections that round just outside the ellipse belong to
-        # the half-chart holding their foot parameter, not to the first one
-        df = chars.defect_field(ellipse, NEG, resolution)
+    @pytest.mark.parametrize("resolution", [32, 64, 128, 256])
+    @pytest.mark.parametrize("name,shell", CASES, ids=CASE_IDS)
+    def test_every_case_fully_covered(self, request, name, shell, resolution):
+        # every masked cell's evaluation point lies in some chart's station
+        # range, and cells beyond the last solved line (fan ends, the coarse
+        # negative ellipse) take the frozen-K fill instead of dropping out
+        df = chars.defect_field(request.getfixturevalue(name), shell, resolution)
         assert int(df.uncovered.sum()) == 0
 
     @pytest.mark.parametrize("name,shell", CASES, ids=CASE_IDS)

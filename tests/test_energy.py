@@ -1,11 +1,13 @@
 """Energy quadrature: breakdown values, the shifted-energy identity, grid
 convergence, duality gaps, interpolation margins, and the scaling fit."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from shellwrinkle import cli
 from shellwrinkle.energy import (
     AnalyticScalarField,
     EnergyParams,
@@ -89,6 +91,23 @@ class TestEnergyBreakdown:
         fld = make_field(rect, 0.02, lambda p: np.zeros_like(p), lambda p: np.zeros(len(p)))
         br = energy(fld, FLAT, EnergyParams(b=1.0, k=1.0, gamma=0.5), domain=rect)
         assert br.total == 0.0
+
+    def test_surface_term_needs_domain(self, rect):
+        # the boundary flux is part of the surface term; without the domain
+        # it cannot be taken
+        fld = make_field(rect, 0.02, lambda p: np.zeros_like(p), lambda p: np.zeros(len(p)))
+        with pytest.raises(ParameterError):
+            energy(fld, FLAT, EnergyParams(b=1.0, k=1.0, gamma=0.5))
+
+    def test_cli_surface_term_includes_flux(self, tmp_path, capsys):
+        # gamma (slope term - flux) with a flat profile: the flux through the
+        # 0.05 square is -7.3e-6
+        path = tmp_path / "energy.json"
+        path.write_text(json.dumps({"b": 1e-8, "k": 1.0, "gamma": 0.5, "side": 0.05}))
+        assert cli.main(["energy", "--config", str(path)]) == cli.EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        for part in ("full", "bulk_renormalized"):
+            assert report[part]["surface"] == pytest.approx(3.656e-6, rel=1e-3)
 
     def test_total_is_sum(self):
         br = EnergyBreakdown(stretching=0.1, bending=0.2, substrate=0.3, surface=0.4)
@@ -377,15 +396,16 @@ class TestDualityGap:
         gaps = [duality_gap(disc, sh, n) for n in (128, 256, 512)]
         assert gaps[1] < gaps[0] and gaps[2] < gaps[1]
 
-    def test_every_interface_free_catalog_case(self, ellipse, disc, rect,
-                                               half_disc_pos, half_disc_neg, pentagon):
+    @pytest.mark.parametrize("resolution", [32, 64, 128, 256])
+    def test_every_interface_free_catalog_case(self, ellipse, disc, rect, half_disc_pos,
+                                               half_disc_neg, triangle, pentagon, resolution):
         cases = [
             (ellipse, 1.0), (disc, 1.0), (half_disc_pos, 1.0),
             (ellipse, -1.0), (disc, -1.0), (rect, -1.0),
-            (half_disc_neg, -1.0), (pentagon, -1.0),
+            (half_disc_neg, -1.0), (triangle, -1.0), (pentagon, -1.0),
         ]
         for dom, k in cases:
-            gap = duality_gap(dom, ShellProfile.constant(k), 256)
+            gap = duality_gap(dom, ShellProfile.constant(k), resolution)
             assert gap < 1e-2, (dom.name, k, gap)
 
 

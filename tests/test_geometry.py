@@ -169,6 +169,22 @@ class TestEllipseFootPoint:
         assert np.abs(y - pair).max() < 1e-8
 
 
+def test_polygon_foot_of_outside_point_is_on_a_closed_side(pentagon):
+    # outside near a vertex, the foot on the nearest side's line misses the
+    # side; the nearest boundary point is then the vertex itself
+    unit = ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+    assert np.array_equal(unit.nearest_boundary_point([1.2, 1.1]), [1.0, 1.0])
+    assert np.array_equal(unit.nearest_boundary_point([1.2, 0.5]), [1.0, 0.5])
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-3.0, 3.0, size=(400, 2))
+    y = pentagon.nearest_boundary_point(x)
+    assert np.all(pentagon.contains(y, tol=1e-12))
+    # against the nearest of 20,000 boundary samples (spacing about 5e-4)
+    bnd = np.array([bp.position for bp in pentagon.boundary_sample(20_000)])
+    ref = np.min(np.hypot(*(x[:, None, :] - bnd[None]).transpose(2, 0, 1)), axis=1)
+    assert np.all(np.abs(np.hypot(*(x - y).T) - ref) < 1e-3)
+
+
 class TestMedialAxis:
     def test_disc_is_center(self, disc):
         ma = disc.medial_axis()

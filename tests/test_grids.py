@@ -38,3 +38,15 @@ def test_cell_weights_match_fine_occupancy(request, name):
         )
         ref = dom.contains(sub.reshape(-1, 2)).reshape(grid.ny, -1).mean(axis=1) * h * h
         assert np.max(np.abs(grid.weights[i] - ref)) < h * h / 100, i
+
+
+@pytest.mark.parametrize("name", ["triangle", "pentagon", "regular_pentagon"])
+@pytest.mark.parametrize("n", [32, 48, 64, 96, 128])
+def test_eval_points_lie_in_domain(request, name, n):
+    # a cut cell's centre outside a polygon near a vertex projects onto the
+    # vertex, not onto the nearest side's line beyond it
+    dom = _shape(request, name)
+    grid = MaskedGrid(dom, n)
+    pts = grid.eval_points()
+    assert pts.shape == (int(grid.mask.sum()), 2)
+    assert np.all(dom.contains(pts, tol=1e-12))

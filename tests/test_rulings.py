@@ -17,14 +17,6 @@ POS = ShellProfile.constant(1.0)
 NEG = ShellProfile.constant(-1.0)
 
 
-def projected_masked_points(domain, resolution):
-    """Masked cell centers, those outside the domain moved onto its boundary."""
-    pts = MaskedGrid(domain, resolution).masked_points().copy()
-    out = ~np.atleast_1d(domain.contains(pts, tol=0.0))
-    pts[out] = np.atleast_2d(domain.nearest_boundary_point(pts[out]))
-    return pts
-
-
 def membership(charts, pts):
     """(n_charts, n_points) table of chart.contains."""
     return np.array([np.asarray(chart.contains(pts)) for chart in charts])
@@ -41,7 +33,7 @@ def seam_points(charts, pts):
 def test_every_masked_point_has_a_chart(request, name, shell):
     domain = request.getfixturevalue(name)
     charts = airy.solve_dual(domain, shell).charts
-    assert np.all(locate(charts, projected_masked_points(domain, 128)) >= 0)
+    assert np.all(locate(charts, MaskedGrid(domain, 128).eval_points()) >= 0)
 
 
 def test_point_outside_every_station_range_is_uncovered(ellipse):
