@@ -109,16 +109,41 @@ def _grad_p(shell: ShellProfile, centres):
     return shell.gradient(centres.reshape(-1, 2)).reshape(centres.shape)
 
 
-def _slab_strain(slab: DisplacementField, keep: slice, gp):
-    """e(u) + grad w (x) grad w / 2 - grad p (x) grad p / 2 on the kept rows,
-    with gp the profile gradient there."""
-    e_u = slab.sym_grad_u()[keep]
-    gw = slab.grad_w()[keep]
-    eps = np.empty(e_u.shape)
-    eps[..., 0] = e_u[..., 0] + 0.5 * gw[..., 0] ** 2 - 0.5 * gp[..., 0] ** 2
-    eps[..., 1] = e_u[..., 1] + 0.5 * gw[..., 0] * gw[..., 1] - 0.5 * gp[..., 0] * gp[..., 1]
-    eps[..., 2] = e_u[..., 2] + 0.5 * gw[..., 1] ** 2 - 0.5 * gp[..., 1] ** 2
-    return eps
+def _first_diffs(slab: DisplacementField, keep: slice):
+    """The slab's six first differences, each taken once: (u1)_x, (u1)_y,
+    (u2)_x and (u2)_y on the kept rows, and w_x, w_y on the whole slab,
+    where the second differences of ``_hessian`` read them."""
+    u1, u2 = slab.u[..., 0], slab.u[..., 1]
+    return (
+        slab._d(u1, 0)[keep], slab._d(u1[keep], 1), slab._d(u2, 0)[keep],
+        slab._d(u2[keep], 1), slab._d(slab.w, 0), slab._d(slab.w, 1),
+    )
+
+
+def _strain_into(out, diffs, keep: slice, gp):
+    """Write e(u) + grad w (x) grad w / 2 - grad p (x) grad p / 2 on the kept
+    rows into the components out[0], out[1], out[2] (11, 12, 22).  diffs
+    come from ``_first_diffs``; gp is the profile gradient on the kept rows,
+    or None when it is identically zero, which leaves the sums unchanged."""
+    u1_1, u1_2, u2_1, u2_2, wx, wy = diffs
+    wx, wy = wx[keep], wy[keep]
+    out[0][...] = u1_1 + 0.5 * wx**2
+    out[1][...] = 0.5 * (u1_2 + u2_1) + 0.5 * wx * wy
+    out[2][...] = u2_2 + 0.5 * wy**2
+    if gp is not None:
+        out[0] -= 0.5 * gp[..., 0] ** 2
+        out[1] -= 0.5 * gp[..., 0] * gp[..., 1]
+        out[2] -= 0.5 * gp[..., 1] ** 2
+
+
+def _hessian(slab: DisplacementField, fx, fy, keep: slice):
+    """Second differences (11, 12, 22) on the kept rows of a field whose
+    first differences over the whole slab are fx, fy."""
+    return (
+        slab._d(fx, 0)[keep],
+        0.5 * (slab._d(fx[keep], 1) + slab._d(fy, 0)[keep]),
+        slab._d(fy[keep], 1),
+    )
 
 
 def _check_profile(shell: ShellProfile):
@@ -131,18 +156,26 @@ def strain(field: DisplacementField, shell: ShellProfile) -> StrainField:
 
     The stencils are evaluated in blocks of grid rows with a 2-row halo
     (see ``_row_blocks``), so no whole-grid derivative array is built; each
-    value equals the whole-grid stencil's bit for bit.
+    value equals the whole-grid stencil's bit for bit.  Per block the six
+    first differences of u and w are taken once and the strain is written
+    straight into ε; a profile without ``grad_p`` adds no gradient term.
     """
     _check_profile(shell)
     eps = np.empty(field.shape + (3,))
     for rows, _, keep, slab in _row_blocks(field):
-        eps[rows] = _slab_strain(slab, keep, _grad_p(shell, _centres(field, rows)))
+        gp = None if shell.grad_p is None else _grad_p(shell, _centres(field, rows))
+        _strain_into(np.moveaxis(eps[rows], -1, 0), _first_diffs(slab, keep), keep, gp)
     return StrainField(eps=eps, mask=_eroded(field.domain_mask), h=field.h)
 
 
 def _frob2_sym(comp):
     """|A|_F^2 for symmetric matrices stored as (..., 3) = (11, 12, 22)."""
-    return comp[..., 0] ** 2 + 2.0 * comp[..., 1] ** 2 + comp[..., 2] ** 2
+    return _frob2(comp[..., 0], comp[..., 1], comp[..., 2])
+
+
+def _frob2(a11, a12, a22):
+    """|A|_F^2 of the symmetric matrices with components a11, a12, a22."""
+    return a11**2 + 2.0 * a12**2 + a22**2
 
 
 def _boundary_flux(field: DisplacementField, domain: Domain, n_samples=2048):
@@ -197,7 +230,12 @@ def energy(field: DisplacementField, shell: ShellProfile, params: EnergyParams,
     (see ``_row_blocks``), which reproduces every whole-grid stencil value
     bit for bit, and each quadrature sum is added up block by block: no
     whole-grid strain, Hessian or target array is built, and only the
-    summation order differs from one sum over the whole grid.
+    summation order differs from one sum over the whole grid.  Per block
+    the six first differences of u and w are taken once, and the Hessian of
+    w is differenced from that w_x and w_y.  Cell centres are built only
+    for what reads them: the profile gradient of a shell with ``grad_p``
+    (without it the gradient is zero, and so is the slope term), and the
+    target.
     """
     if field.params is not None and field.h > field.params.l_wr / 16 + 1e-15:
         raise ResolutionError("grid does not resolve the finest field scale")
@@ -215,29 +253,30 @@ def energy(field: DisplacementField, shell: ShellProfile, params: EnergyParams,
     _check_profile(shell)
     curved = shell.grad_p is not None
     stretching = bending = substrate = slope = 0.0
+    eps = np.empty((3, _BLOCK_ROWS) + field.shape[1:])
     for rows, halo, keep, slab in _row_blocks(field):
         m = mask[rows]
-        centres = _centres(field, halo)
-        gp_halo = _grad_p(shell, centres)
-        gp = gp_halo[keep]
-        eps = _slab_strain(slab, keep, gp)
+        e = eps[:, : rows.stop - rows.start]
+        diffs = _first_diffs(slab, keep)
+        gp_halo = _grad_p(shell, _centres(field, halo)) if curved else None
+        gp = gp_halo[keep] if curved else None
+        _strain_into(e, diffs, keep, gp)
         if target is not None:
-            mu_loc = target.matrix_at(centres[keep].reshape(-1, 2)).reshape(gp.shape + (2,))
-            eps[..., 0] -= 0.5 * mu_loc[..., 0, 0]
-            eps[..., 1] -= 0.5 * mu_loc[..., 0, 1]
-            eps[..., 2] -= 0.5 * mu_loc[..., 1, 1]
-        stretching += np.sum(_frob2_sym(eps)[m])
+            mu_loc = target.matrix_at(_centres(field, rows).reshape(-1, 2))
+            mu_loc = mu_loc.reshape(e.shape[1:] + (2, 2))
+            e[0] -= 0.5 * mu_loc[..., 0, 0]
+            e[1] -= 0.5 * mu_loc[..., 0, 1]
+            e[2] -= 0.5 * mu_loc[..., 1, 1]
+        stretching += np.sum(_frob2(*e)[m])
 
-        hw = slab.hess_w()[keep]
+        hw = _hessian(slab, diffs[4], diffs[5], keep)
         if curved:
             # reference profile curvature by differencing its gradient samples
-            gx, gy = gp_halo[..., 0], gp_halo[..., 1]
-            hw[..., 0] -= slab._d(gx, 0)[keep]
-            hw[..., 1] -= 0.5 * (slab._d(gx, 1) + slab._d(gy, 0))[keep]
-            hw[..., 2] -= slab._d(gy, 1)[keep]
-        bending += np.sum(_frob2_sym(hw)[m])
+            hp = _hessian(slab, gp_halo[..., 0], gp_halo[..., 1], keep)
+            hw = [a - b for a, b in zip(hw, hp)]
+        bending += np.sum(_frob2(*hw)[m])
         substrate += np.sum(field.w[rows][m] ** 2)
-        if params.gamma > 0:
+        if params.gamma > 0 and curved:
             slope += np.sum(np.sum(gp**2, axis=-1)[field.domain_mask[rows]])
     stretching = 0.5 * float(stretching) * cell * area_factor
     bending = 0.5 * params.b * float(bending) * cell * area_factor

@@ -543,6 +543,13 @@ class HalfDisc(Domain):
         safe = np.where(r < 1e-300, 1.0, r)
         y[use_arc] = self.radius * loc[use_arc] / safe[use_arc, None]
         y[~use_arc, 1] = 0.0
+        # below the flat side's line the nearest point of the closed boundary
+        # is on the closed flat side: the foot when it lies on the side (then
+        # it is the foot above), else the nearer corner, whose normal cone
+        # holds every such point beyond the arc
+        below = d_flat < 0
+        y[below, 0] = np.clip(loc[below, 0], -self.radius, self.radius)
+        y[below, 1] = 0.0
         return _unsingle(np.atleast_2d(self.from_local(y)), single)
 
     def _on_medial_axis(self, x, tol):

@@ -147,12 +147,14 @@ class TargetDefect:
             l1, l2, _, _ = self.eigen(self.constant)
             return float(l1), float(l2)
         mats = self.matrix_at(sample_pts)
-        los, his = [], []
-        for m in mats:
-            l1, l2, _, _ = self.eigen(m)
-            los.append(l1)
-            his.append(l2)
-        return float(min(los)), float(max(his))
+        a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
+        # the eigenvalues of ``eigen``, both branches at once
+        diagonal = np.abs(b) < 1e-14 * (1 + np.abs(a) + np.abs(c))
+        tr = a + c
+        disc = np.hypot(0.5 * (a - c), b)
+        lo = np.where(diagonal, np.minimum(a, c), tr / 2 - disc)
+        hi = np.where(diagonal, np.maximum(a, c), tr / 2 + disc)
+        return float(lo.min()), float(hi.max())
 
 
 def optimal_params(b, k, mu: TargetDefect, sample_pts=None) -> HerringboneParams:
@@ -208,12 +210,23 @@ def smoothstep_d2(u):
     return np.where((u > 0) & (u < 1), v, 0.0)
 
 
+def _ramp_arg(d, lo, hi):
+    """Argument of the smoothstep in ``ramp``: the ramp's value is
+    ``smoothstep`` of it and its derivatives are ``_ramp_slopes`` of it."""
+    return (np.asarray(d, dtype=float) - lo) / (hi - lo)
+
+
+def _ramp_slopes(u, lo, hi):
+    """First and second derivatives of ``ramp`` at argument u."""
+    width = hi - lo
+    return smoothstep_d1(u) / width, smoothstep_d2(u) / width**2
+
+
 def ramp(d, lo, hi):
     """C^2 ramp in the scalar d: 0 for d <= lo, 1 for d >= hi.
     Returns (value, d/dd, d2/dd2)."""
-    width = hi - lo
-    u = (np.asarray(d, dtype=float) - lo) / width
-    return smoothstep(u), smoothstep_d1(u) / width, smoothstep_d2(u) / width**2
+    u = _ramp_arg(d, lo, hi)
+    return (smoothstep(u),) + _ramp_slopes(u, lo, hi)
 
 
 # ----------------------------------------------------------------------
@@ -224,8 +237,9 @@ def ramp(d, lo, hi):
 class HerringboneField:
     """Closed-form herringbone displacements for a constant target.
 
-    Evaluates v, w and all first/second derivatives analytically; grids and
-    stencils are sampled views of this object.
+    ``evaluate`` gives v, w and all first/second derivatives analytically;
+    ``values`` gives v, w and the bulk flag alone, from the same formulas.
+    Grids are sampled from ``values``.
     """
 
     def __init__(self, mu_matrix, params: HerringboneParams, single=True):
@@ -245,10 +259,12 @@ class HerringboneField:
         self.rank_one = self.theta < 1e-12
         # band geometry
         self.mdir = (eta2 - eta1) / np.sqrt(2.0)  # wall normal
-        self.pdir = (eta2 + eta1) / np.sqrt(2.0)
+        self._band_eta = np.array([eta2, eta1])  # eta outside / inside the first band
         self.l_sh = params.l_sh
         self.l_wr = params.l_wr
         self.d_int = params.delta_int
+        self.amp_w = np.sqrt(self.tr) * self.l_wr  # w_wr = amp_w sqrt(2) cos t
+        self.amp_v = 0.5 * self.tr * self.l_wr  # v_wr = amp_v V(t) eta
 
     # -- band helpers ---------------------------------------------------
     def _band(self, x):
@@ -262,7 +278,7 @@ class HerringboneField:
             return eta, dist, dsign
         u = np.mod(s, self.l_sh)
         in_first = u < self.theta * self.l_sh
-        eta = np.where(in_first[:, None], self.eta1[None, :], self.eta2[None, :])
+        eta = np.take(self._band_eta, in_first.astype(np.intp), axis=0)
         d0 = np.minimum(u, self.l_sh - u)
         d1 = np.abs(u - self.theta * self.l_sh)
         dist = np.minimum(d0, d1)
@@ -272,73 +288,96 @@ class HerringboneField:
         dsign = np.where(d0 <= d1, np.where(up0, 1.0, -1.0), np.where(up1, -1.0, 1.0))
         return eta, dist, dsign
 
-    def chi_int(self, band):
-        """Internal cutoff and derivatives from ``self._band(x)``:
-        (chi, grad chi, hess chi)."""
-        _, dist, dsign = band
+    # -- the three pieces: values, then derivatives ------------------------
+    def _cutoff(self, band):
+        """Internal cutoff at points with ``band = self._band(x)``:
+        (ramp argument, chi); the argument is None for rank-one targets,
+        whose cutoff is 1."""
         if self.rank_one:
-            n = len(dist)
-            return np.ones(n), np.zeros((n, 2)), np.zeros((n, 2, 2))
-        val, d1, d2 = ramp(dist, 0.5 * self.d_int, self.d_int)
-        grad = (d1 * dsign)[:, None] * self.mdir[None, :]
-        hess = (d2)[:, None, None] * np.einsum("i,j->ij", self.mdir, self.mdir)[None, :, :]
-        return val, grad, hess
+            return None, np.ones(len(band[1]))
+        arg = _ramp_arg(band[1], 0.5 * self.d_int, self.d_int)
+        return arg, smoothstep(arg)
 
-    # -- displacement pieces ---------------------------------------------
-    def shear(self, x):
-        """v_sh and its gradient: (v (n,2), grad v (n,2,2))."""
-        x = np.atleast_2d(x)
+    def _cutoff_derivs(self, arg, band):
+        """(grad chi, hess chi) from ``self._cutoff(band)[0]``."""
+        n = len(band[1])
         if self.rank_one:
-            return np.zeros_like(x), np.zeros((len(x), 2, 2))
+            return np.zeros((n, 2)), np.zeros((n, 2, 2))
+        d1, d2 = _ramp_slopes(arg, 0.5 * self.d_int, self.d_int)
+        grad = (d1 * band[2])[:, None] * self.mdir[None, :]
+        hess = (d2)[:, None, None] * np.einsum("i,j->ij", self.mdir, self.mdir)[None, :, :]
+        return grad, hess
+
+    def _shear(self, x):
+        """Shear displacement v_sh at x: (profile argument, v_sh (n,2)); the
+        argument is None for rank-one targets, which carry no shear."""
+        if self.rank_one:
+            return None, np.zeros_like(x)
         arg = (x @ (self.eta2 - self.eta1)) / (np.sqrt(2.0) * self.l_sh)
         Aval = profile_A(arg, self.lam1, self.lam2)
+        return arg, np.sqrt(2.0) * self.l_sh * Aval[:, None] * (self.eta2 + self.eta1)[None, :]
+
+    def _shear_grad(self, arg, n):
+        """grad v_sh (n,2,2) from ``self._shear(x)[0]``."""
+        if self.rank_one:
+            return np.zeros((n, 2, 2))
         Ader = profile_A_prime(arg, self.lam1, self.lam2)
-        v = np.sqrt(2.0) * self.l_sh * Aval[:, None] * (self.eta2 + self.eta1)[None, :]
-        grad = Ader[:, None, None] * np.einsum(
+        return Ader[:, None, None] * np.einsum(
             "i,j->ij", self.eta2 + self.eta1, (self.eta2 - self.eta1) / np.sqrt(2.0)
         )[None, :, :] * np.sqrt(2.0)
-        return v, grad
 
-    def wrinkle(self, x, band):
-        """(v_wr, grad v_wr, w_wr, grad w_wr, hess w_wr), before cutoffs, at
-        points x with ``band = self._band(x)``.
+    def _wrinkle(self, x, eta):
+        """Wrinkle before cutoffs at x, with eta from ``self._band(x)``:
+        (phase t, cos t, v_wr, w_wr)."""
+        t = (x[:, 0] * eta[:, 0] + x[:, 1] * eta[:, 1]) / self.l_wr
+        ct = np.cos(t)
+        return t, ct, self.amp_v * profile_V(t)[:, None] * eta, self.amp_w * np.sqrt(2.0) * ct
+
+    def _wrinkle_derivs(self, t, ct, eta):
+        """(grad v_wr, grad w_wr, hess w_wr) from ``self._wrinkle(x, eta)``.
 
         eta is constant within each band so derivatives are taken at fixed
         eta; the cutoff removes the bands' jump set from the support.
         """
-        x = np.atleast_2d(x)
-        eta = band[0]
-        t = np.sum(x * eta, axis=1) / self.l_wr
-        ct, st = np.cos(t), np.sin(t)
-        amp_w = np.sqrt(self.tr) * self.l_wr
-        w = amp_w * np.sqrt(2.0) * ct
-        grad_w = (-amp_w * np.sqrt(2.0) * st / self.l_wr)[:, None] * eta
-        hess_w = (-amp_w * np.sqrt(2.0) * ct / self.l_wr**2)[:, None, None] * np.einsum(
-            "ni,nj->nij", eta, eta
-        )
-        Vval = profile_V(t)
-        Vder = np.cos(2.0 * t)
-        amp_v = 0.5 * self.tr * self.l_wr
-        v = amp_v * Vval[:, None] * eta
-        grad_v = amp_v * (Vder / self.l_wr)[:, None, None] * np.einsum("ni,nj->nij", eta, eta)
-        return v, grad_v, w, grad_w, hess_w
+        eta_eta = np.einsum("ni,nj->nij", eta, eta)
+        grad_w = (-self.amp_w * np.sqrt(2.0) * np.sin(t) / self.l_wr)[:, None] * eta
+        hess_w = (-self.amp_w * np.sqrt(2.0) * ct / self.l_wr**2)[:, None, None] * eta_eta
+        grad_v = self.amp_v * (np.cos(2.0 * t) / self.l_wr)[:, None, None] * eta_eta
+        return grad_v, grad_w, hess_w
 
     # -- assembled fields -------------------------------------------------
+    def _values(self, x, band):
+        """The assembled v, w and bulk flag at x with ``band =
+        self._band(x)``, and the pieces ``evaluate`` differentiates."""
+        chi_arg, chi = self._cutoff(band)
+        sh_arg, v_sh = self._shear(x)
+        t, ct, v_wr, w_wr = self._wrinkle(x, band[0])
+        v = v_sh + v_wr * chi[:, None]
+        w = w_wr * chi
+        bulk = band[1] >= self.d_int
+        return (v, w, bulk), (chi_arg, chi, sh_arg, t, ct, v_wr, w_wr)
+
+    def values(self, x):
+        """v, w and the bulk flag at points x, equal to those ``evaluate``
+        returns, without the derivative fields."""
+        x = np.atleast_2d(x)
+        v, w, bulk = self._values(x, self._band(x))[0]
+        return {"v": v, "w": w, "bulk": bulk}
+
     def evaluate(self, x):
         """All assembled fields at points x: dict with v, grad_v, w, grad_w,
         hess_w, chi (internal cutoff), wall mask."""
         x = np.atleast_2d(x)
         band = self._band(x)
-        chi, gchi, hchi = self.chi_int(band)
-        v_sh, g_sh = self.shear(x)
-        v_wr, g_wr, w_wr, gw_wr, hw_wr = self.wrinkle(x, band)
-        v = v_sh + v_wr * chi[:, None]
+        (v, w, bulk), (chi_arg, chi, sh_arg, t, ct, v_wr, w_wr) = self._values(x, band)
+        gchi, hchi = self._cutoff_derivs(chi_arg, band)
+        g_sh = self._shear_grad(sh_arg, len(x))
+        g_wr, gw_wr, hw_wr = self._wrinkle_derivs(t, ct, band[0])
         grad_v = (
             g_sh
             + g_wr * chi[:, None, None]
             + np.einsum("ni,nj->nij", v_wr, gchi)
         )
-        w = w_wr * chi
         grad_w = gw_wr * chi[:, None] + w_wr[:, None] * gchi
         hess_w = (
             hw_wr * chi[:, None, None]
@@ -346,7 +385,6 @@ class HerringboneField:
             + np.einsum("ni,nj->nij", gchi, gw_wr)
             + w_wr[:, None, None] * hchi
         )
-        bulk = band[1] >= self.d_int
         return {
             "v": v, "grad_v": grad_v, "w": w, "grad_w": grad_w,
             "hess_w": hess_w, "chi_int": chi, "bulk": bulk,
@@ -446,8 +484,9 @@ def _square_bounds(square):
 
 
 def _sample_rows(evaluator, lo, h, nx, ny):
-    """Sample evaluator fields v, w and bulk on the cell-centered grid, in
-    row blocks."""
+    """Sample v, w and bulk on the cell-centered grid, in row blocks,
+    through ``evaluator.values``: only those three fields are computed, no
+    derivative field (the stencils difference the samples instead)."""
     store = {
         "v": np.empty((nx, ny, 2)),
         "w": np.empty((nx, ny)),
@@ -459,7 +498,7 @@ def _sample_rows(evaluator, lo, h, nx, ny):
         xs = lo[0] + (np.arange(r0, r1) + 0.5) * h
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-        out = evaluator.evaluate(pts)
+        out = evaluator.values(pts)
         store["v"][r0:r1] = out["v"].reshape(r1 - r0, ny, 2)
         store["w"][r0:r1] = out["w"].reshape(r1 - r0, ny)
         store["bulk"][r0:r1] = out["bulk"].reshape(r1 - r0, ny)
@@ -525,28 +564,29 @@ class PiecewiseHerringboneField:
                     "mu": m_avg,
                 }
 
+    def _edge_cutoff(self, x, origin):
+        """Separable edge cutoff on the square at ``origin``: the ramp
+        arguments and their smoothsteps, one column per axis ((n, 2) each),
+        and the cutoff chi (n,), their product."""
+        d_ext = self.params.delta_ext
+        t = x - origin
+        args = _ramp_arg(np.minimum(t, self.l_avg - t), 0.5 * d_ext, d_ext)
+        vals = smoothstep(args)
+        return args, vals, vals[:, 0] * vals[:, 1]
+
     def chi_ext(self, x, origin):
         """Separable edge cutoff on the square at `origin` (value, grad, hess
         as (n,), (n,2), (n,2,2))."""
         d_ext = self.params.delta_ext
-        L = self.l_avg
-        vals = []
-        d1s = []
-        d2s = []
-        for axis in range(2):
-            t = np.atleast_2d(x)[:, axis] - origin[axis]
-            d_edge = np.minimum(t, L - t)
-            sgn = np.where(t < L - t, 1.0, -1.0)
-            val, d1, d2 = ramp(d_edge, 0.5 * d_ext, d_ext)
-            vals.append(val)
-            d1s.append(d1 * sgn)
-            d2s.append(d2)
-        chi = vals[0] * vals[1]
-        grad = np.stack([d1s[0] * vals[1], vals[0] * d1s[1]], axis=1)
+        args, vals, chi = self._edge_cutoff(x, origin)
+        d1s, d2s = _ramp_slopes(args, 0.5 * d_ext, d_ext)
+        t = x - origin
+        d1s = d1s * np.where(t < self.l_avg - t, 1.0, -1.0)
+        grad = np.stack([d1s[:, 0] * vals[:, 1], vals[:, 0] * d1s[:, 1]], axis=1)
         hess = np.empty((len(chi), 2, 2))
-        hess[:, 0, 0] = d2s[0] * vals[1]
-        hess[:, 1, 1] = vals[0] * d2s[1]
-        hess[:, 0, 1] = hess[:, 1, 0] = d1s[0] * d1s[1]
+        hess[:, 0, 0] = d2s[:, 0] * vals[:, 1]
+        hess[:, 1, 1] = vals[:, 0] * d2s[:, 1]
+        hess[:, 0, 1] = hess[:, 1, 0] = d1s[:, 0] * d1s[:, 1]
         return chi, grad, hess
 
     def cell_of(self, x):
@@ -554,6 +594,40 @@ class PiecewiseHerringboneField:
         i = np.floor(x[:, 0] / self.l_avg).astype(int)
         j = np.floor(x[:, 1] / self.l_avg).astype(int)
         return i, j
+
+    def _squares(self, x):
+        """Group the points x by lattice square: yields (indices, cell) for
+        each square that holds points and carries a field."""
+        i, j = self.cell_of(x)
+        stride = self.nrows + 2
+        keys = (i - self.i0).astype(np.int64) * stride + (j - self.j0)
+        order = np.argsort(keys, kind="stable")
+        split_at = np.flatnonzero(np.diff(keys[order])) + 1
+        for idx in np.split(order, split_at):
+            key = int(keys[idx[0]])
+            cell = self.cells.get((key // stride + self.i0, key % stride + self.j0))
+            if cell is not None:
+                yield idx, cell
+
+    @staticmethod
+    def _glue(out, idx, f, chi):
+        """Write the per-square v, w and bulk ``f`` times the edge cutoff
+        ``chi`` into ``out`` at ``idx``."""
+        out["v"][idx] = f["v"] * chi[:, None]
+        out["w"][idx] = f["w"] * chi
+        out["bulk"][idx] = f["bulk"] & (chi > 1.0 - 1e-12)
+
+    def values(self, x):
+        """v, w and the bulk flag at points x, equal to those ``evaluate``
+        returns, without the derivative fields."""
+        x = np.atleast_2d(x)
+        n = len(x)
+        out = {"v": np.zeros((n, 2)), "w": np.zeros(n), "bulk": np.zeros(n, dtype=bool)}
+        for idx, cell in self._squares(x):
+            pts = x[idx]
+            chi = self._edge_cutoff(pts, cell["origin"])[2]
+            self._glue(out, idx, cell["field"].values(pts), chi)
+        return out
 
     def evaluate(self, x):
         """Assembled fields at points x (same keys as HerringboneField plus
@@ -566,27 +640,14 @@ class PiecewiseHerringboneField:
             "hess_w": np.zeros((n, 2, 2)), "bulk": np.zeros(n, dtype=bool),
             "mu_local": np.zeros((n, 2, 2)), "chi_ext": np.zeros(n),
         }
-        i, j = self.cell_of(x)
-        stride = self.nrows + 2
-        keys = (i - self.i0).astype(np.int64) * stride + (j - self.j0)
-        order = np.argsort(keys, kind="stable")
-        sk = keys[order]
-        split_at = np.flatnonzero(np.diff(sk)) + 1
-        for idx in np.split(order, split_at):
-            key = int(keys[idx[0]])
-            ci = key // stride + self.i0
-            cj = key % stride + self.j0
-            cell = self.cells.get((ci, cj))
-            if cell is None:
-                continue
+        for idx, cell in self._squares(x):
             pts = x[idx]
             f = cell["field"].evaluate(pts)
             chi, gchi, hchi = self.chi_ext(pts, cell["origin"])
-            out["v"][idx] = f["v"] * chi[:, None]
+            self._glue(out, idx, f, chi)
             out["grad_v"][idx] = f["grad_v"] * chi[:, None, None] + np.einsum(
                 "ni,nj->nij", f["v"], gchi
             )
-            out["w"][idx] = f["w"] * chi
             out["grad_w"][idx] = f["grad_w"] * chi[:, None] + f["w"][:, None] * gchi
             out["hess_w"][idx] = (
                 f["hess_w"] * chi[:, None, None]
@@ -594,7 +655,6 @@ class PiecewiseHerringboneField:
                 + np.einsum("ni,nj->nij", gchi, f["grad_w"])
                 + f["w"][:, None, None] * hchi
             )
-            out["bulk"][idx] = f["bulk"] & (chi > 1.0 - 1e-12)
             out["mu_local"][idx] = cell["mu"]
             out["chi_ext"][idx] = chi
         return out

@@ -349,6 +349,10 @@ _BLOCK_CASES = {
         _curved_slope_shell(), EnergyParams(b=0.3, k=2.0, gamma=0.7)),
     "target-field": lambda: _smooth_case(
         FLAT, EnergyParams(b=0.3, k=2.0), target=TargetDefect(_target_field)),
+    # no grad_p: the profile gradient is zero and its terms are skipped
+    "flat-shell-gamma": lambda: _smooth_case(FLAT, EnergyParams(b=0.3, k=2.0, gamma=0.7)),
+    "constant-curvature-no-grad-p": lambda: _smooth_case(
+        ShellProfile.constant(-1.0), EnergyParams(b=0.3, k=2.0)),
 }
 
 

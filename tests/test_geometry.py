@@ -185,6 +185,26 @@ def test_polygon_foot_of_outside_point_is_on_a_closed_side(pentagon):
     assert np.all(np.abs(np.hypot(*(x - y).T) - ref) < 1e-3)
 
 
+def test_half_disc_foot_of_outside_point_is_on_the_boundary():
+    # beyond a corner, below the flat side's line, the nearest boundary point
+    # is the corner itself
+    hd = HalfDisc(1.0)
+    for p in ([1.01, -0.001], [1.01, -0.1]):
+        y = hd.nearest_boundary_point(p)
+        assert hd.contains(y, tol=1e-12), (p, y)
+        assert np.allclose(y, [1.0, 0.0], atol=1e-15)
+    assert np.allclose(hd.nearest_boundary_point([0.5, -0.3]), [0.5, 0.0], atol=1e-15)
+    turned = HalfDisc(1.0, center=(0.3, -0.2), orientation=1.1)
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-3.0, 3.0, size=(400, 2))
+    y = turned.nearest_boundary_point(x)
+    assert np.all(turned.contains(y, tol=1e-12))
+    # against the nearest of 20,000 boundary samples (spacing about 2.6e-4)
+    bnd = np.array([bp.position for bp in turned.boundary_sample(20_000)])
+    ref = np.min(np.hypot(*(x[:, None, :] - bnd[None]).transpose(2, 0, 1)), axis=1)
+    assert np.all(np.abs(np.hypot(*(x - y).T) - ref) < 1e-3)
+
+
 class TestMedialAxis:
     def test_disc_is_center(self, disc):
         ma = disc.medial_axis()

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shellwrinkle.errors import ParameterError, RegimeError
-from shellwrinkle.geometry import Rectangle
+from shellwrinkle.geometry import Disc, Rectangle
 from shellwrinkle.herringbone import (
     HerringboneField,
     HerringboneParams,
@@ -104,6 +104,22 @@ class TestTargets:
         # near-diagonal matrices are numerically indistinguishable from
         # diagonal once the discriminant underflows; scale the tolerance
         assert np.allclose(recon, m, atol=1e-10 + 1e-4 * abs(b))
+
+    def test_bounds_equal_eigen_per_sample(self):
+        # the array form of bounds against eigen on each sample matrix, with
+        # diagonal, near-diagonal and off-diagonal samples
+        def field(p):
+            m = np.empty((len(p), 2, 2))
+            m[:, 0, 0] = 1.0 + 0.3 * np.sin(5.0 * p[:, 0])
+            m[:, 0, 1] = m[:, 1, 0] = np.where(p[:, 1] > 0.0, 0.2 * p[:, 0] * p[:, 1], 1e-17)
+            m[:, 1, 1] = 0.8 + 0.4 * p[:, 1] ** 2
+            return m
+
+        target = TargetDefect(field)
+        pts = np.random.default_rng(9).uniform(-1.0, 1.0, size=(2000, 2))
+        pairs = [TargetDefect.eigen(m)[:2] for m in target.matrix_at(pts)]
+        assert target.bounds(pts) == (float(min(p[0] for p in pairs)),
+                                      float(max(p[1] for p in pairs)))
 
     def test_theta_range(self):
         # anisotropic target needs its own admissible parameters: the
@@ -213,6 +229,19 @@ class TestSingleSquare:
         assert np.allclose(fld.w.ravel(), ev["w"], atol=1e-14)
         assert np.allclose(fld.u.reshape(-1, 2), ev["v"], atol=1e-14)
 
+    @pytest.mark.parametrize("mu", [np.eye(2), np.array([[1.0, 0.3], [0.3, 0.6]]),
+                                    np.diag([0.0, 2.0])], ids=["iso", "aniso", "rank-one"])
+    def test_values_equal_evaluate(self, mu):
+        # the sampler's values-only path against the full evaluation, over
+        # bands, walls and their cutoff ramps
+        hf = HerringboneField(mu, ID_PARAMS, single=False)
+        pts = np.random.default_rng(10).uniform(-0.2, 0.3, size=(50000, 2))
+        ev, vals = hf.evaluate(pts), hf.values(pts)
+        assert set(vals) == {"v", "w", "bulk"}
+        for key in vals:
+            assert np.array_equal(vals[key], ev[key]), key
+        assert 0.0 < ev["bulk"].mean() <= 1.0
+
     def test_grid_resolution_guard(self):
         with pytest.raises(ParameterError):
             herringbone(((0.0, 0.0), 1.0), np.eye(2), ID_PARAMS, h=ID_PARAMS.l_wr / 8)
@@ -268,6 +297,17 @@ class TestPiecewise:
         gw = out["grad_w"]
         avg = np.einsum("ni,nj->ij", gw, gw) / len(gw)
         assert np.trace(avg) < 10.0 * np.trace(m)
+
+    def test_values_equal_evaluate_on_disc(self):
+        mu = np.array([[1.0, 0.05], [0.05, 0.9]])
+        assembly = PiecewiseHerringboneField(Disc(0.3, center=(0.01, -0.02)),
+                                             TargetDefect(mu), ID_PARAMS)
+        pts = np.random.default_rng(11).uniform(-0.35, 0.35, size=(100000, 2))
+        ev, vals = assembly.evaluate(pts), assembly.values(pts)
+        assert set(vals) == {"v", "w", "bulk"}
+        for key in vals:
+            assert np.array_equal(vals[key], ev[key]), key
+        assert ev["bulk"].any() and not ev["bulk"].all()
 
     def test_grid_assembly(self):
         dom = Rectangle(0.3, 0.2)
