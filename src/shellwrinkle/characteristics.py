@@ -31,6 +31,7 @@ from .stablelines import stable_lines
 DEFAULT_SAMPLES_PER_LINE = 2000
 NEGATIVITY_TOL = 1e-10
 CAUCHY_SIGN_TOL = 1e-8
+POINT_BLOCK = 1 << 15  # points interpolated per block by _rasterize_chart
 
 
 @dataclass
@@ -40,8 +41,9 @@ class LineSolution:
     zero.
 
     Only lam is stored.  The nodes ``t`` and the product ``rho_lam`` follow
-    from the line and are rebuilt on demand, so a field with thousands of
-    lines keeps one sample array per line, not three.
+    from the line and are rebuilt on demand.  In a ``DefectField`` lam is a
+    row view of its chart's (n_lines, n) line table, so the field keeps one
+    sample array per chart, not one per line.
     """
 
     line: LineGeometry
@@ -95,40 +97,45 @@ def _integrate_line(line: LineGeometry, K, n):
     return t, rho, i2
 
 
-def solve_bvp(line: LineGeometry, K, n=DEFAULT_SAMPLES_PER_LINE) -> LineSolution:
+def solve_bvp(line: LineGeometry, K, n=DEFAULT_SAMPLES_PER_LINE, out=None) -> LineSolution:
     """Two-point problem: rho lam = 0 at both endpoints.
 
     (rho lam)(t) = -2 I2(t) + c t with I2 the double cumulative integral of
-    rho K and c fixed by the right endpoint.
+    rho K and c fixed by the right endpoint.  lam is written into ``out``
+    (an (n,) float array) when given, else into a new array.
     """
     t, rho, i2 = _integrate_line(line, K, n)
     # rho is affine, so it is positive along the line iff at both ends
     if not (rho[0] > 0 and rho[-1] > 0):
         raise DataError("rho must be positive along a two-point line")
     c = 2.0 * i2[-1] / t[-1]
-    return LineSolution(line=line, lam=(c * t - 2.0 * i2) / rho, data_kind="two_point_bvp")
+    lam = np.divide(c * t - 2.0 * i2, rho, out=out)
+    return LineSolution(line=line, lam=lam, data_kind="two_point_bvp")
 
 
-def solve_cauchy(line: LineGeometry, K, n=DEFAULT_SAMPLES_PER_LINE) -> LineSolution:
+def solve_cauchy(line: LineGeometry, K, n=DEFAULT_SAMPLES_PER_LINE, out=None) -> LineSolution:
     """Cauchy problem from the start point: rho lam = (rho lam)' = 0 there.
 
     A density dipping below -CAUCHY_SIGN_TOL is reported as a curvature-sign
     violation: along Cauchy lines the density and K take opposite signs.
+    lam is written into ``out`` (an (n,) float array) when given, else into
+    a new array.
     """
     if line.start_kind == "boundary":
         raise DataError("Cauchy data must start on the singular set or a focal point")
     t, rho, i2 = _integrate_line(line, K, n)
     # lam = 0 where rho vanishes: at a fan center lam ~ -K u^2 / 3 -> 0
-    lam = np.zeros(n)
+    lam = np.empty(n) if out is None else out
+    lam.fill(0.0)
     np.divide(-2.0 * i2, rho, out=lam, where=rho > 0)
     violation = bool(lam.min() < -CAUCHY_SIGN_TOL)
     return LineSolution(line=line, lam=lam, data_kind="cauchy", sign_violation=violation)
 
 
-def solve_line(line: LineGeometry, K, data_kind, n=DEFAULT_SAMPLES_PER_LINE):
+def solve_line(line: LineGeometry, K, data_kind, n=DEFAULT_SAMPLES_PER_LINE, out=None):
     if data_kind == "bvp":
-        return solve_bvp(line, K, n)
-    return solve_cauchy(line, K, n)
+        return solve_bvp(line, K, n, out)
+    return solve_cauchy(line, K, n, out)
 
 
 @dataclass
@@ -136,7 +143,9 @@ class DefectField:
     """Rank-one defect density on a masked grid, plus per-line solutions.
 
     ``uncovered`` marks the masked cells that no chart holds (``locate``
-    returns -1); they carry lam = 0 and mu = 0.
+    returns -1); they carry lam = 0 and mu = 0.  ``line_solutions`` lists
+    the solved lines chart by chart; each lam is a row of its chart's line
+    table.
     """
 
     domain: Domain
@@ -160,19 +169,31 @@ class DefectField:
         return float(np.min(self.lam[self.grid.mask]))
 
 
-def _rasterize_chart(solutions, s, u, L):
+def _rasterize_chart(stations, lam_tab, s, u, L):
     """lam at points with chart coordinates (s, u, L), and a mask of points
     farther than 1.5 station steps from any solved line.
 
-    Per-line solutions share a uniform parameter; interpolation is linear in
-    the station index and in the normalized line coordinate.  Far points
+    Row k of the (n_lines, n_t) table ``lam_tab`` is the line at station
+    ``stations[k]``, sampled on a uniform parameter; interpolation is linear
+    in the station index and in the normalized line coordinate.  Far points
     (beyond dropped short lines near degenerate chart ends) get clamped
-    extrapolations, which the caller replaces.
+    extrapolations, which the caller replaces.  Points are taken
+    POINT_BLOCK at a time, so the interpolation's temporaries stay small.
     """
-    if len(solutions) == 0:
+    if len(stations) == 0:
         return np.zeros(len(s)), np.ones(len(s), dtype=bool)
-    stations = np.array([sol.line.s for sol in solutions])
-    lam_tab = np.stack([sol.lam for sol in solutions])  # (n_lines, n_t)
+    lam = np.empty(len(s))
+    far = np.zeros(len(s), dtype=bool)
+    step = np.median(np.diff(stations)) if len(stations) > 1 else None
+    for a in range(0, len(s), POINT_BLOCK):
+        b = slice(a, a + POINT_BLOCK)
+        lam[b], far[b] = _interpolate_lines(stations, lam_tab, step, s[b], u[b], L[b])
+    return lam, far
+
+
+def _interpolate_lines(stations, lam_tab, step, s, u, L):
+    """``_rasterize_chart`` on one block of points; ``step`` is the median
+    station step, None for a single line."""
     n_t = lam_tab.shape[1]
     tau = np.clip(u / np.maximum(L, 1e-300), 0.0, 1.0)
     # bracket stations
@@ -190,14 +211,12 @@ def _rasterize_chart(solutions, s, u, L):
     lam0 = lam_tab[j0, i0] * (1 - wi) + lam_tab[j0, i0 + 1] * wi
     lam1 = lam_tab[j1, i0] * (1 - wi) + lam_tab[j1, i0 + 1] * wi
     lam = (1 - w1) * lam0 + w1 * lam1
-    if len(stations) > 1:
-        step = np.median(np.diff(stations))
-        # beyond the outermost solved lines (dropped short lines), or farther
-        # than 1.5 steps from any station: the interpolation is a clamp
-        far = (s < stations[0] - 1e-12) | (s > stations[-1] + 1e-12)
-        far |= np.minimum(np.abs(s - s0), np.abs(s1 - s)) > 1.5 * step
-    else:
-        far = np.zeros(len(s), dtype=bool)
+    if step is None:
+        return lam, False
+    # beyond the outermost solved lines (dropped short lines), or farther
+    # than 1.5 steps from any station: the interpolation is a clamp
+    far = (s < stations[0] - 1e-12) | (s > stations[-1] + 1e-12)
+    far |= np.minimum(np.abs(s - s0), np.abs(s1 - s)) > 1.5 * step
     return lam, far
 
 
@@ -244,11 +263,17 @@ def defect_field(domain: Domain, shell: ShellProfile, resolution=256,
     grid = MaskedGrid(domain, resolution)
     family = stable_lines(domain, airy, grid.h / 2.0, min_length=10.0 * grid.h)
 
-    solutions_by_chart = []
+    # one (n_lines, n) line table per chart; each line's solve writes its row
+    tables = []
+    line_solutions = []
     interface_flag = False
     for chart, chart_lines in zip(family.charts, family.lines_by_chart):
         kind = chart.data_kind
-        solutions_by_chart.append([solve_line(ln, shell.k, kind) for ln in chart_lines])
+        table = np.empty((len(chart_lines), DEFAULT_SAMPLES_PER_LINE))
+        line_solutions.extend(
+            solve_line(ln, shell.k, kind, out=row) for ln, row in zip(chart_lines, table)
+        )
+        tables.append((np.array([ln.s for ln in chart_lines]), table))
         if any(ln.start_kind == "interface" or ln.end_kind == "interface" for ln in chart_lines):
             interface_flag = True
 
@@ -256,13 +281,13 @@ def defect_field(domain: Domain, shell: ShellProfile, resolution=256,
     lam_m = np.zeros(len(pts))
     eta_m = np.full((len(pts), 2), np.nan)
     which = locate(family.charts, pts)
-    for ci, (chart, sols) in enumerate(zip(family.charts, solutions_by_chart)):
+    for ci, (chart, (stations, table)) in enumerate(zip(family.charts, tables)):
         idx = np.flatnonzero(which == ci)
         if len(idx) == 0:
             continue
         x = pts[idx]
         s, u, L = chart.coords(x)
-        lam, far = _rasterize_chart(sols, s, u, L)
+        lam, far = _rasterize_chart(stations, table, s, u, L)
         if np.any(far):
             lam[far] = _frozen_k_fill(chart, shell.k(x[far]), s[far], u[far], L[far])
         lam_m[idx] = lam
@@ -280,7 +305,6 @@ def defect_field(domain: Domain, shell: ShellProfile, resolution=256,
     mu[np.isnan(mu)] = 0.0
     uncovered = np.zeros((grid.nx, grid.ny), dtype=bool)
     uncovered[grid.mask] = which < 0
-    line_solutions = [s for sols in solutions_by_chart for s in sols]
     return DefectField(
         domain=domain, shell=shell, grid=grid, lam=lam, eta=eta, mu=mu,
         line_solutions=line_solutions, airy=airy, uncovered=uncovered,

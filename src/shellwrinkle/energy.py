@@ -234,8 +234,9 @@ def energy(field: DisplacementField, shell: ShellProfile, params: EnergyParams,
     the six first differences of u and w are taken once, and the Hessian of
     w is differenced from that w_x and w_y.  Cell centres are built only
     for what reads them: the profile gradient of a shell with ``grad_p``
-    (without it the gradient is zero, and so is the slope term), and the
-    target.
+    (without it the gradient is zero, and so is the slope term), and a
+    target that varies in space; a constant target is subtracted as three
+    scalars.
     """
     if field.params is not None and field.h > field.params.l_wr / 16 + 1e-15:
         raise ResolutionError("grid does not resolve the finest field scale")
@@ -262,8 +263,11 @@ def energy(field: DisplacementField, shell: ShellProfile, params: EnergyParams,
         gp = gp_halo[keep] if curved else None
         _strain_into(e, diffs, keep, gp)
         if target is not None:
-            mu_loc = target.matrix_at(_centres(field, rows).reshape(-1, 2))
-            mu_loc = mu_loc.reshape(e.shape[1:] + (2, 2))
+            if target.constant is not None:
+                mu_loc = target.constant
+            else:
+                mu_loc = target.matrix_at(_centres(field, rows).reshape(-1, 2))
+                mu_loc = mu_loc.reshape(e.shape[1:] + (2, 2))
             e[0] -= 0.5 * mu_loc[..., 0, 0]
             e[1] -= 0.5 * mu_loc[..., 0, 1]
             e[2] -= 0.5 * mu_loc[..., 1, 1]

@@ -267,14 +267,16 @@ class HerringboneField:
         self.amp_v = 0.5 * self.tr * self.l_wr  # v_wr = amp_v V(t) eta
 
     # -- band helpers ---------------------------------------------------
-    def _band(self, x):
-        """(eta at x, distance to the jump set, sign of d(dist)/ds)."""
+    def _band(self, x, sign=False):
+        """(eta at x, distance to the jump set, sign of d(dist)/ds); the
+        sign, which only the cutoff's gradient reads, is None unless
+        ``sign`` is true."""
         x = np.atleast_2d(x)
         s = x @ self.mdir
         if self.rank_one:
             eta = np.broadcast_to(self.eta2, x.shape)
             dist = np.full(len(x), np.inf)
-            dsign = np.zeros(len(x))
+            dsign = np.zeros(len(x)) if sign else None
             return eta, dist, dsign
         u = np.mod(s, self.l_sh)
         in_first = u < self.theta * self.l_sh
@@ -282,6 +284,8 @@ class HerringboneField:
         d0 = np.minimum(u, self.l_sh - u)
         d1 = np.abs(u - self.theta * self.l_sh)
         dist = np.minimum(d0, d1)
+        if not sign:
+            return eta, dist, None
         # sign of the derivative of dist with respect to s
         up0 = (u < 0.5 * self.l_sh) & (d0 <= d1)
         up1 = (u < self.theta * self.l_sh) & (d1 < d0)
@@ -299,7 +303,8 @@ class HerringboneField:
         return arg, smoothstep(arg)
 
     def _cutoff_derivs(self, arg, band):
-        """(grad chi, hess chi) from ``self._cutoff(band)[0]``."""
+        """(grad chi, hess chi) from ``self._cutoff(band)[0]``, with ``band =
+        self._band(x, sign=True)``."""
         n = len(band[1])
         if self.rank_one:
             return np.zeros((n, 2)), np.zeros((n, 2, 2))
@@ -368,7 +373,7 @@ class HerringboneField:
         """All assembled fields at points x: dict with v, grad_v, w, grad_w,
         hess_w, chi (internal cutoff), wall mask."""
         x = np.atleast_2d(x)
-        band = self._band(x)
+        band = self._band(x, sign=True)
         (v, w, bulk), (chi_arg, chi, sh_arg, t, ct, v_wr, w_wr) = self._values(x, band)
         gchi, hchi = self._cutoff_derivs(chi_arg, band)
         g_sh = self._shear_grad(sh_arg, len(x))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 FMT = "{:.9g}"
+CSV_BLOCK_ROWS = 4096  # rows formatted per block by the CSV table writer
 
 
 def _f(x):
@@ -102,25 +103,21 @@ def heatmap_svg(grid_x0, grid_y0, h, values, mask, domain=None, overlay=None, un
     bbox = ((grid_x0, grid_y0), (grid_x0 + nx * h, grid_y0 + ny * h))
     canvas = SvgCanvas(bbox)
     unit = unit if unit is not None else max(nx, ny) * h / 100.0
-    # coarse row-run encoding: merge horizontal runs of equal grey level
-    levels = np.full((nx, ny), -1, dtype=int)
-    levels[mask] = np.clip(((vals[mask] - lo) / span * 32).astype(int), 0, 32)
-    for j in range(ny):
-        i = 0
-        while i < nx:
-            L = levels[i, j]
-            if L < 0:
-                i += 1
-                continue
-            i2 = i
-            while i2 + 1 < nx and levels[i2 + 1, j] == L:
-                i2 += 1
-            grey = 255 - int(L * 255 / 32)
-            fill = f"#{grey:02x}{grey:02x}{grey:02x}"
-            canvas.rect(
-                (grid_x0 + i * h, grid_y0 + j * h), (i2 - i + 1) * h, h, fill
-            )
-            i = i2 + 1
+    # coarse row-run encoding: merge horizontal runs of equal grey level;
+    # masked-out cells (level -1) form runs too, which are not drawn
+    levels = np.full((ny, nx), -1, dtype=int)
+    levels.T[mask] = np.clip(((vals[mask] - lo) / span * 32).astype(int), 0, 32)
+    starts = np.ones((ny, nx), dtype=bool)
+    starts[:, 1:] = levels[:, 1:] != levels[:, :-1]
+    first = np.flatnonzero(starts)
+    length = np.diff(first, append=levels.size)
+    run_level = levels.ravel()[first]
+    keep = run_level >= 0
+    for k, n, L in zip(first[keep].tolist(), length[keep].tolist(), run_level[keep].tolist()):
+        j, i = divmod(k, nx)
+        grey = 255 - int(L * 255 / 32)
+        fill = f"#{grey:02x}{grey:02x}{grey:02x}"
+        canvas.rect((grid_x0 + i * h, grid_y0 + j * h), n * h, h, fill)
     if overlay is not None:
         for ln in overlay.lines:
             canvas.line(ln.start, ln.end, 0.3 * unit, color="#cc3311")
@@ -159,25 +156,39 @@ def medial_csv(medial):
     return csv_lines(["x1", "y1", "x2", "y2"], medial.to_csv_rows())
 
 
+def _csv_table(header, columns):
+    """The header, then row k of the equal-length 1-D float arrays
+    ``columns`` on line k, each value formatted like `FMT`.
+
+    Rows are formatted CSV_BLOCK_ROWS at a time, with one ``%`` on the row
+    format repeated per row, so no string per row is ever held: the text
+    exists only as the block strings and their join.
+    """
+    row = ",".join(["%.9g"] * len(columns))
+    parts = [",".join(header)]
+    for a in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = np.column_stack([c[a:a + CSV_BLOCK_ROWS] for c in columns])
+        parts.append("\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
+    parts.append("")  # the closing newline, without a copy of the joined table
+    return "\n".join(parts)
+
+
 def defect_csv(defect):
     """Masked cells in row-major order: x, y, lambda, eta (NaN eta as 0),
-    each value formatted like `FMT`, one ``%`` per row."""
+    each value formatted like `FMT`; rows are formatted in blocks of
+    CSV_BLOCK_ROWS."""
     grid = defect.grid
     m = grid.mask
     eta = defect.eta[m]
-    eta = np.where(np.isfinite(eta), eta, 0.0)
-    cols = np.column_stack([grid.X[m], grid.Y[m], defect.lam[m], eta])
-    row = ",".join(["%.9g"] * cols.shape[1])
-    lines = ["x,y,lambda,eta_x,eta_y"]
-    lines.extend(row % tuple(r) for r in cols.tolist())
-    return "\n".join(lines) + "\n"
+    eta[~np.isfinite(eta)] = 0.0
+    return _csv_table(
+        ["x", "y", "lambda", "eta_x", "eta_y"],
+        [grid.X[m], grid.Y[m], defect.lam[m], eta[:, 0], eta[:, 1]],
+    )
 
 
 def heightmap_csv(field):
+    """Every grid cell in row-major order: x, y, w, each value formatted
+    like `FMT`; rows are formatted in blocks of CSV_BLOCK_ROWS."""
     X, Y = field.points()
-    rows = []
-    nx, ny = field.shape
-    for i in range(nx):
-        for j in range(ny):
-            rows.append((X[i, j], Y[i, j], field.w[i, j]))
-    return csv_lines(["x", "y", "w"], rows)
+    return _csv_table(["x", "y", "w"], [X.ravel(), Y.ravel(), field.w.ravel()])

@@ -1,6 +1,8 @@
 """Characteristic ODE solvers against independent RK4 shooting oracles, the
 assembled defect fields against closed forms, and the weak-form residual."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from shellwrinkle.errors import DataError, ResolutionError
 from shellwrinkle.geometry import Disc, Ellipse, HalfDisc, Rectangle
 from shellwrinkle.rulings import LineGeometry, UDecomposition
 from shellwrinkle.shell import ShellProfile
+from shellwrinkle.stablelines import stable_lines
 
 POS = ShellProfile.constant(1.0)
 NEG = ShellProfile.constant(-1.0)
@@ -104,6 +107,14 @@ class TestSolveBVP:
         with pytest.raises(DataError):
             chars.solve_bvp(line, lambda x: np.ones(len(x)))
 
+    def test_out_row_gets_the_same_lam(self):
+        line = make_line((0.0, -1.0), (0.0, 2.0), rho0=1.0, rho1=0.5)
+        K = lambda x: 1.0 + x[:, 1] ** 2  # noqa: E731
+        buf = np.full(777, np.nan)
+        sol = chars.solve_bvp(line, K, n=777, out=buf)
+        assert sol.lam is buf
+        assert np.array_equal(buf, chars.solve_bvp(line, K, n=777).lam)
+
 
 class TestSolveCauchy:
     def test_negative_disc_ray(self):
@@ -145,6 +156,17 @@ class TestSolveCauchy:
         line = make_line((0.0, 0.0), (1.0, 0.0), start_kind="medial_axis")
         sol = chars.solve_cauchy(line, lambda x: -np.ones(len(x)))
         assert sol.lam_sing == 0.0
+
+    def test_out_row_gets_the_same_lam(self):
+        # a fan ray: rho = 0 at the start, where lam is set to 0 and not
+        # divided, so a stale value in the row must not survive
+        line = make_line((0.0, 0.0), (1.0, 0.0), start_kind="focal_point",
+                         rho0=0.0, rho1=1.0)
+        K = lambda x: -1.0 - x[:, 0]  # noqa: E731
+        buf = np.full(501, np.nan)
+        sol = chars.solve_cauchy(line, K, n=501, out=buf)
+        assert sol.lam is buf and buf[0] == 0.0
+        assert np.array_equal(buf, chars.solve_cauchy(line, K, n=501).lam)
 
 
 class TestDefectField:
@@ -207,6 +229,46 @@ class TestDefectField:
         df = chars.defect_field(rect, NEG, 96)
         assert all(sol.lam_sing == 0.0 for sol in df.line_solutions)
 
+    @pytest.mark.parametrize("name,shell", [("rect", NEG), ("rect", POS)],
+                             ids=["rect-negative", "rect-positive"])
+    def test_each_chart_solves_into_one_line_table(self, request, monkeypatch, name, shell):
+        # every line of a chart writes lam into its row of one (n_lines, n)
+        # table, and each line is still one solve_line call (the benchmark's
+        # tracer counts calls and samples there)
+        samples = []
+        solve = chars.solve_line
+
+        def counted(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            samples.append(len(sol.t))
+            return sol
+
+        monkeypatch.setattr(chars, "solve_line", counted)
+        domain = request.getfixturevalue(name)
+        df = chars.defect_field(domain, shell, 96)
+        family = stable_lines(domain, df.airy, df.grid.h / 2.0, min_length=10.0 * df.grid.h)
+        counts = [len(lines) for lines in family.lines_by_chart]
+        n = chars.DEFAULT_SAMPLES_PER_LINE
+        assert sum(c > 0 for c in counts) > 1
+        assert samples == [n] * sum(counts) == [len(sol.lam) for sol in df.line_solutions]
+        sols = iter(df.line_solutions)
+        for n_lines in counts:
+            chart = [next(sols) for _ in range(n_lines)]
+            if not chart:
+                continue
+            table = chart[0].lam.base
+            assert table.shape == (n_lines, n)
+            for k, sol in enumerate(chart):
+                assert np.shares_memory(sol.lam, table)
+                assert sol.lam.ctypes.data == table[k].ctypes.data
+        assert next(sols, None) is None
+
+    def test_point_blocks_give_the_same_field(self, half_disc_neg, monkeypatch):
+        whole = chars.defect_field(half_disc_neg, NEG, 64)
+        monkeypatch.setattr(chars, "POINT_BLOCK", 97)
+        blocked = chars.defect_field(half_disc_neg, NEG, 64)
+        assert np.array_equal(whole.lam, blocked.lam)
+
     def test_interface_flag_on_positive_rectangle(self, rect):
         df = chars.defect_field(rect, POS, 96)
         assert df.interface_flag
@@ -216,6 +278,21 @@ class TestDefectField:
     def test_resolution_guard(self, ellipse):
         with pytest.raises(ResolutionError):
             chars.defect_field(ellipse, POS, 16)
+
+
+class TestMemory:
+    def test_defect_field_keeps_one_copy_of_the_line_densities(self, disc):
+        # the transient above what defect_field returns stays below half of
+        # the line tables it keeps: no second copy of them is built
+        chars.defect_field(disc, NEG, 64)  # warm caches and lazy imports
+        tracemalloc.start()
+        try:
+            df = chars.defect_field(disc, NEG, 256)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tables = sum(sol.lam.nbytes for sol in df.line_solutions)
+        assert peak - kept < 0.5 * tables, (peak - kept, tables)
 
 
 class TestPrimalValues:
