@@ -10,6 +10,11 @@ start) when it starts on the singular set or a focal point.  Both are
 integrated by double cumulative trapezoid sums; the singular part of the
 density is identically zero by construction and the weak-form residual
 check is the safeguard that would expose that choice if it were wrong.
+
+`defect_field` solves each chart's lines a window of LINE_WINDOW lines at
+a time into one reused buffer and rasterizes the grid points bracketed by
+the lines in the window while it is live, so its memory does not grow with
+lines x samples.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ DEFAULT_SAMPLES_PER_LINE = 2000
 NEGATIVITY_TOL = 1e-10
 CAUCHY_SIGN_TOL = 1e-8
 POINT_BLOCK = 1 << 15  # points interpolated per block by _rasterize_chart
+LINE_WINDOW = 256  # lines held at once by _rasterize_chart; at least 2
 
 
 @dataclass
@@ -41,9 +47,9 @@ class LineSolution:
     zero.
 
     Only lam is stored.  The nodes ``t`` and the product ``rho_lam`` follow
-    from the line and are rebuilt on demand.  In a ``DefectField`` lam is a
-    row view of its chart's (n_lines, n) line table, so the field keeps one
-    sample array per chart, not one per line.
+    from the line and are rebuilt on demand.  When the solve is given an
+    ``out`` row, lam is that row: `defect_field` passes rows of its line
+    window, which the next window overwrites, so it keeps no solution.
     """
 
     line: LineGeometry
@@ -140,12 +146,12 @@ def solve_line(line: LineGeometry, K, data_kind, n=DEFAULT_SAMPLES_PER_LINE, out
 
 @dataclass
 class DefectField:
-    """Rank-one defect density on a masked grid, plus per-line solutions.
+    """Rank-one defect density on a masked grid.
 
     ``uncovered`` marks the masked cells that no chart holds (``locate``
-    returns -1); they carry lam = 0 and mu = 0.  ``line_solutions`` lists
-    the solved lines chart by chart; each lam is a row of its chart's line
-    table.
+    returns -1); they carry lam = 0 and mu = 0.  The field keeps the grid
+    values only; the per-line densities they were interpolated from are not
+    kept.
     """
 
     domain: Domain
@@ -154,7 +160,6 @@ class DefectField:
     lam: np.ndarray  # (nx, ny)
     eta: np.ndarray  # (nx, ny, 2); NaN where the field is rank two
     mu: np.ndarray  # (nx, ny, 3): components 11, 12, 22
-    line_solutions: list
     airy: AiryField
     uncovered: np.ndarray
     interface_flag: bool = False
@@ -169,35 +174,60 @@ class DefectField:
         return float(np.min(self.lam[self.grid.mask]))
 
 
-def _rasterize_chart(stations, lam_tab, s, u, L):
-    """lam at points with chart coordinates (s, u, L), and a mask of points
-    farther than 1.5 station steps from any solved line.
+def _rasterize_chart(lines, K, data_kind, s, u, L):
+    """Solve a chart's lines and return lam at points with chart
+    coordinates (s, u, L), and a mask of points farther than 1.5 station
+    steps from any solved line.
 
-    Row k of the (n_lines, n_t) table ``lam_tab`` is the line at station
-    ``stations[k]``, sampled on a uniform parameter; interpolation is linear
-    in the station index and in the normalized line coordinate.  Far points
-    (beyond dropped short lines near degenerate chart ends) get clamped
-    extrapolations, which the caller replaces.  Points are taken
-    POINT_BLOCK at a time, so the interpolation's temporaries stay small.
+    ``lines`` are sorted by station.  They are solved LINE_WINDOW at a time
+    into one reused (LINE_WINDOW, n_t) window, and each point is
+    interpolated while both lines that bracket it are in the window; the
+    window's last line is carried over as the next window's first, so every
+    line is solved once and no table of all the chart's lines is built.
+    Interpolation is linear in the station index and in the normalized line
+    coordinate.  Far points (beyond dropped short lines near degenerate
+    chart ends) get clamped extrapolations, which the caller replaces.
+    Points are taken POINT_BLOCK at a time, so the interpolation's
+    temporaries stay small.
     """
-    if len(stations) == 0:
+    n = len(lines)
+    if n == 0:
         return np.zeros(len(s)), np.ones(len(s), dtype=bool)
+    stations = np.array([ln.s for ln in lines])
+    step = np.median(np.diff(stations)) if n > 1 else None
+    # point i lies between stations j[i] - 1 and j[i]; it waits for the
+    # window that holds line min(j[i], n - 1)
+    j = np.searchsorted(stations, s)
+    order = np.argsort(j, kind="stable")
+    j_sorted = j[order]
     lam = np.empty(len(s))
     far = np.zeros(len(s), dtype=bool)
-    step = np.median(np.diff(stations)) if len(stations) > 1 else None
-    for a in range(0, len(s), POINT_BLOCK):
-        b = slice(a, a + POINT_BLOCK)
-        lam[b], far[b] = _interpolate_lines(stations, lam_tab, step, s[b], u[b], L[b])
+    window = np.empty((min(LINE_WINDOW, n), DEFAULT_SAMPLES_PER_LINE))
+    lo = hi = start = 0  # the window holds lines lo .. hi - 1
+    while hi < n:
+        if hi:
+            window[0] = window[hi - 1 - lo]
+            lo = hi - 1
+        top = min(lo + len(window), n)
+        for k in range(hi, top):
+            solve_line(lines[k], K, data_kind, out=window[k - lo])
+        hi = top
+        stop = len(order) if hi == n else int(np.searchsorted(j_sorted, hi))
+        for a in range(start, stop, POINT_BLOCK):
+            p = order[a:min(a + POINT_BLOCK, stop)]
+            lam[p], far[p] = _interpolate_lines(stations, window, lo, step, j[p], s[p], u[p], L[p])
+        start = stop
     return lam, far
 
 
-def _interpolate_lines(stations, lam_tab, step, s, u, L):
-    """``_rasterize_chart`` on one block of points; ``step`` is the median
-    station step, None for a single line."""
-    n_t = lam_tab.shape[1]
+def _interpolate_lines(stations, window, lo, step, j, s, u, L):
+    """``_rasterize_chart`` on one block of points whose bracketing lines,
+    stations j - 1 and j (clamped), are rows of ``window`` counted from
+    line ``lo``; ``step`` is the median station step, None for a single
+    line."""
+    n_t = window.shape[1]
     tau = np.clip(u / np.maximum(L, 1e-300), 0.0, 1.0)
     # bracket stations
-    j = np.searchsorted(stations, s)
     j0 = np.clip(j - 1, 0, len(stations) - 1)
     j1 = np.clip(j, 0, len(stations) - 1)
     s0 = stations[j0]
@@ -208,8 +238,9 @@ def _interpolate_lines(stations, lam_tab, step, s, u, L):
     fi = tau * (n_t - 1)
     i0 = np.clip(np.floor(fi).astype(int), 0, n_t - 2)
     wi = fi - i0
-    lam0 = lam_tab[j0, i0] * (1 - wi) + lam_tab[j0, i0 + 1] * wi
-    lam1 = lam_tab[j1, i0] * (1 - wi) + lam_tab[j1, i0 + 1] * wi
+    r0, r1 = j0 - lo, j1 - lo
+    lam0 = window[r0, i0] * (1 - wi) + window[r0, i0 + 1] * wi
+    lam1 = window[r1, i0] * (1 - wi) + window[r1, i0 + 1] * wi
     lam = (1 - w1) * lam0 + w1 * lam1
     if step is None:
         return lam, False
@@ -263,35 +294,21 @@ def defect_field(domain: Domain, shell: ShellProfile, resolution=256,
     grid = MaskedGrid(domain, resolution)
     family = stable_lines(domain, airy, grid.h / 2.0, min_length=10.0 * grid.h)
 
-    # one (n_lines, n) line table per chart; each line's solve writes its row
-    tables = []
-    line_solutions = []
-    interface_flag = False
-    for chart, chart_lines in zip(family.charts, family.lines_by_chart):
-        kind = chart.data_kind
-        table = np.empty((len(chart_lines), DEFAULT_SAMPLES_PER_LINE))
-        line_solutions.extend(
-            solve_line(ln, shell.k, kind, out=row) for ln, row in zip(chart_lines, table)
-        )
-        tables.append((np.array([ln.s for ln in chart_lines]), table))
-        if any(ln.start_kind == "interface" or ln.end_kind == "interface" for ln in chart_lines):
-            interface_flag = True
-
     pts = grid.eval_points()
     lam_m = np.zeros(len(pts))
     eta_m = np.full((len(pts), 2), np.nan)
     which = locate(family.charts, pts)
-    for ci, (chart, (stations, table)) in enumerate(zip(family.charts, tables)):
+    interface_flag = False
+    for ci, (chart, lines) in enumerate(zip(family.charts, family.lines_by_chart)):
+        if any(ln.start_kind == "interface" or ln.end_kind == "interface" for ln in lines):
+            interface_flag = True
         idx = np.flatnonzero(which == ci)
-        if len(idx) == 0:
-            continue
-        x = pts[idx]
-        s, u, L = chart.coords(x)
-        lam, far = _rasterize_chart(stations, table, s, u, L)
+        s, u, L, eta = chart.coords_eta(pts[idx])
+        eta_m[idx] = eta
+        lam, far = _rasterize_chart(lines, shell.k, chart.data_kind, s, u, L)
         if np.any(far):
-            lam[far] = _frozen_k_fill(chart, shell.k(x[far]), s[far], u[far], L[far])
+            lam[far] = _frozen_k_fill(chart, shell.k(pts[idx[far]]), s[far], u[far], L[far])
         lam_m[idx] = lam
-        eta_m[idx] = chart.eta_at(x)
 
     lam = np.zeros((grid.nx, grid.ny))
     lam[grid.mask] = lam_m
@@ -307,8 +324,7 @@ def defect_field(domain: Domain, shell: ShellProfile, resolution=256,
     uncovered[grid.mask] = which < 0
     return DefectField(
         domain=domain, shell=shell, grid=grid, lam=lam, eta=eta, mu=mu,
-        line_solutions=line_solutions, airy=airy, uncovered=uncovered,
-        interface_flag=interface_flag,
+        airy=airy, uncovered=uncovered, interface_flag=interface_flag,
     )
 
 

@@ -15,6 +15,7 @@ a point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,18 +60,17 @@ class LineGeometry:
     rho1: float
     label: str  # 'O' or 'U'
 
-    @property
+    @functools.cached_property
     def length(self):
         return float(np.hypot(*(self.end - self.start)))
 
     def direction(self):
-        d = self.end - self.start
-        return d / np.hypot(*d)
+        return (self.end - self.start) / self.length
 
     def point_at(self, u):
         """(len(u), 2) points at distances u (a 1-D array) from the start."""
         x0, d = self.start, self.direction()
-        return np.column_stack((x0[0] + u * d[0], x0[1] + u * d[1]))
+        return _pair(x0[0] + u * d[0], x0[1] + u * d[1])
 
     def rho_at(self, u):
         return self.rho0 + self.rho1 * np.asarray(u, dtype=float)
@@ -107,6 +107,11 @@ class Chart:
 
     def eta_at(self, x):
         raise NotImplementedError
+
+    def coords_eta(self, x):
+        """``coords(x)`` and ``eta_at(x)`` as one (s, u, L, eta) tuple; a
+        chart whose two share work overrides it."""
+        return (*self.coords(x), self.eta_at(x))
 
     def stations(self, spacing, min_length=0.0):
         """Interior lattice of stations at the given step: s0 + step, ...,
@@ -404,15 +409,25 @@ class EllipseExitChart(Chart):
         return inside & side
 
     def _phi_of(self, x):
+        """Boundary parameter of each point's foot, in [-pi, pi]."""
         y = np.atleast_2d(self.E.nearest_boundary_point(x))
         return np.arctan2(y[:, 1] / self.E.b, y[:, 0] / self.E.a)
 
-    def coords(self, x):
+    def coords(self, x, phi=None):
+        """(s, u, L); ``phi`` is ``_phi_of(x)`` when the caller has it."""
         x = np.atleast_2d(x)
-        phi = np.mod(self._phi_of(x), 2 * np.pi)
+        if phi is None:
+            phi = self._phi_of(x)
+        phi = np.mod(phi, 2 * np.pi)
         y, nu, t_cut, z = self._phi_data(phi)
         d = np.hypot(*(x - y).T)
         return phi, t_cut - d, t_cut
+
+    def _eta_of_phi(self, phi):
+        # the boundary normal at the foot, as in line_at: x - foot vanishes
+        # on cells projected onto the boundary.  phi is not reduced mod
+        # 2 pi, so eta keeps the bits of the unreduced cos and sin.
+        return rot_minus90(self._phi_data(phi)[1])
 
     def line_at(self, s):
         y, nu, t_cut, z = self._phi_data(float(s))
@@ -454,10 +469,13 @@ class EllipseExitChart(Chart):
         return 1.0 / (1.0 - d * kappa)
 
     def eta_at(self, x):
-        # from the boundary normal at the foot, as in line_at: x - foot
-        # vanishes on cells projected onto the boundary
-        phi = self._phi_of(np.atleast_2d(x))
-        return rot_minus90(self._phi_data(phi)[1])
+        return self._eta_of_phi(self._phi_of(np.atleast_2d(x)))
+
+    def coords_eta(self, x):
+        """The coordinates and eta from one foot point per point."""
+        x = np.atleast_2d(x)
+        phi = self._phi_of(x)
+        return (*self.coords(x, phi), self._eta_of_phi(phi))
 
 
 class HalfDiscSouthChart(Chart):

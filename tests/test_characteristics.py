@@ -11,7 +11,8 @@ from shellwrinkle import airy
 from shellwrinkle import characteristics as chars
 from shellwrinkle.errors import DataError, ResolutionError
 from shellwrinkle.geometry import Disc, Ellipse, HalfDisc, Rectangle
-from shellwrinkle.rulings import LineGeometry, UDecomposition
+from shellwrinkle.grids import MaskedGrid
+from shellwrinkle.rulings import LineGeometry, UDecomposition, locate
 from shellwrinkle.shell import ShellProfile
 from shellwrinkle.stablelines import stable_lines
 
@@ -57,6 +58,53 @@ def make_line(start, end, start_kind="boundary", end_kind="boundary", rho0=1.0, 
         s=0.0, start=start, end=end, eta=eta, start_kind=start_kind,
         end_kind=end_kind, rho0=rho0, rho1=rho1, label="O",
     )
+
+
+def whole_table_field(domain, shell, resolution):
+    """Reference (lam, eta) for `defect_field`: every chart's lines solved
+    into one (n_lines, n) table, every point interpolated from it at once,
+    and each chart's coords and eta taken by separate calls."""
+    grid = MaskedGrid(domain, resolution)
+    family = stable_lines(domain, airy.solve_dual(domain, shell), grid.h / 2.0,
+                          min_length=10.0 * grid.h)
+    pts = grid.eval_points()
+    which = locate(family.charts, pts)
+    lam_m = np.zeros(len(pts))
+    eta_m = np.full((len(pts), 2), np.nan)
+    for ci, (chart, lines) in enumerate(zip(family.charts, family.lines_by_chart)):
+        idx = np.flatnonzero(which == ci)
+        if len(idx) == 0:
+            continue
+        x = pts[idx]
+        s, u, L = chart.coords(x)
+        eta_m[idx] = chart.eta_at(x)
+        lam = np.zeros(len(s))
+        far = np.ones(len(s), dtype=bool)
+        if lines:
+            st = np.array([ln.s for ln in lines])
+            table = np.array([chars.solve_line(ln, shell.k, chart.data_kind).lam for ln in lines])
+            n_t = table.shape[1]
+            tau = np.clip(u / np.maximum(L, 1e-300), 0.0, 1.0)
+            j = np.searchsorted(st, s)
+            j0, j1 = np.clip(j - 1, 0, len(st) - 1), np.clip(j, 0, len(st) - 1)
+            w1 = np.where(j1 > j0, (s - st[j0]) / np.where(j1 > j0, st[j1] - st[j0], 1.0), 0.0)
+            w1 = np.clip(w1, 0.0, 1.0)
+            fi = tau * (n_t - 1)
+            i0 = np.clip(np.floor(fi).astype(int), 0, n_t - 2)
+            wi = fi - i0
+            lam0 = table[j0, i0] * (1 - wi) + table[j0, i0 + 1] * wi
+            lam1 = table[j1, i0] * (1 - wi) + table[j1, i0 + 1] * wi
+            lam = (1 - w1) * lam0 + w1 * lam1
+            far[:] = False
+            if len(lines) > 1:
+                step = np.median(np.diff(st))
+                far = (s < st[0] - 1e-12) | (s > st[-1] + 1e-12)
+                far |= np.minimum(np.abs(s - st[j0]), np.abs(st[j1] - s)) > 1.5 * step
+        lam[far] = chars._frozen_k_fill(chart, shell.k(x[far]), s[far], u[far], L[far])
+        lam_m[idx] = lam
+    lam, eta = np.zeros((grid.nx, grid.ny)), np.full((grid.nx, grid.ny, 2), np.nan)
+    lam[grid.mask], eta[grid.mask] = lam_m, eta_m
+    return lam, eta
 
 
 class TestSolveBVP:
@@ -225,43 +273,56 @@ class TestDefectField:
 
     def test_internal_vertex_lines_carry_no_singular_part(self, rect):
         # the solver represents the singular density as identically zero, so
-        # the lines ending at internal medial vertices carry none
+        # the lines that start at the medial axis's internal vertices
+        # (+-(a - b), 0) carry none
         df = chars.defect_field(rect, NEG, 96)
-        assert all(sol.lam_sing == 0.0 for sol in df.line_solutions)
+        family = stable_lines(rect, df.airy, df.grid.h / 2.0, min_length=10.0 * df.grid.h)
+        vertices = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        at_vertex = [
+            (chart, ln)
+            for chart, lines in zip(family.charts, family.lines_by_chart) for ln in lines
+            if np.min(np.hypot(*(vertices - ln.start).T)) < 2 * df.grid.h
+        ]
+        assert len(at_vertex) >= 4
+        for chart, ln in at_vertex:
+            assert chars.solve_line(ln, NEG.k, chart.data_kind).lam_sing == 0.0
 
-    @pytest.mark.parametrize("name,shell", [("rect", NEG), ("rect", POS)],
-                             ids=["rect-negative", "rect-positive"])
-    def test_each_chart_solves_into_one_line_table(self, request, monkeypatch, name, shell):
-        # every line of a chart writes lam into its row of one (n_lines, n)
-        # table, and each line is still one solve_line call (the benchmark's
-        # tracer counts calls and samples there)
-        samples = []
+    @pytest.mark.parametrize("window", [chars.LINE_WINDOW, 7, 2])
+    @pytest.mark.parametrize("name,shell", [("rect", NEG), ("rect", POS), ("disc", NEG)],
+                             ids=["rect-negative", "rect-positive", "disc-negative"])
+    def test_each_line_is_solved_once(self, request, monkeypatch, name, shell, window):
+        # the line window carries its last line into the next window instead
+        # of solving it again: one solve_line call per stable line, chart by
+        # chart in station order (the benchmark's tracer counts calls and
+        # samples there)
+        solved = []
         solve = chars.solve_line
 
-        def counted(*args, **kwargs):
-            sol = solve(*args, **kwargs)
-            samples.append(len(sol.t))
+        def counted(line, *args, **kwargs):
+            sol = solve(line, *args, **kwargs)
+            solved.append((line.s, *line.start, len(sol.t)))
             return sol
 
         monkeypatch.setattr(chars, "solve_line", counted)
+        monkeypatch.setattr(chars, "LINE_WINDOW", window)
         domain = request.getfixturevalue(name)
         df = chars.defect_field(domain, shell, 96)
         family = stable_lines(domain, df.airy, df.grid.h / 2.0, min_length=10.0 * df.grid.h)
-        counts = [len(lines) for lines in family.lines_by_chart]
         n = chars.DEFAULT_SAMPLES_PER_LINE
-        assert sum(c > 0 for c in counts) > 1
-        assert samples == [n] * sum(counts) == [len(sol.lam) for sol in df.line_solutions]
-        sols = iter(df.line_solutions)
-        for n_lines in counts:
-            chart = [next(sols) for _ in range(n_lines)]
-            if not chart:
-                continue
-            table = chart[0].lam.base
-            assert table.shape == (n_lines, n)
-            for k, sol in enumerate(chart):
-                assert np.shares_memory(sol.lam, table)
-                assert sol.lam.ctypes.data == table[k].ctypes.data
-        assert next(sols, None) is None
+        expected = [(ln.s, *ln.start, n) for lines in family.lines_by_chart for ln in lines]
+        assert len(expected) > window
+        assert solved == expected
+
+    @pytest.mark.parametrize("window", [chars.LINE_WINDOW, 7])
+    @pytest.mark.parametrize("name,shell", CASES, ids=CASE_IDS)
+    def test_line_windows_give_the_whole_table_field(self, request, monkeypatch, name, shell,
+                                                     window):
+        domain = request.getfixturevalue(name)
+        lam_ref, eta_ref = whole_table_field(domain, shell, 96)
+        monkeypatch.setattr(chars, "LINE_WINDOW", window)
+        df = chars.defect_field(domain, shell, 96)
+        assert np.array_equal(df.lam, lam_ref)
+        assert np.array_equal(df.eta, eta_ref, equal_nan=True)
 
     def test_point_blocks_give_the_same_field(self, half_disc_neg, monkeypatch):
         whole = chars.defect_field(half_disc_neg, NEG, 64)
@@ -281,18 +342,21 @@ class TestDefectField:
 
 
 class TestMemory:
-    def test_defect_field_keeps_one_copy_of_the_line_densities(self, disc):
-        # the transient above what defect_field returns stays below half of
-        # the line tables it keeps: no second copy of them is built
+    def test_defect_field_never_holds_a_chart_table(self, disc):
+        # the disc's one chart has n_lines lines of n samples; solved a
+        # window at a time, the whole call (field included) stays below
+        # what a table of all of them would take
         chars.defect_field(disc, NEG, 64)  # warm caches and lazy imports
         tracemalloc.start()
         try:
             df = chars.defect_field(disc, NEG, 256)
-            kept, peak = tracemalloc.get_traced_memory()
+            _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        tables = sum(sol.lam.nbytes for sol in df.line_solutions)
-        assert peak - kept < 0.5 * tables, (peak - kept, tables)
+        family = stable_lines(disc, df.airy, df.grid.h / 2.0, min_length=10.0 * df.grid.h)
+        (lines,) = family.lines_by_chart
+        table = len(lines) * chars.DEFAULT_SAMPLES_PER_LINE * 8
+        assert peak < table, (peak, table)
 
 
 class TestPrimalValues:
