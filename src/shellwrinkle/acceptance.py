@@ -25,7 +25,7 @@ from .energy import (
 from .geometry import ConvexPolygon, Disc, Ellipse, HalfDisc, Rectangle, rot90
 from .grids import MaskedGrid
 from .herringbone import TargetDefect, herringbone, optimal_params
-from .rulings import UDecomposition
+from .rulings import UDecomposition, tangential_data
 from .shell import ShellProfile
 
 
@@ -83,7 +83,7 @@ def _ref_phi_plus_rectangle(a, b, pts):
 
 
 def _ref_phi_plus_tangential(poly, pts):
-    c, r, data = _tangential_data(poly)
+    c, r, data = tangential_data(poly)
     loc = pts - c
     out = np.full(len(pts), 0.5 * r * r)
     for rec in data:
@@ -98,12 +98,6 @@ def _ref_phi_plus_tangential(poly, pts):
         )
     # placement covariance back to the original frame
     return out + loc @ c + 0.5 * c @ c
-
-
-def _tangential_data(poly):
-    from .rulings import tangential_data
-
-    return tangential_data(poly)
 
 
 def _interior_points(domain, n, seed, margin=1e-9):

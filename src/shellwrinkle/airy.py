@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AmbiguityError, DomainError, ResolutionError
+from .errors import DomainError, ResolutionError
 from .geometry import Domain, rot90
 from .grids import MaskedGrid
 from .rulings import UDecomposition, charts_for, locate
@@ -43,10 +43,11 @@ def phi_minus(domain: Domain, x):
 
 @dataclass
 class AiryField:
-    """An extremal dual potential with its Hessian structure.
+    """An extremal dual potential: its values and gradient, per chart.
 
     sign: +1 for the largest extension, -1 for the smallest.
     charts: ruling charts (shared with the stable-line machinery).
+    sigma: the singular set's descriptor (None for the largest extension).
     """
 
     sign: int
@@ -135,57 +136,6 @@ class AiryField:
         gx = (slope * tau[:, 1] - tang * ldir[:, 1]) / det
         gy = (tang * ldir[:, 0] - slope * tau[:, 0]) / det
         return np.stack([gx, gy], axis=1)
-
-    # -- Hessian structure -------------------------------------------------
-    def hessian_ac(self, x):
-        """(zeta, eta, rank) of the absolutely continuous Hessian at x."""
-        pts, single = _pts(x)
-        zeta = np.zeros(len(pts))
-        eta = np.full_like(pts, np.nan)
-        rank = np.zeros(len(pts), dtype=int)
-        for chart, idx in self._by_chart(pts):
-            z = chart.zeta_at(pts[idx])
-            if z is not None:
-                zeta[idx] = z
-                eta[idx] = chart.eta_at(pts[idx])
-                rank[idx] = 1
-        if single:
-            return float(zeta[0]), eta[0], int(rank[0])
-        return zeta, eta, rank
-
-    def hessian_singular(self):
-        """Singular Hessian curves (smallest extension only): polylines with
-        the transverse density d(x) |jump of grad d| sampled along them."""
-        if self.sign > 0 or self.sigma is None:
-            return []
-        curves = []
-        axis = self.domain.medial_axis()
-        for line in axis.polylines(arc_samples=257):
-            mids = 0.5 * (line[:-1] + line[1:])
-            dens = self._sigma_density(mids)
-            curves.append({"points": line, "density": dens})
-        return curves
-
-    def _sigma_density(self, pts):
-        """d * |[grad d]| across the medial set, from the two-sided feet."""
-        pts = np.atleast_2d(pts)
-        d = np.atleast_1d(self.domain.boundary_distance(pts))
-        jump = np.empty(len(pts))
-        h = 1e-6 * self.domain.diameter()
-        for i, p in enumerate(pts):
-            # probe the exit gradient slightly off the axis on both sides
-            best = None
-            for probe in (np.array([h, 0.0]), np.array([0.0, h])):
-                try:
-                    g1 = self.domain.quickest_exit_gradient(p + probe)
-                    g2 = self.domain.quickest_exit_gradient(p - probe)
-                except (AmbiguityError, DomainError):
-                    continue
-                j = np.hypot(*(g1 - g2))
-                if best is None or j > best:
-                    best = j
-            jump[i] = best if best is not None else 0.0
-        return d * jump
 
     def dual_objective_density(self, pts):
         """phi - |x|^2/2 at pts (the dual integrand against K)."""
@@ -313,43 +263,3 @@ def convex_roof(domain: Domain, x, n_boundary=512):
     bary = np.column_stack([bary, 1.0 - bary.sum(axis=1)])
     out = np.sum(bary * lift[tri.simplices[simplex]], axis=1)
     return float(out[0]) if single else out
-
-
-def convex_roof_bruteforce(domain: Domain, x, n_boundary=24):
-    """O(n^3) enumeration over boundary pairs and triples containing x.
-
-    Exists as the independent oracle for the Delaunay verifier; keep n small.
-    """
-    samples = domain.boundary_sample(n_boundary)
-    Y = np.array([bp.position for bp in samples])
-    vals = 0.5 * np.sum(Y * Y, axis=1)
-    x = np.asarray(x, dtype=float)
-    best = np.inf
-    n = len(Y)
-    # pairs: x on the segment within a barycentric tolerance
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = Y[j] - Y[i]
-            L2 = d @ d
-            if L2 < 1e-30:
-                continue
-            t = (x - Y[i]) @ d / L2
-            if -1e-12 <= t <= 1 + 1e-12:
-                p = Y[i] + t * d
-                if np.hypot(*(x - p)) <= 1e-9 * (1 + np.hypot(*x)):
-                    best = min(best, (1 - t) * vals[i] + t * vals[j])
-    # triples: barycentric containment
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                T = np.column_stack([Y[j] - Y[i], Y[k] - Y[i]])
-                det = T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
-                if abs(det) < 1e-14:
-                    continue
-                rhs = x - Y[i]
-                l2 = (T[1, 1] * rhs[0] - T[0, 1] * rhs[1]) / det
-                l3 = (-T[1, 0] * rhs[0] + T[0, 0] * rhs[1]) / det
-                l1 = 1.0 - l2 - l3
-                if min(l1, l2, l3) >= -1e-12:
-                    best = min(best, l1 * vals[i] + l2 * vals[j] + l3 * vals[k])
-    return float(best)

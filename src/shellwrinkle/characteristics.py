@@ -7,9 +7,11 @@ Along each stable line the defect density solves
 with two-point data (rho lam = 0 at both endpoints) when the line runs
 boundary-to-boundary, and Cauchy data (rho lam = (rho lam)' = 0 at the
 start) when it starts on the singular set or a focal point.  Both are
-integrated by double cumulative trapezoid sums; the singular part of the
-density is identically zero by construction and the weak-form residual
-check is the safeguard that would expose that choice if it were wrong.
+integrated by double cumulative trapezoid sums.  The defect measure is
+taken absolutely continuous, mu = lam eta (x) eta on the cells.  That
+misses the line density that an O/U interface carries at K > 0, where the
+unconstrained chords end with a nonzero slope of lam; `curlcurl_residual`
+shows it (9.1e-2 on the positive 2 x 1 rectangle at 128^2).
 
 `defect_field` solves each chart's lines a window of LINE_WINDOW lines at
 a time into one reused buffer and rasterizes the grid points bracketed by
@@ -43,13 +45,12 @@ LINE_WINDOW = 256  # lines held at once by _rasterize_chart; at least 2
 @dataclass
 class LineSolution:
     """Density lam along one line, sampled at n uniform nodes t = L u with
-    u = linspace(0, 1, n) and L the line length; lam_sing is identically
-    zero.
+    u = linspace(0, 1, n) and L the line length.
 
-    Only lam is stored.  The nodes ``t`` and the product ``rho_lam`` follow
-    from the line and are rebuilt on demand.  When the solve is given an
-    ``out`` row, lam is that row: `defect_field` passes rows of its line
-    window, which the next window overwrites, so it keeps no solution.
+    Only lam is stored; the nodes ``t`` follow from the line and are
+    rebuilt on demand.  When the solve is given an ``out`` row, lam is that
+    row: `defect_field` passes rows of its line window, which the next
+    window overwrites, so it keeps no solution.
     """
 
     line: LineGeometry
@@ -61,16 +62,8 @@ class LineSolution:
     def t(self):
         return self.line.length * _unit_grid(len(self.lam))
 
-    @property
-    def rho_lam(self):
-        return self.line.rho_at(self.t) * self.lam
-
     def lam_at(self, u):
         return np.interp(u, self.t, self.lam)
-
-    @property
-    def lam_sing(self):
-        return 0.0
 
 
 @functools.lru_cache(maxsize=4)
@@ -96,7 +89,7 @@ def _integrate_line(line: LineGeometry, K, n):
     if L <= 0:
         raise ParameterError("degenerate line")
     t = L * _unit_grid(n)
-    rho = line.rho0 + line.rho1 * t
+    rho = line.rho_at(t)
     k = np.asarray(K(line.point_at(t)), dtype=float)
     h = L / (n - 1)
     i2 = _cumtrapz(_cumtrapz(rho * k, h), h)

@@ -22,11 +22,9 @@ from . import render
 from .acceptance import run_all
 from .energy import EnergyParams, energy, scaling_study
 from .errors import (
-    AmbiguityError,
     ConsistencyError,
     DataError,
     DomainError,
-    FamilyLookupError,
     ParameterError,
     RegimeError,
     ResolutionError,
@@ -370,9 +368,8 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (
-        RegimeError, DomainError, AmbiguityError, FamilyLookupError,
-        ConsistencyError, ShellWrinkleError, ArithmeticError,
-        np.linalg.LinAlgError,
+        RegimeError, DomainError, ConsistencyError, ShellWrinkleError,
+        ArithmeticError, np.linalg.LinAlgError,
     ) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

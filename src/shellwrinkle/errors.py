@@ -13,11 +13,6 @@ class DomainError(ShellWrinkleError):
     """A point lies outside the domain where an operation is defined."""
 
 
-class AmbiguityError(ShellWrinkleError):
-    """A quantity with multiple admissible values was requested pointwise
-    (e.g. the exit gradient on the medial axis)."""
-
-
 class UnsupportedShapeError(ShellWrinkleError):
     """The requested shape/sign combination is outside the closed catalog."""
 
@@ -40,7 +35,3 @@ class DataError(ShellWrinkleError):
 
 class ConsistencyError(ShellWrinkleError):
     """Two objects passed together were built from different inputs."""
-
-
-class FamilyLookupError(ShellWrinkleError):
-    """A point does not lie on any line of a stable-line family."""

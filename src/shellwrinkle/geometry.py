@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import AmbiguityError, DomainError, ParameterError, UnsupportedShapeError
+from .errors import DomainError, ParameterError, UnsupportedShapeError
 
 CORNER_DELTA_FACTOR = 1e-3  # corner cutoff: delta = 1e-3 * diam by default
 _BISECT_TOL = 1e-10  # bisector intersection tolerance for polygon axes
@@ -143,27 +143,6 @@ class Domain:
     def nearest_boundary_point(self, x):
         raise NotImplementedError
 
-    def quickest_exit_gradient(self, x, tol=1e-9):
-        """grad d at interior points off the medial axis (unit vector)."""
-        x, single = _as_points(x)
-        if np.any(self._signed_inside_distance(x) < -1e-12 * self.diameter()):
-            raise DomainError(f"point outside {self.name}")
-        if np.any(self._on_medial_axis(x, tol)):
-            raise AmbiguityError("exit gradient undefined on the medial axis")
-        y = self.nearest_boundary_point(x)
-        g = x - y
-        n = np.hypot(g[:, 0], g[:, 1])
-        bad = n < 1e-14
-        if np.any(bad):
-            # on the boundary itself the gradient is the inward normal
-            nu = self._outward_normal_at(y[bad])
-            g[bad] = -nu
-            n[bad] = 1.0
-        return _unsingle(g / n[:, None], single)
-
-    def _on_medial_axis(self, x, tol):
-        raise NotImplementedError
-
     def _outward_normal_at(self, y):
         """Outward normal at boundary points (smooth points only)."""
         raise NotImplementedError
@@ -241,10 +220,6 @@ class Disc(Domain):
         y = self._c() + self.radius * v / safe[:, None]
         y[r < 1e-300] = self._c() + np.array([self.radius, 0.0])
         return _unsingle(y, single)
-
-    def _on_medial_axis(self, x, tol):
-        r = np.hypot(*(x - self._c()).T)
-        return r <= tol
 
     def _outward_normal_at(self, y):
         v = y - self._c()
@@ -392,9 +367,6 @@ class Ellipse(Domain):
     def medial_segment_halflength(self):
         return self.a - self.b**2 / self.a
 
-    def _on_medial_axis(self, x, tol):
-        return (np.abs(x[:, 1]) <= tol) & (np.abs(x[:, 0]) <= self.medial_segment_halflength() + tol)
-
     def _outward_normal_at(self, y):
         g = np.stack([y[:, 0] / self.a**2, y[:, 1] / self.b**2], axis=1)
         n = np.hypot(g[:, 0], g[:, 1])
@@ -469,15 +441,6 @@ class Ellipse(Domain):
         r = np.hypot(self.a * m[0], self.b * m[1])
         return -r, r
 
-    def boundary_curvature(self, y):
-        """Curvature of the boundary at boundary points (convex: > 0)."""
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        a, b = self.a, self.b
-        # kappa = a b / (a^2 sin^2 t + b^2 cos^2 t)^{3/2}, cos t = y1/a
-        c2 = np.clip((y[:, 0] / a) ** 2, 0.0, 1.0)
-        s2 = 1.0 - c2
-        return a * b / (a * a * s2 + b * b * c2) ** 1.5
-
     def spec(self):
         return {"shape": "ellipse", "a": self.a, "b": self.b}
 
@@ -551,12 +514,6 @@ class HalfDisc(Domain):
         y[below, 0] = np.clip(loc[below, 0], -self.radius, self.radius)
         y[below, 1] = 0.0
         return _unsingle(np.atleast_2d(self.from_local(y)), single)
-
-    def _on_medial_axis(self, x, tol):
-        loc = np.atleast_2d(self.to_local(x))
-        # arc: 2 R v = R^2 - t^2
-        res = 2 * self.radius * loc[:, 1] - (self.radius**2 - loc[:, 0] ** 2)
-        return np.abs(res) <= 2 * self.radius * tol
 
     def _outward_normal_at(self, y):
         loc = np.atleast_2d(self.to_local(y))
@@ -718,10 +675,6 @@ class ConvexPolygon(Domain):
     def nearest_side(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.argmin(self.side_distances(x), axis=1)
-
-    def _on_medial_axis(self, x, tol):
-        sd = np.sort(self.side_distances(x), axis=1)
-        return sd[:, 1] - sd[:, 0] <= tol
 
     def _outward_normal_at(self, y):
         return self.edge_normals[self.nearest_side(y)]

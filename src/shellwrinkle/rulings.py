@@ -4,8 +4,8 @@ For each catalog shape and curvature sign, the extremal convex potential is
 affine along a family of segments (its ruling lines).  A *chart* describes
 one region of that family in closed form: membership test, the coordinates
 (s, u) of a point (line index and position along its line), the line through
-any station, the transverse Hessian density ``zeta``, and the
-change-of-measure factor ``rho`` (affine along each line).
+any station, the transverse direction ``eta``, and the change-of-measure
+factor ``rho`` (affine along each line).
 
 Charts are consumed by the dual-potential evaluator (values by convex
 interpolation along rulings), by the stable-line builder, and by the
@@ -101,9 +101,6 @@ class Chart:
         """Station step in s-units producing start points ~spacing apart."""
         return spacing
 
-    def zeta_at(self, x):
-        """Transverse Hessian density (None on unconstrained charts)."""
-        return None
 
     def eta_at(self, x):
         raise NotImplementedError
@@ -170,7 +167,7 @@ class ChordChart(Chart):
     """
 
     def __init__(self, shape, direction, label="O", kinds=("boundary", "boundary"),
-                 zeta=None, data_kind="bvp", roof=None):
+                 data_kind="bvp", roof=None):
         d = np.asarray(direction, dtype=float)
         self.d = d / np.hypot(*d)
         self.m = rot90(self.d)
@@ -178,7 +175,6 @@ class ChordChart(Chart):
         self.roof = roof
         self.label = label
         self.start_kind, self.end_kind = kinds
-        self.zeta = zeta
         self.data_kind = data_kind
         self._eta = rot_minus90(self.d)
 
@@ -211,10 +207,6 @@ class ChordChart(Chart):
     def s_range(self):
         return self.shape.extent(self.m)
 
-    def zeta_at(self, x):
-        if self.zeta is None:
-            return None
-        return np.full(len(np.atleast_2d(x)), float(self.zeta))
 
     def eta_at(self, x):
         x = np.atleast_2d(x)
@@ -230,8 +222,7 @@ class FanChart(Chart):
     """
 
     def __init__(self, center, frame, theta_range, r_inner, r_outer,
-                 label="O", kinds=("boundary", "boundary"), data_kind="bvp",
-                 zeta_fn=None):
+                 label="O", kinds=("boundary", "boundary"), data_kind="bvp"):
         self.center = np.asarray(center, dtype=float)
         self.frame = np.asarray(frame, dtype=float)  # columns: local axes
         self.t0, self.t1 = theta_range
@@ -240,7 +231,6 @@ class FanChart(Chart):
         self.label = label
         self.start_kind, self.end_kind = kinds
         self.data_kind = data_kind
-        self.zeta_fn = zeta_fn
 
     def _local(self, x):
         x = np.atleast_2d(x)
@@ -280,7 +270,7 @@ class FanChart(Chart):
         if ri > 1e-12 * (1 + ro):
             rho0, rho1 = 1.0, 1.0 / ri
         else:
-            rho0, rho1 = 0.0, 1.0  # singular fan center: rho = r, flagged
+            rho0, rho1 = 0.0, 1.0  # fan center: rho = r vanishes at the start
         return LineGeometry(
             s=float(s), start=start, end=end, eta=eta,
             start_kind=self.start_kind, end_kind=self.end_kind,
@@ -294,11 +284,6 @@ class FanChart(Chart):
         r_ref = max(float(self.r_outer(0.5 * (self.t0 + self.t1))), 1e-12)
         return spacing / r_ref
 
-    def zeta_at(self, x):
-        if self.zeta_fn is None:
-            return None
-        r, th = self._local(x)
-        return self.zeta_fn(r, th)
 
     def eta_at(self, x):
         r, th = self._local(x)
@@ -360,8 +345,6 @@ class PolygonSideChart(Chart):
     def s_range(self):
         return 0.0, float(self.Ls)
 
-    def zeta_at(self, x):
-        return np.ones(len(np.atleast_2d(x)))
 
     def eta_at(self, x):
         x = np.atleast_2d(x)
@@ -461,12 +444,6 @@ class EllipseExitChart(Chart):
     def s_step(self, spacing):
         return spacing / self.E.a
 
-    def zeta_at(self, x):
-        x = np.atleast_2d(x)
-        y = np.atleast_2d(self.E.nearest_boundary_point(x))
-        kappa = self.E.boundary_curvature(y)
-        d = np.hypot(*(x - y).T)
-        return 1.0 / (1.0 - d * kappa)
 
     def eta_at(self, x):
         return self._eta_of_phi(self._phi_of(np.atleast_2d(x)))
@@ -521,8 +498,6 @@ class HalfDiscSouthChart(Chart):
     def s_range(self):
         return -self.R, self.R
 
-    def zeta_at(self, x):
-        return np.ones(len(np.atleast_2d(x)))
 
     def eta_at(self, x):
         x = np.atleast_2d(x)
@@ -603,7 +578,7 @@ def _vertex_roof(poly: ConvexPolygon):
 def _u_chart(shape, roof, decomposition: UDecomposition, kinds):
     ang = decomposition.angle
     d = np.array([np.cos(ang), np.sin(ang)])
-    return ChordChart(shape, d, label="U", kinds=kinds, zeta=None, data_kind="bvp", roof=roof)
+    return ChordChart(shape, d, label="U", kinds=kinds, data_kind="bvp", roof=roof)
 
 
 def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
@@ -618,8 +593,7 @@ def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
 
     if sign >= 0:
         if isinstance(domain, Ellipse):
-            zeta = 1.0 - domain.b**2 / domain.a**2
-            return [ChordChart(domain, (0.0, 1.0), label="O", zeta=zeta)], meta
+            return [ChordChart(domain, (0.0, 1.0), label="O")], meta
         if isinstance(domain, Disc):
             # on the circle |y - c| = R, |y|^2/2 = (R^2 - |c|^2)/2 + c . y
             c = np.asarray(domain.center, dtype=float)
@@ -636,17 +610,16 @@ def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
                 r_inner=lambda th: R / np.sin(th),
                 r_outer=lambda th: 2 * R * np.sin(th),
                 label="O", kinds=("boundary", "boundary"), data_kind="bvp",
-                zeta_fn=lambda r, th: R / (r * np.sin(th) ** 3),
             )
             return [chart], meta
         if isinstance(domain, Rectangle):
             regs = rectangle_regions(domain)
             charts = [
-                ChordChart(regs["band"], (0.0, 1.0), label="O", zeta=1.0),
-                ChordChart(regs["ne"], (1.0, -1.0), label="O", zeta=2.0),
-                ChordChart(regs["sw"], (1.0, -1.0), label="O", zeta=2.0),
-                ChordChart(regs["se"], (1.0, 1.0), label="O", zeta=2.0),
-                ChordChart(regs["nw"], (1.0, 1.0), label="O", zeta=2.0),
+                ChordChart(regs["band"], (0.0, 1.0), label="O"),
+                ChordChart(regs["ne"], (1.0, -1.0), label="O"),
+                ChordChart(regs["sw"], (1.0, -1.0), label="O"),
+                ChordChart(regs["se"], (1.0, 1.0), label="O"),
+                ChordChart(regs["nw"], (1.0, 1.0), label="O"),
             ]
             for key in ("t_left", "t_right"):
                 tri = regs[key]
@@ -667,10 +640,7 @@ def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
                 e1, e2 = tri[1] - tri[0], tri[2] - tri[0]
                 if e1[0] * e2[1] - e1[1] * e2[0] < 0:
                     tri = tri[[0, 2, 1]]
-                zeta = 1.0 + np.tan(rec["alpha"] / 2) ** 2
-                charts.append(
-                    ChordChart(ConvexPolygon(tri), rot90(rec["ahat"]), label="O", zeta=zeta)
-                )
+                charts.append(ChordChart(ConvexPolygon(tri), rot90(rec["ahat"]), label="O"))
                 contact_pts.append(rec["contacts"][1] + c)
             contact_poly = ConvexPolygon(np.asarray(contact_pts))
             charts.append(_u_chart(contact_poly, _vertex_roof(contact_poly), decomposition,
@@ -687,7 +657,6 @@ def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
             r_inner=lambda th: 0.0 * np.asarray(th),
             r_outer=lambda th: R + 0.0 * np.asarray(th),
             label="O", kinds=("focal_point", "boundary"), data_kind="cauchy",
-            zeta_fn=lambda r, th: R / np.maximum(r, 1e-300),
         )
         meta["sigma"] = {"kind": "point", "point": np.asarray(domain.center, float)}
         return [chart], meta
@@ -711,7 +680,6 @@ def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
             r_inner=lambda th: R / (1.0 + np.sin(th)),
             r_outer=lambda th: R + 0.0 * np.asarray(th),
             label="O", kinds=("medial_axis", "boundary"), data_kind="cauchy",
-            zeta_fn=lambda r, th: R / np.maximum(r, 1e-300),
         )
         meta["sigma"] = {"kind": "arc", "axis": domain.medial_axis()}
         return [south, north], meta

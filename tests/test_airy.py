@@ -7,11 +7,51 @@ import pytest
 from conftest import interior_points
 from shellwrinkle import airy
 from shellwrinkle.errors import DomainError, ResolutionError, UnsupportedShapeError
-from shellwrinkle.geometry import ConvexPolygon, Disc, Ellipse, HalfDisc, Rectangle
+from shellwrinkle.geometry import ConvexPolygon, Disc, Domain
 from shellwrinkle.shell import ShellProfile
 
 POS = ShellProfile.constant(1.0)
 NEG = ShellProfile.constant(-1.0)
+
+
+def convex_roof_bruteforce(domain: Domain, x, n_boundary=24):
+    """O(n^3) enumeration over boundary pairs and triples containing x.
+
+    Exists as the independent oracle for the Delaunay verifier; keep n small.
+    """
+    samples = domain.boundary_sample(n_boundary)
+    Y = np.array([bp.position for bp in samples])
+    vals = 0.5 * np.sum(Y * Y, axis=1)
+    x = np.asarray(x, dtype=float)
+    best = np.inf
+    n = len(Y)
+    # pairs: x on the segment within a barycentric tolerance
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = Y[j] - Y[i]
+            L2 = d @ d
+            if L2 < 1e-30:
+                continue
+            t = (x - Y[i]) @ d / L2
+            if -1e-12 <= t <= 1 + 1e-12:
+                p = Y[i] + t * d
+                if np.hypot(*(x - p)) <= 1e-9 * (1 + np.hypot(*x)):
+                    best = min(best, (1 - t) * vals[i] + t * vals[j])
+    # triples: barycentric containment
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                T = np.column_stack([Y[j] - Y[i], Y[k] - Y[i]])
+                det = T[0, 0] * T[1, 1] - T[0, 1] * T[1, 0]
+                if abs(det) < 1e-14:
+                    continue
+                rhs = x - Y[i]
+                l2 = (T[1, 1] * rhs[0] - T[0, 1] * rhs[1]) / det
+                l3 = (-T[1, 0] * rhs[0] + T[0, 0] * rhs[1]) / det
+                l1 = 1.0 - l2 - l3
+                if min(l1, l2, l3) >= -1e-12:
+                    best = min(best, l1 * vals[i] + l2 * vals[j] + l3 * vals[k])
+    return float(best)
 
 
 class TestPhiMinus:
@@ -81,28 +121,6 @@ class TestPhiPlus:
 
 
 class TestSolveDualStructure:
-    def test_negative_disc_hessian(self, disc):
-        af = airy.solve_dual(disc, NEG)
-        pts = interior_points(disc, 300, seed=5)
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        keep = r > 1e-3
-        zeta, eta, rank = af.hessian_ac(pts[keep])
-        assert np.all(rank == 1)
-        assert np.allclose(zeta, 1.0 / r[keep], atol=1e-9)
-        e_th = np.stack([-pts[keep, 1], pts[keep, 0]], axis=1)
-        e_th /= np.hypot(e_th[:, 0], e_th[:, 1])[:, None]
-        align = np.abs(np.sum(eta * e_th, axis=1))
-        assert np.allclose(align, 1.0, atol=1e-9)
-
-    def test_positive_half_disc_zeta(self, half_disc_pos):
-        af = airy.solve_dual(half_disc_pos, POS)
-        pts = interior_points(half_disc_pos, 300, seed=6)
-        r = np.hypot(pts[:, 0], pts[:, 1])
-        th = np.arctan2(pts[:, 1], pts[:, 0])
-        zeta, eta, rank = af.hessian_ac(pts)
-        assert np.all(rank == 1)
-        assert np.allclose(zeta, 1.0 / (r * np.sin(th) ** 3), rtol=1e-9)
-
     def test_zero_sign_gives_plus_and_zero_value(self, pentagon):
         sh = ShellProfile(curvature=0.0, sign="zero")
         # pentagon is not tangential; zero curvature still needs the plus
@@ -111,14 +129,6 @@ class TestSolveDualStructure:
         af = airy.solve_dual(tri, sh)
         assert af.sign > 0
         assert airy.dual_value(tri, sh, af, 64) == pytest.approx(0.0, abs=1e-15)
-
-    def test_singular_curves_negative_ellipse(self, ellipse):
-        af = airy.solve_dual(ellipse, NEG)
-        curves = af.hessian_singular()
-        assert len(curves) >= 1
-        dens = curves[0]["density"]
-        assert np.all(dens >= -1e-12)
-        assert dens.max() > 0.1  # d |[grad d]| is order one mid-segment
 
 
 class TestDualValue:
@@ -208,7 +218,7 @@ class TestConvexRoof:
         ):
             for p in pts:
                 roof = airy.convex_roof(dom, p, 24)
-                brute = airy.convex_roof_bruteforce(dom, p, 24)
+                brute = convex_roof_bruteforce(dom, p, 24)
                 assert roof == pytest.approx(brute, abs=1e-9)
 
     def test_reproduces_catalog_closed_forms(self, ellipse, disc, rect, triangle):

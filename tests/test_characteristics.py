@@ -138,7 +138,8 @@ class TestSolveBVP:
         exact = (-(r**3) / 3 + 7 * r / 3 - 2) / r
         assert np.max(np.abs(sol.lam - exact)) < 5e-7
         t, y = shoot_bvp(lambda u: 1.0 + u, lambda u: 1.0, 1.0, n=8000)
-        assert np.max(np.abs(np.interp(sol.t, t, y) - sol.rho_lam)) < 5e-7
+        rho_lam = line.rho_at(sol.t) * sol.lam
+        assert np.max(np.abs(np.interp(sol.t, t, y) - rho_lam)) < 5e-7
 
     def test_variable_curvature_against_shooting(self):
         line = make_line((0.0, 0.0), (2.0, 0.0))
@@ -200,11 +201,6 @@ class TestSolveCauchy:
         with pytest.raises(DataError):
             chars.solve_cauchy(line, lambda x: np.ones(len(x)))
 
-    def test_singular_part_is_zero(self):
-        line = make_line((0.0, 0.0), (1.0, 0.0), start_kind="medial_axis")
-        sol = chars.solve_cauchy(line, lambda x: -np.ones(len(x)))
-        assert sol.lam_sing == 0.0
-
     def test_out_row_gets_the_same_lam(self):
         # a fan ray: rho = 0 at the start, where lam is set to 0 and not
         # divided, so a stale value in the row must not survive
@@ -264,28 +260,11 @@ class TestDefectField:
         bad = ~(np.abs(norm - 1.0) <= 1e-12)
         assert not bad.any(), f"{bad.sum()} of {bad.size} covered cells have |eta| != 1"
 
-    def test_line_solution_derives_t_and_rho_lam(self):
-        # only lam is stored; the nodes and rho lam follow from the line
+    def test_line_solution_derives_t(self):
+        # only lam is stored; the nodes follow from the line
         line = make_line((0.0, 1.0), (0.0, 3.0), rho0=1.0, rho1=1.0)
         sol = chars.solve_bvp(line, lambda x: np.ones(len(x)), n=501)
         assert np.array_equal(sol.t, 2.0 * np.linspace(0.0, 1.0, 501))
-        assert np.array_equal(sol.rho_lam, (1.0 + sol.t) * sol.lam)
-
-    def test_internal_vertex_lines_carry_no_singular_part(self, rect):
-        # the solver represents the singular density as identically zero, so
-        # the lines that start at the medial axis's internal vertices
-        # (+-(a - b), 0) carry none
-        df = chars.defect_field(rect, NEG, 96)
-        family = stable_lines(rect, df.airy, df.grid.h / 2.0, min_length=10.0 * df.grid.h)
-        vertices = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        at_vertex = [
-            (chart, ln)
-            for chart, lines in zip(family.charts, family.lines_by_chart) for ln in lines
-            if np.min(np.hypot(*(vertices - ln.start).T)) < 2 * df.grid.h
-        ]
-        assert len(at_vertex) >= 4
-        for chart, ln in at_vertex:
-            assert chars.solve_line(ln, NEG.k, chart.data_kind).lam_sing == 0.0
 
     @pytest.mark.parametrize("window", [chars.LINE_WINDOW, 7, 2])
     @pytest.mark.parametrize("name,shell", [("rect", NEG), ("rect", POS), ("disc", NEG)],

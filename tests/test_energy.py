@@ -412,6 +412,13 @@ class TestDualityGap:
             gap = duality_gap(dom, ShellProfile.constant(k), resolution)
             assert gap < 1e-2, (dom.name, k, gap)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the line density on O/U "
+                       "interfaces at K > 0 is missing from the primal")
+    @pytest.mark.parametrize("name", ["rect", "triangle", "regular_pentagon"])
+    def test_positive_case_with_interfaces(self, request, name):
+        gap = duality_gap(request.getfixturevalue(name), ShellProfile.constant(1.0), 128)
+        assert gap < 1e-2, gap
+
 
 def _sinusoid(ell):
     """w = sqrt(2) l cos(x1 / l) with its closed-form derivatives."""

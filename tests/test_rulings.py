@@ -54,8 +54,9 @@ def test_rectangle_seams_take_the_first_chart(rect):
     held = hits.any(axis=0)
     np.testing.assert_array_equal(locate(af.charts, pts)[held], np.argmax(hits, axis=0)[held])
     # the first chart holding each seam point is an ordered corner chart
-    zeta, _, rank = af.hessian_ac(pts[seam])
-    assert np.all(rank == 1) and np.all(zeta == 2.0)
+    corners = {1, 2, 3, 4}  # after the band, before the two U triangles
+    assert set(locate(af.charts, pts[seam]).tolist()) <= corners
+    assert all(af.charts[i].label == "O" for i in corners)
 
 
 def test_phi_plus_at_seams_agrees_with_every_chart(rect):

@@ -4,11 +4,11 @@ endpoint classification, and measure factors."""
 import numpy as np
 import pytest
 
-from conftest import interior_points
+from conftest import CASE_IDS, CASES
 from shellwrinkle import airy
-from shellwrinkle.errors import FamilyLookupError, ParameterError
-from shellwrinkle.geometry import ConvexPolygon, Disc, Ellipse, HalfDisc, Rectangle
+from shellwrinkle.errors import ParameterError
 from shellwrinkle.grids import MaskedGrid
+from shellwrinkle.rulings import locate, tangential_data
 from shellwrinkle.shell import ShellProfile
 from shellwrinkle.stablelines import (
     ORDERED,
@@ -77,12 +77,11 @@ class TestPartition:
         covered = (lab != OUTSIDE).sum()
         assert covered == grid.mask.sum()
 
-    def test_region_of_tangential(self, triangle):
+    def test_incenter_is_unconstrained_on_tangential(self, triangle):
         af = airy.solve_dual(triangle, POS)
-        part = partition(triangle, af)
-        c, r, _ = __import__("shellwrinkle.rulings", fromlist=["tangential_data"]).tangential_data(triangle)
-        labels = part.region_of(np.array([c, c + [r * 0.9, 0.0]]))
-        assert labels[0] == "U"  # incenter is inside the contact polygon
+        c, _, _ = tangential_data(triangle)
+        # the incenter is inside the contact polygon
+        assert af.charts[locate(af.charts, c)[0]].label == "U"
 
     def test_consistency_error(self, ellipse, disc):
         af = airy.solve_dual(ellipse, POS)
@@ -100,7 +99,7 @@ class TestFamilies:
         for ln in fam.lines:
             assert np.allclose(ln.eta, (1.0, 0.0), atol=1e-12)
             # endpoints on the boundary
-            for p in ln.endpoints:
+            for p in (ln.start, ln.end):
                 q = (p[0] / 2) ** 2 + p[1] ** 2
                 assert q == pytest.approx(1.0, abs=1e-9)
 
@@ -150,7 +149,7 @@ class TestFamilies:
         af = airy.solve_dual(ellipse, POS)
         for ln in stable_lines(ellipse, af, 0.1).lines:
             assert ln.start_kind == ln.end_kind == "boundary"
-            for p in ln.endpoints:
+            for p in (ln.start, ln.end):
                 assert ellipse.boundary_distance(p) < 1e-8
         afn = airy.solve_dual(pentagon, NEG)
         for ln in stable_lines(pentagon, afn, 0.1).lines:
@@ -166,79 +165,71 @@ class TestFamilies:
             fam = stable_lines(dom, af, dom.diameter() / 30)
             for ln in fam.lines:
                 mid = 0.5 * (ln.start + ln.end)
-                try:
-                    g = dom.quickest_exit_gradient(mid)
-                except Exception:
-                    continue
-                d = ln.end - ln.start
-                d = d / np.hypot(*d)
+                foot = dom.nearest_boundary_point(mid)
+                exit_dir = (foot - mid) / np.hypot(*(foot - mid))
                 # line direction equals the exit direction -grad d
-                assert np.allclose(d, -g, atol=1e-8)
-
-    def test_eta_matches_hessian_direction(self, ellipse, half_disc_pos, disc):
-        cases = [(ellipse, POS), (half_disc_pos, POS), (disc, NEG)]
-        for dom, sh in cases:
-            af = airy.solve_dual(dom, sh)
-            fam = stable_lines(dom, af, dom.diameter() / 30)
-            pts = interior_points(dom, 100, seed=9, margin=5e-2)
-            zeta, eta_h, rank = af.hessian_ac(pts)
-            for chart in fam.charts:
-                m = np.asarray(chart.contains(pts)) & (rank == 1)
-                if not m.any():
-                    continue
-                eta_f = chart.eta_at(pts[m])
-                align = np.abs(np.sum(eta_f * eta_h[m], axis=1))
-                assert np.allclose(align, 1.0, atol=1e-9)
-
-
-class TestEtaRhoLookup:
-    def test_ellipse_eta(self, ellipse):
-        af = airy.solve_dual(ellipse, POS)
-        fam = stable_lines(ellipse, af, 0.1)
-        assert np.allclose(fam.eta((1.0, 0.3)), (1, 0), atol=1e-12)
-        val, singular = fam.rho((1.0, 0.3))
-        assert val == 1.0 and not singular
-
-    def test_negative_disc_eta_and_rho(self, disc):
-        af = airy.solve_dual(disc, NEG)
-        fam = stable_lines(disc, af, 0.02)
-        # the query point snaps to the nearest ray of the sampled family,
-        # so the answer matches the polar frame up to the ray spacing
-        eta = fam.eta((0.0, 0.5))
-        assert np.allclose(eta, (1.0, 0.0), atol=0.02)
-        val, singular = fam.rho((0.0, 0.5))
-        assert val == pytest.approx(0.5, abs=1e-3)
-        assert not singular
-        # exactly on a sampled ray the answer is that ray's frame
-        ln = fam.lines[0]
-        mid = 0.5 * (ln.start + ln.end)
-        assert np.allclose(fam.eta(mid), ln.eta, atol=1e-12)
-        val0, singular0 = fam.rho(ln.start + 1e-15 * (ln.end - ln.start))
-        assert singular0
-
-    def test_half_disc_rho_ratio(self, half_disc_pos):
-        af = airy.solve_dual(half_disc_pos, POS)
-        fam = stable_lines(half_disc_pos, af, 0.02)
-        # ray at theta = pi/2 runs from r=1 to r=2; index point at r=1
-        # (snapping to the nearest sampled ray costs a spacing-sized error)
-        val, _ = fam.rho((0.0, 1.5))
-        assert val == pytest.approx(1.5, abs=1e-3)
-
-    def test_lookup_error_off_family(self, ellipse):
-        af = airy.solve_dual(ellipse, POS)
-        fam = stable_lines(ellipse, af, 0.5)
-        with pytest.raises(FamilyLookupError):
-            fam.eta((0.26, 0.1), snap_tol=1e-6)
+                assert np.allclose(ln.direction(), exit_dir, atol=1e-8)
 
     def test_spacing_guard(self, ellipse):
         af = airy.solve_dual(ellipse, POS)
         with pytest.raises(ParameterError):
             stable_lines(ellipse, af, 0.0)
 
-    def test_rho_kinds(self, ellipse, disc, half_disc_neg):
+
+@pytest.mark.parametrize("name,shell", CASES, ids=CASE_IDS)
+def test_phi_hessian_is_rank_one_along_every_line(request, name, shell):
+    # phi is affine along each line and curves across an ordered line with
+    # density zeta = phi_eta,eta, where zeta rho is constant along the line;
+    # on an unconstrained line phi is affine both ways.  Second differences
+    # of phi at 7 points of every line.
+    dom = request.getfixturevalue(name)
+    af = airy.solve_dual(dom, shell)
+    fam = stable_lines(dom, af, dom.diameter() / 15)
+    h = 1e-4 * dom.diameter()
+    assert fam.lines
+    for chart, lines in zip(fam.charts, fam.lines_by_chart):
+        for ln in lines:
+            u = ln.length * np.linspace(0.15, 0.85, 7)
+            x = ln.point_at(u)
+            d, eta = ln.direction(), ln.eta
+            phi_x = af.phi(x)
+            along, across = ((af.phi(x + h * e) - 2.0 * phi_x + af.phi(x - h * e)) / h**2
+                             for e in (d, eta))
+            if chart.label == "O":
+                assert np.all(np.abs(along) < 1e-6 * np.abs(across))
+                zeta_rho = across * ln.rho_at(u)
+                spread = np.ptp(zeta_rho) / np.mean(np.abs(zeta_rho))
+                assert spread < 1e-3, f"line s={ln.s}: zeta rho spread {spread:.2e}"
+            else:
+                assert np.all(np.abs(along) < 1e-6) and np.all(np.abs(across) < 1e-6)
+            eta_x = chart.eta_at(x)
+            assert np.allclose(np.abs(eta_x @ eta), 1.0, rtol=0, atol=1e-12)
+            assert np.all(np.abs(eta_x @ d) < 1e-12)
+
+
+class TestLineRho:
+    def test_ellipse_eta(self, ellipse):
         af = airy.solve_dual(ellipse, POS)
-        assert stable_lines(ellipse, af, 0.2).rho_kind == "constant"
-        afd = airy.solve_dual(disc, NEG)
-        assert stable_lines(disc, afd, 0.2).rho_kind == "proportional_to_r"
-        afh = airy.solve_dual(half_disc_neg, NEG)
-        assert stable_lines(half_disc_neg, afh, 0.2).rho_kind == "general"
+        (chart,) = af.charts
+        s, u, _ = chart.coords(np.array([[1.0, 0.3]]))
+        ln = chart.line_at(s[0])
+        assert np.allclose(ln.eta, (1, 0), atol=1e-12)
+        assert ln.rho_at(u[0]) == 1.0
+
+    def test_negative_disc_eta_and_rho(self, disc):
+        af = airy.solve_dual(disc, NEG)
+        (chart,) = af.charts
+        # the ray through (0, 0.5): eta is the polar frame's -e_theta and
+        # rho = r, zero at the focal point
+        s, u, _ = chart.coords(np.array([[0.0, 0.5]]))
+        ln = chart.line_at(s[0])
+        assert np.allclose(ln.eta, (1.0, 0.0), atol=1e-12)
+        assert ln.rho_at(u[0]) == pytest.approx(0.5, abs=1e-12)
+        assert ln.rho0 == 0.0 and ln.rho_at(0.0) == 0.0
+
+    def test_half_disc_rho_ratio(self, half_disc_pos):
+        af = airy.solve_dual(half_disc_pos, POS)
+        (chart,) = af.charts
+        # ray at theta = pi/2 runs from r=1 to r=2; index point at r=1
+        s, u, _ = chart.coords(np.array([[0.0, 1.5]]))
+        assert chart.line_at(s[0]).rho_at(u[0]) == pytest.approx(1.5, abs=1e-12)
