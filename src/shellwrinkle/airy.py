@@ -47,13 +47,12 @@ class AiryField:
 
     sign: +1 for the largest extension, -1 for the smallest.
     charts: ruling charts (shared with the stable-line machinery).
-    sigma: the singular set's descriptor (None for the largest extension).
+    The smallest extension's singular set is ``domain.medial_axis()``.
     """
 
     sign: int
     domain: Domain
     charts: list
-    sigma: Optional[dict] = None
     decomposition: UDecomposition = field(default_factory=UDecomposition)
 
     def _by_chart(self, pts):
@@ -150,12 +149,10 @@ def solve_dual(domain: Domain, shell: ShellProfile,
     positive or zero -> largest extension; negative -> smallest.
     """
     sign = {"positive": 1, "zero": 1, "negative": -1}[shell.sign]
-    charts, meta = charts_for(domain, sign, decomposition)
     return AiryField(
         sign=sign,
         domain=domain,
-        charts=charts,
-        sigma=meta["sigma"],
+        charts=charts_for(domain, sign, decomposition),
         decomposition=decomposition or UDecomposition(),
     )
 

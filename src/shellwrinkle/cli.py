@@ -9,6 +9,7 @@ file values.  Exit codes: 0 ok, 1 verification failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -220,16 +221,8 @@ def cmd_energy(cfg):
                   renormalize=True, target=target)
     payload = {
         "command": "energy",
-        "full": {
-            "stretching": full.stretching, "bending": full.bending,
-            "substrate": full.substrate, "surface": full.surface,
-            "total": full.total,
-        },
-        "bulk_renormalized": {
-            "stretching": bulk.stretching, "bending": bulk.bending,
-            "substrate": bulk.substrate, "surface": bulk.surface,
-            "total": bulk.total,
-        },
+        "full": {**dataclasses.asdict(full), "total": full.total},
+        "bulk_renormalized": {**dataclasses.asdict(bulk), "total": bulk.total},
         "gamma_eff": ep.gamma_eff,
         "wrinkling_over_gamma_eff": (bulk.bending + bulk.substrate) / ep.gamma_eff,
     }

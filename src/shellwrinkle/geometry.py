@@ -7,9 +7,8 @@ is what the chord charts of `rulings` are built on.
 Every operation is a pure function of an immutable shape; all point-valued
 arguments accept single points ``(2,)`` or batches ``(n, 2)``.
 
-Conventions: boundaries are oriented counterclockwise, ``nu`` is the outward
-unit normal, ``tau = rot90(nu)`` the unit tangent (counterclockwise rotation),
-and the exit gradient ``grad d`` points away from the nearest boundary point.
+Conventions: boundaries are oriented counterclockwise and ``nu`` is the
+outward unit normal.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ParameterError, UnsupportedShapeError
+from .grids import _clip
 
 CORNER_DELTA_FACTOR = 1e-3  # corner cutoff: delta = 1e-3 * diam by default
-_BISECT_TOL = 1e-10  # bisector intersection tolerance for polygon axes
 _FOOT_MAX_STEPS = 100  # guard on the ellipse foot Newton iteration (~12 taken)
 
 
@@ -51,15 +50,14 @@ def _unsingle(vals, single):
 
 @dataclass(frozen=True)
 class BoundaryPoint:
-    """A boundary sample: position, outward normal, tangent, arclength.
+    """A boundary sample: position, outward normal, arclength.
 
-    At polygon corners the normal is undefined; ``corner`` is set and
-    ``nu``/``tau`` are None.
+    At corners the normal is undefined; ``corner`` is set and ``nu`` is
+    None.
     """
 
     position: np.ndarray
     nu: Optional[np.ndarray]
-    tau: Optional[np.ndarray]
     arclength: float
     corner: bool = False
 
@@ -148,6 +146,8 @@ class Domain:
         raise NotImplementedError
 
     def medial_axis(self):
+        """The medial axis, a `MedialAxis`.  It is the singular set of the
+        smallest extension, where the quickest-exit rays end."""
         raise NotImplementedError
 
     def boundary_sample(self, n):
@@ -240,7 +240,6 @@ class Disc(Domain):
                 BoundaryPoint(
                     position=self._c() + self.radius * nu,
                     nu=nu,
-                    tau=rot90(nu),
                     arclength=float(self.radius * t),
                 )
             )
@@ -407,7 +406,6 @@ class Ellipse(Domain):
                 BoundaryPoint(
                     position=pos[i],
                     nu=nu[i],
-                    tau=rot90(nu[i]),
                     arclength=float(targets[i]),
                 )
             )
@@ -565,7 +563,6 @@ class HalfDisc(Domain):
                 BoundaryPoint(
                     position=pos,
                     nu=nu,
-                    tau=None if corner else rot90(nu),
                     arclength=float(s),
                     corner=corner,
                 )
@@ -608,7 +605,13 @@ class HalfDisc(Domain):
 
 class ConvexPolygon(Domain):
     """Strictly convex polygon with CCW vertices.  Collinear or repeated
-    vertices are rejected."""
+    vertices are rejected.
+
+    Its one medial description is `side_regions`: the points nearest each
+    side, where that side's quickest-exit rays run.  The medial axis is the
+    edges the regions share, and the negative-curvature charts of `rulings`
+    are chords of the regions along the side normals.
+    """
 
     name = "convex_polygon"
 
@@ -635,9 +638,6 @@ class ConvexPolygon(Domain):
 
     def __repr__(self):
         return f"ConvexPolygon({self.vertices.tolist()})"
-
-    def n_sides(self):
-        return len(self.vertices)
 
     def side_distances(self, x):
         """(n_pts, n_sides) array of inward distances c_i - x.nu_i."""
@@ -679,72 +679,56 @@ class ConvexPolygon(Domain):
     def _outward_normal_at(self, y):
         return self.edge_normals[self.nearest_side(y)]
 
-    def medial_axis(self):
-        """Exact medial axis from bisector intersections.
+    def side_regions(self):
+        """The side regions as polygons: region i is {x : d_i(x) <= d_j(x)
+        for every j}, which the quickest-exit rays of side i fill.
 
-        Nodes are polygon vertices plus every point equidistant to three or
-        more sides at minimal distance; edges are the bisector segments of
-        side pairs between consecutive nodes.
+        Each is the polygon clipped by the half-planes
+        (n_j - n_i) . x <= c_j - c_i.  The clipper pads with repeated
+        vertices and a bisector through a vertex adds a copy of it, so a
+        vertex within 1e-12 diam of the one before it is dropped.
         """
-        v = self.vertices
-        n = len(v)
-        nodes = [tuple(p) for p in v]
-        node_d = [0.0] * n
-        tol = max(_BISECT_TOL, 1e-12 * self.diameter())
-        # tri-bisector candidates
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    A = np.stack([self.edge_normals[i] - self.edge_normals[j],
-                                  self.edge_normals[i] - self.edge_normals[k]])
-                    b = np.array([self.edge_offsets[i] - self.edge_offsets[j],
-                                  self.edge_offsets[i] - self.edge_offsets[k]])
-                    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-                    if abs(det) < 1e-14:
-                        continue
-                    p = np.linalg.solve(A, b) + 0.0  # +0.0: no -0.0 in exported nodes
-                    sd = self.side_distances(p)[0]
-                    di = sd[i]
-                    if di < -tol or sd.min() < di - tol:
-                        continue
-                    nodes.append((p[0], p[1]))
-                    node_d.append(di)
-        # dedupe
-        uniq = []
-        uniq_d = []
-        for p, dd in zip(nodes, node_d):
-            if not any(np.hypot(p[0] - q[0], p[1] - q[1]) < 10 * tol for q in uniq):
-                uniq.append(p)
-                uniq_d.append(dd)
-        pts = np.array(uniq)
-        sd_all = self.side_distances(pts)
+        n, c = self.edge_normals, self.edge_offsets
+        tol = 1e-12 * self.diameter()
+        regions = []
+        for i in range(len(n)):
+            poly = self.vertices[None]
+            for j in range(len(n)):
+                if j != i:
+                    poly = _clip(poly, n[j] - n[i], c[j] - c[i])
+            v = poly[0] + 0.0  # +0.0: no -0.0 in exported axes
+            regions.append(ConvexPolygon(v[np.hypot(*(v - np.roll(v, 1, axis=0)).T) > tol]))
+        return regions
+
+    def medial_axis(self):
+        """The edges that neighbouring side regions share.
+
+        Each edge is taken once, from region i when i is below the other
+        side nearest the edge's midpoint; region i's edge on side i is not
+        on the axis.  The nodes are the edges' end points inside the
+        polygon, with the number of edges that meet there.
+        """
+        tol = 1e-12 * self.diameter()
         segments = []
-        degree = np.zeros(len(pts), dtype=int)
-        for i in range(n):
-            for j in range(i + 1, n):
-                # nodes lying on the (i, j) bisector at minimal distance
-                on = (np.abs(sd_all[:, i] - sd_all[:, j]) <= 10 * tol) & (
-                    sd_all[:, i] <= sd_all.min(axis=1) + 10 * tol
-                )
-                idx = np.where(on)[0]
-                if len(idx) < 2:
+        for i, region in enumerate(self.side_regions()):
+            v = region.vertices
+            for p, q in zip(v, np.roll(v, -1, axis=0)):
+                sd = self.side_distances(0.5 * (p + q))[0]
+                if sd[i] <= tol:
                     continue
-                # order along the bisector direction and keep valid spans
-                direction = self.edge_normals[j] - self.edge_normals[i]
-                if np.hypot(*direction) < 1e-12:
-                    direction = rot90(self.edge_normals[i])
-                order = np.argsort(pts[idx] @ direction)
-                idx = idx[order]
-                for u_, w_ in zip(idx[:-1], idx[1:]):
-                    mid = 0.5 * (pts[u_] + pts[w_])
-                    sd_mid = np.sort(self.side_distances(mid)[0])
-                    if sd_mid[1] - sd_mid[0] <= 10 * tol and np.hypot(*(pts[u_] - pts[w_])) > 10 * tol:
-                        segments.append((tuple(pts[u_]), tuple(pts[w_])))
-                        degree[u_] += 1
-                        degree[w_] += 1
-        interior = [i for i in range(len(pts)) if uniq_d[i] > 10 * tol]
-        vertices = [(tuple(pts[i]), int(degree[i])) for i in interior]
-        return MedialAxis(segments=segments, vertices=vertices)
+                sd[i] = np.inf
+                if i < np.argmin(sd):
+                    segments.append((tuple(p), tuple(q)))
+        nodes = []  # [point, degree]
+        for p in (p for seg in segments for p in seg):
+            if self.side_distances(p).min() <= tol:
+                continue
+            node = next((nd for nd in nodes if np.hypot(*np.subtract(nd[0], p)) <= tol), None)
+            if node is None:
+                nodes.append([p, 1])
+            else:
+                node[1] += 1
+        return MedialAxis(segments=segments, vertices=[(p, deg) for p, deg in nodes])
 
     def incircle(self):
         """(incenter, inradius) of the maximal inscribed circle (Chebyshev)."""
@@ -791,7 +775,6 @@ class ConvexPolygon(Domain):
                     BoundaryPoint(
                         position=pos,
                         nu=nu,
-                        tau=None if corner else self.edge_tangents[i],
                         arclength=float(cum[i] + frac * L[i]),
                         corner=corner,
                     )

@@ -7,6 +7,12 @@ one region of that family in closed form: membership test, the coordinates
 any station, the transverse direction ``eta``, and the change-of-measure
 factor ``rho`` (affine along each line).
 
+Most charts are chords in a fixed direction (`ChordChart`) of a convex
+piece of the shape: the whole shape, the positive rectangle's and tangential
+polygon's regions, or, at negative curvature, a polygon's side regions
+(`ConvexPolygon.side_regions`) along their outward normals.  Fans of rays
+and the ellipse and half-disc exit families have charts of their own.
+
 Charts are consumed by the dual-potential evaluator (values by convex
 interpolation along rulings), by the stable-line builder, and by the
 characteristic-ODE rasterizer.  Each of them asks `locate` which chart holds
@@ -291,66 +297,6 @@ class FanChart(Chart):
         return rot_minus90(e_r)
 
 
-class PolygonSideChart(Chart):
-    """Quickest-exit rulings of one side region of a convex polygon.
-
-    Lines run from the medial axis to side ``i`` along the outward normal;
-    the index coordinate is the tangential station along the side.
-    """
-
-    label = "O"
-    data_kind = "cauchy"
-    start_kind = "medial_axis"
-    end_kind = "boundary"
-
-    def __init__(self, poly: ConvexPolygon, i: int):
-        self.poly = poly
-        self.i = i
-        self.nu = poly.edge_normals[i]
-        self.tau = poly.edge_tangents[i]
-        self.v0 = poly.vertices[i]
-        self.Ls = poly.edge_lengths[i]
-        # precompute the per-side interaction coefficients
-        others = [j for j in range(poly.n_sides()) if j != i]
-        self.others = np.array(others)
-        self.denoms = 1.0 - poly.edge_normals[others] @ self.nu
-
-    def _t_end_at_feet(self, feet):
-        """Cut distance along -nu from foot points on side i."""
-        sd = self.poly.side_distances(feet)[:, self.others]
-        return np.min(sd / self.denoms[None, :], axis=1)
-
-    def contains(self, x):
-        x = np.atleast_2d(x)
-        return self.poly.nearest_side(x) == self.i
-
-    def coords(self, x):
-        x = np.atleast_2d(x)
-        s = (x - self.v0) @ self.tau
-        d = self.poly.side_distances(x)[:, self.i]
-        feet = self.v0 + s[:, None] * self.tau[None, :]
-        t_end = self._t_end_at_feet(feet)
-        return s, t_end - d, t_end
-
-    def line_at(self, s):
-        foot = self.v0 + s * self.tau
-        t_end = float(self._t_end_at_feet(foot[None, :])[0])
-        start = foot - t_end * self.nu
-        return LineGeometry(
-            s=float(s), start=start, end=foot, eta=rot_minus90(self.nu),
-            start_kind=self.start_kind, end_kind=self.end_kind,
-            rho0=1.0, rho1=0.0, label=self.label,
-        )
-
-    def s_range(self):
-        return 0.0, float(self.Ls)
-
-
-    def eta_at(self, x):
-        x = np.atleast_2d(x)
-        return np.broadcast_to(rot_minus90(self.nu), x.shape).copy()
-
-
 class EllipseExitChart(Chart):
     """Quickest-exit rulings of the negatively curved ellipse.
 
@@ -584,21 +530,20 @@ def _u_chart(shape, roof, decomposition: UDecomposition, kinds):
 def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
     """Build the ruling charts for (shape, curvature sign).
 
-    sign: +1 (or 0, which shares the structure of +1) or -1.
-    Returns (charts, meta) where meta records the singular set.
+    sign: +1 (or 0, which shares the structure of +1) or -1.  At -1 the
+    lines start on the medial axis, which ``domain.medial_axis()`` describes.
     """
     if decomposition is None:
         decomposition = UDecomposition()
-    meta = {"sigma": None}
 
     if sign >= 0:
         if isinstance(domain, Ellipse):
-            return [ChordChart(domain, (0.0, 1.0), label="O")], meta
+            return [ChordChart(domain, (0.0, 1.0), label="O")]
         if isinstance(domain, Disc):
             # on the circle |y - c| = R, |y|^2/2 = (R^2 - |c|^2)/2 + c . y
             c = np.asarray(domain.center, dtype=float)
             roof = (0.5 * domain.radius**2 - 0.5 * c @ c, c)
-            return [_u_chart(domain, roof, decomposition, ("boundary", "boundary"))], meta
+            return [_u_chart(domain, roof, decomposition, ("boundary", "boundary"))]
         if isinstance(domain, HalfDisc):
             R = domain.radius
             c, u, w = domain._frame()
@@ -611,7 +556,7 @@ def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
                 r_outer=lambda th: 2 * R * np.sin(th),
                 label="O", kinds=("boundary", "boundary"), data_kind="bvp",
             )
-            return [chart], meta
+            return [chart]
         if isinstance(domain, Rectangle):
             regs = rectangle_regions(domain)
             charts = [
@@ -625,7 +570,7 @@ def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
                 tri = regs[key]
                 charts.append(_u_chart(tri, _vertex_roof(tri), decomposition,
                                        ("interface", "interface")))
-            return charts, meta
+            return charts
         if isinstance(domain, ConvexPolygon):
             if not domain.is_tangential():
                 raise UnsupportedShapeError(
@@ -645,7 +590,7 @@ def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
             contact_poly = ConvexPolygon(np.asarray(contact_pts))
             charts.append(_u_chart(contact_poly, _vertex_roof(contact_poly), decomposition,
                                    ("interface", "interface")))
-            return charts, meta
+            return charts
         raise UnsupportedShapeError(f"no positive-curvature charts for {domain.name}")
 
     # negative sign
@@ -658,17 +603,12 @@ def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
             r_outer=lambda th: R + 0.0 * np.asarray(th),
             label="O", kinds=("focal_point", "boundary"), data_kind="cauchy",
         )
-        meta["sigma"] = {"kind": "point", "point": np.asarray(domain.center, float)}
-        return [chart], meta
+        return [chart]
     if isinstance(domain, Ellipse):
-        charts = [EllipseExitChart(domain, "upper"), EllipseExitChart(domain, "lower")]
-        m = domain.medial_segment_halflength()
-        meta["sigma"] = {"kind": "segment", "p0": np.array([-m, 0.0]), "p1": np.array([m, 0.0])}
-        return charts, meta
+        return [EllipseExitChart(domain, "upper"), EllipseExitChart(domain, "lower")]
     if isinstance(domain, ConvexPolygon):
-        charts = [PolygonSideChart(domain, i) for i in range(domain.n_sides())]
-        meta["sigma"] = {"kind": "tree", "axis": domain.medial_axis()}
-        return charts, meta
+        return [ChordChart(region, nu, kinds=("medial_axis", "boundary"), data_kind="cauchy")
+                for region, nu in zip(domain.side_regions(), domain.edge_normals)]
     if isinstance(domain, HalfDisc):
         R = domain.radius
         c, u, w = domain._frame()
@@ -681,6 +621,5 @@ def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
             r_outer=lambda th: R + 0.0 * np.asarray(th),
             label="O", kinds=("medial_axis", "boundary"), data_kind="cauchy",
         )
-        meta["sigma"] = {"kind": "arc", "axis": domain.medial_axis()}
-        return [south, north], meta
+        return [south, north]
     raise UnsupportedShapeError(f"no negative-curvature charts for {domain.name}")

@@ -4,6 +4,9 @@ The partition splits the shell into the singular set (where the potential's
 Hessian has a one-dimensional concentration), the ordered set (rank-one
 absolutely continuous Hessian, filled by stable lines), the unconstrained
 set (Hessian zero), and the flattened set (rank two; empty on the catalog).
+The singular set is empty for the largest extension; for the smallest it
+is the medial axis, ``Domain.medial_axis()``, where the quickest-exit rays
+end.
 
 Stable lines are built from the shape-specific ruling charts, never
 extracted numerically from a discrete Hessian: the catalog's uniqueness
@@ -14,7 +17,6 @@ ill-conditioned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,36 +35,30 @@ class Partition:
     """Region descriptors plus rasterization support."""
 
     airy: AiryField
-    sigma: Optional[dict]
 
     def labels(self, grid: MaskedGrid):
         """Label array over a masked grid (OUTSIDE where uncovered).
 
         Each masked cell is labeled at its ``grid.eval_points()`` point.
+        The singular set of the smallest extension is the domain's medial
+        axis; it has measure zero, so cells within half a cell of it are
+        labeled SIGMA.
         """
         pts = grid.eval_points()
         lab = self._chart_labels()[locate(self.airy.charts, pts)]
-        # singular set: measure-zero, override within half a cell
-        if self.sigma is not None:
+        if self.airy.sign < 0:
             lab[self._sigma_distance(pts) <= 0.5 * grid.h] = SIGMA
         out = np.full((grid.nx, grid.ny), OUTSIDE, dtype=int)
         out[grid.mask] = lab
         return out
 
     def _sigma_distance(self, pts):
-        pts = np.atleast_2d(pts)
-        sig = self.sigma
-        if sig is None:
-            return np.full(len(pts), np.inf)
-        if sig["kind"] == "point":
-            return np.hypot(*(pts - sig["point"]).T)
-        if sig["kind"] == "segment":
-            return _dist_to_segment(pts, sig["p0"], sig["p1"])
-        # tree or arc: use the medial-axis polylines
-        axis = sig["axis"]
+        """Distance to the medial axis's polylines; a lone node (the
+        disc's centre) is a point."""
         best = np.full(len(pts), np.inf)
-        for line in axis.polylines(arc_samples=257):
-            for p0, p1 in zip(line[:-1], line[1:]):
+        for line in self.airy.domain.medial_axis().polylines(arc_samples=257):
+            pairs = zip(line[:-1], line[1:]) if len(line) > 1 else [(line[0], line[0])]
+            for p0, p1 in pairs:
                 best = np.minimum(best, _dist_to_segment(pts, p0, p1))
         return best
 
@@ -88,7 +84,7 @@ def partition(domain: Domain, airy: AiryField) -> Partition:
     """Exact shape-specific partition induced by the extremal potential."""
     if airy.domain is not domain and airy.domain.spec() != domain.spec():
         raise ConsistencyError("airy field was built for a different domain")
-    return Partition(airy=airy, sigma=airy.sigma)
+    return Partition(airy=airy)
 
 
 @dataclass

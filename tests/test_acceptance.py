@@ -1,6 +1,7 @@
 """Acceptance criteria that run at tier-1 speed (about 10 s together).
 
-Criteria 6 (about 17 s and 2.3 GB on a 3200^2 grid) and 7 (about 2 s) run
+Criteria 6 (3.0-3.3 s and 683 MB `ru_maxrss` on a 3200^2 grid, alone in a
+fresh process on a 2-CPU box with one BLAS thread) and 7 (about 1.4 s) run
 only in `shellwrinkle verify`, which runs the whole suite.
 """
 

@@ -22,7 +22,7 @@ from shellwrinkle.energy import (
     _frob2_sym,
 )
 from shellwrinkle.errors import ParameterError, RegimeError
-from shellwrinkle.geometry import Disc, Ellipse, Rectangle
+from shellwrinkle.geometry import ConvexPolygon, Disc, Ellipse, Rectangle
 from shellwrinkle.grids import MaskedGrid
 from shellwrinkle.herringbone import (
     DisplacementField,
@@ -101,13 +101,16 @@ class TestEnergyBreakdown:
 
     def test_cli_surface_term_includes_flux(self, tmp_path, capsys):
         # gamma (slope term - flux) with a flat profile: the flux through the
-        # 0.05 square is -7.3e-6
+        # 0.05 square is -1.4e-8 and the grid's divergence sum +2.8e-8
         path = tmp_path / "energy.json"
         path.write_text(json.dumps({"b": 1e-8, "k": 1.0, "gamma": 0.5, "side": 0.05}))
         assert cli.main(["energy", "--config", str(path)]) == cli.EXIT_OK
         report = json.loads(capsys.readouterr().out)
+        mu = np.eye(2)
+        fld = herringbone(((0.0, 0.0), 0.05), mu, optimal_params(1e-8, 1.0, TargetDefect(mu)))
+        surface = -0.5 * _discrete_flux(fld, fld.domain_mask)
         for part in ("full", "bulk_renormalized"):
-            assert report[part]["surface"] == pytest.approx(3.656e-6, rel=1e-3)
+            assert abs(report[part]["surface"] - surface) < 1e-7
 
     def test_total_is_sum(self):
         br = EnergyBreakdown(stretching=0.1, bending=0.2, substrate=0.3, surface=0.4)
@@ -206,6 +209,38 @@ class TestEnergyBreakdown:
         fld = make_field(rect, 0.05, u_fn, w_fn)
         br = energy(fld, FLAT, EnergyParams(b=1.0, k=1.0, gamma=0.0))
         assert br.stretching >= 0 and br.bending >= 0 and br.substrate >= 0
+
+
+def _field_over(domain, cells, u_fn):
+    """A field sampled at the centres of ``cells`` cells across the
+    domain's bounding box, so the boundary lies half a cell past them."""
+    (x0, y0), (x1, y1) = domain.bbox()
+    h = max(x1 - x0, y1 - y0) / cells
+    nx, ny = int(round((x1 - x0) / h)), int(round((y1 - y0) / h))
+    return grid_field((x0, y0), h, nx, ny, u_fn, lambda p: np.zeros(len(p)))
+
+
+UNIT_SQUARE = ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+
+
+class TestBoundaryFlux:
+    def test_linear_field_is_exact(self, rect, triangle):
+        # u = x has div u = 2, so its flux is twice the area; the trapezoid
+        # rule with each panel's side normal and the bilinear extrapolation
+        # are exact for it
+        for dom in (UNIT_SQUARE, rect, triangle):
+            fld = _field_over(dom, 200, lambda p: p.copy())
+            assert abs(_boundary_flux(fld, dom) - 2 * dom.area()) < 1e-12
+
+    def test_smooth_field_second_order(self):
+        # u = (sin x cos y, x y^2): the flux is int div u = sin(1)^2 + 1/2
+        def u_fn(p):
+            return np.stack([np.sin(p[:, 0]) * np.cos(p[:, 1]), p[:, 0] * p[:, 1] ** 2], axis=1)
+
+        exact = np.sin(1.0) ** 2 + 0.5
+        errs = [abs(_boundary_flux(_field_over(UNIT_SQUARE, n, u_fn), UNIT_SQUARE) - exact)
+                for n in (100, 200, 400)]
+        assert np.log2(errs[0] / errs[2]) / 2 >= 1.9, errs
 
 
 class TestHerringboneStencilsAtSmallB:

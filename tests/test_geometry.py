@@ -1,4 +1,5 @@
-"""Geometry catalog: exact distances, exit gradients, medial axes, sampling."""
+"""Geometry catalog: exact distances, exit gradients, medial axes, side regions,
+sampling."""
 
 import numpy as np
 import pytest
@@ -266,6 +267,65 @@ class TestMedialAxis:
             assert np.max(np.hypot(*(hits - hits.mean(axis=0)).T)) > 1e-3
 
 
+SQUARE = ConvexPolygon([(-1, -1), (1, -1), (1, 1), (-1, 1)])
+SIDE_REGION_SHAPES = ["rect", "triangle", "pentagon", "regular_pentagon", "square"]
+
+
+def _polygon(name, request):
+    return SQUARE if name == "square" else request.getfixturevalue(name)
+
+
+def _segment_key(seg):
+    """A segment as an unordered pair of end points."""
+    return sorted(tuple(np.asarray(p, dtype=float)) for p in seg)
+
+
+def _same_segments(got, expected, tol=1e-9):
+    """Unordered sets of unordered segments agree to tol."""
+    left = [_segment_key(s) for s in expected]
+    for seg in map(_segment_key, got):
+        match = [k for k, e in enumerate(left) if np.allclose(seg, e, atol=tol, rtol=0.0)]
+        if not match:
+            return False
+        left.pop(match[0])
+    return not left
+
+
+class TestSideRegions:
+    @pytest.mark.parametrize("name", SIDE_REGION_SHAPES)
+    def test_areas_sum_to_the_polygon(self, name, request):
+        poly = _polygon(name, request)
+        assert abs(sum(r.area() for r in poly.side_regions()) - poly.area()) < 1e-12
+
+    @pytest.mark.parametrize("name", SIDE_REGION_SHAPES)
+    def test_points_lie_in_their_nearest_side_region(self, name, request):
+        poly = _polygon(name, request)
+        regions = poly.side_regions()
+        pts = interior_points(poly, 2_000, seed=7)
+        # the two nearest sides' distances differ by at least 2e-9 diam, so
+        # each point is at least 1e-9 diam from the axis, where they agree
+        sd = np.sort(poly.side_distances(pts), axis=1)
+        pts = pts[sd[:, 1] - sd[:, 0] >= 2e-9 * poly.diameter()]
+        assert len(pts) > 1_900
+        side = poly.nearest_side(pts)
+        for i, region in enumerate(regions):
+            assert np.all(region.contains(pts[side == i]))
+
+    def test_triangle_axis_meets_at_the_incentre(self, triangle):
+        c, _ = triangle.incircle()
+        ma = triangle.medial_axis()
+        assert _same_segments(ma.segments, [(v, c) for v in triangle.vertices])
+        ((node, degree),) = ma.vertices
+        assert np.allclose(node, c, atol=1e-9) and degree == 3
+
+    def test_regular_pentagon_axis_meets_at_the_centre(self, regular_pentagon):
+        ma = regular_pentagon.medial_axis()
+        centre = (0.0, 0.0)
+        assert _same_segments(ma.segments, [(v, centre) for v in regular_pentagon.vertices])
+        ((node, degree),) = ma.vertices
+        assert np.allclose(node, centre, atol=1e-9) and degree == 5
+
+
 class TestBoundarySample:
     def test_disc_n4_symmetry(self, disc):
         pts = disc.boundary_sample(4)
@@ -274,7 +334,6 @@ class TestBoundarySample:
         assert np.allclose(pos, expect, atol=1e-12)
         for bp in pts:
             assert np.allclose(bp.nu, bp.position, atol=1e-12)  # nu = e_r
-            assert np.allclose(bp.tau, (-bp.nu[1], bp.nu[0]), atol=1e-15)
 
     def test_ellipse_perimeter(self, ellipse):
         from scipy.special import ellipe
@@ -293,13 +352,6 @@ class TestBoundarySample:
         corners = [bp for bp in pts if bp.corner]
         assert len(corners) == 5
         assert all(bp.nu is None for bp in corners)
-
-    def test_tau_is_rotated_nu(self, ellipse, half_disc_neg):
-        for dom in (ellipse, half_disc_neg):
-            for bp in dom.boundary_sample(64):
-                if bp.corner:
-                    continue
-                assert np.allclose(bp.tau, (-bp.nu[1], bp.nu[0]), atol=1e-12)
 
 
 CLIP_SHAPES = {

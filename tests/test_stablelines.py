@@ -118,7 +118,7 @@ class TestFamilies:
         af = airy.solve_dual(pentagon, NEG)
         fam = stable_lines(pentagon, af, 0.05)
         for chart, lines in zip(fam.charts, fam.lines_by_chart):
-            nu = chart.nu
+            nu = chart.d
             for ln in lines:
                 d = ln.end - ln.start
                 d = d / np.hypot(*d)
