@@ -559,7 +559,7 @@ def criterion_9():
         conc = np.min(dm - 0.5 * (da + db))
         # medial multiplicity: >= 2 separated nearest feet on the open axis
         axis = dom.medial_axis()
-        bnd = np.array([bp.position for bp in dom.boundary_sample(8192)])
+        bnd = dom.boundary_sample(8192).position
         # a true foot lies within gap/2 of a sample, which then sits at most
         # gap^2/(8 d) farther than d (the boundary bends towards p)
         gap = np.max(np.hypot(*(np.roll(bnd, -1, axis=0) - bnd).T))

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .geometry import Domain, rot90
+from .geometry import CORNER_DELTA_FACTOR, Domain, rot90
 from .grids import MaskedGrid
 from .rulings import UDecomposition, charts_for, locate
 from .shell import ShellProfile
@@ -194,14 +194,10 @@ def check_admissible(airy: AiryField, domain: Domain, tol=1e-8,
                      n_boundary=512, n_pairs=2000, seed=0) -> AdmissibilityReport:
     """Verify boundary trace, midpoint convexity, and the sign of the
     normal jump nu . (x - grad phi) at boundary samples away from corners."""
-    smooth = [bp for bp in domain.boundary_sample(n_boundary) if not bp.corner]
-    pos = np.array([bp.position for bp in smooth]).reshape(-1, 2)
-    nu = np.array([bp.nu for bp in smooth]).reshape(-1, 2)
-    corners = domain.corner_points()
-    if len(corners):
-        gap = np.hypot(pos[:, None, 0] - corners[None, :, 0], pos[:, None, 1] - corners[None, :, 1])
-        keep = gap.min(axis=1) > domain.corner_delta()
-        pos, nu = pos[keep], nu[keep]
+    s = domain.boundary_sample(n_boundary)
+    gap = np.hypot(*(s.position[:, None] - s.position[s.corner]).T)  # a corner is 0 from itself
+    keep = np.all(gap > CORNER_DELTA_FACTOR * domain.diameter(), axis=0)
+    pos, nu = s.position[keep], s.nu[keep]
 
     trace_viol = np.max(np.abs(airy.phi(pos) - 0.5 * np.sum(pos * pos, axis=1)), initial=0.0)
     # pull slightly inside to evaluate the interior gradient trace
@@ -245,8 +241,7 @@ def convex_roof(domain: Domain, x, n_boundary=512):
 
     if n_boundary < 16:
         raise ResolutionError("generic verifier needs at least 16 boundary samples")
-    samples = domain.boundary_sample(n_boundary)
-    Y = np.array([bp.position for bp in samples])
+    Y = domain.boundary_sample(n_boundary).position
     lift = 0.5 * np.sum(Y * Y, axis=1)
     pts, single = _pts(x)
     if not np.all(domain.contains(pts, tol=1e-12)):

@@ -36,7 +36,6 @@ from .shell import ShellProfile
 from .stablelines import stable_lines
 
 DEFAULT_SAMPLES_PER_LINE = 2000
-NEGATIVITY_TOL = 1e-10
 CAUCHY_SIGN_TOL = 1e-8
 POINT_BLOCK = 1 << 15  # points interpolated per block by _rasterize_chart
 LINE_WINDOW = 256  # lines held at once by _rasterize_chart; at least 2

@@ -182,24 +182,21 @@ def _boundary_flux(field: DisplacementField, domain: Domain, n_samples=2048):
     """Boundary integral of u . nu by the trapezoid rule in arclength, with
     u interpolated bilinearly onto the boundary samples.
 
-    Panel k runs from sample k to sample k + 1.  The normal is undefined
-    at a corner, so a corner end takes the normal of its panel's chord:
+    Panel k runs from sample k to sample k + 1, and every corner is a
+    sample, so each panel lies on one smooth piece.  A sample's normal is
+    NaN at a corner, so a corner end takes the normal of its panel's chord:
     exact on a straight side, so the rule is exact for linear u on a
-    polygon, and off by O(h) on a curved one, which costs O(h^2) over the
-    two panels at the corner.
+    polygon, and off by O(h) on a curved one, which costs O(h^2) there.
     """
-    samples = domain.boundary_sample(n_samples)
-    pos = np.array([bp.position for bp in samples])
-    corner = np.array([bp.corner for bp in samples])[:, None]
-    nu = np.array([(0.0, 0.0) if bp.corner else bp.nu for bp in samples])
-    nxt = np.roll(np.arange(len(samples)), -1)
+    s = domain.boundary_sample(n_samples)
+    pos, nu, corner = s.position, s.nu, s.corner[:, None]
+    nxt = np.roll(np.arange(len(s)), -1)
     chord = pos[nxt] - pos
     chord = np.stack([chord[:, 1], -chord[:, 0]], axis=1) / np.hypot(*chord.T)[:, None]
     nu_start = np.where(corner, chord, nu)
     nu_end = np.where(corner[nxt], chord, nu[nxt])
     u = _bilinear(field, field.u, pos)
-    arc = np.array([bp.arclength for bp in samples])
-    width = np.diff(arc, append=arc[0] + domain.perimeter())
+    width = np.diff(s.arclength, append=s.arclength[0] + domain.perimeter())
     vals = np.sum(u * nu_start, axis=1) + np.sum(u[nxt] * nu_end, axis=1)
     return float(0.5 * np.sum(width * vals))
 

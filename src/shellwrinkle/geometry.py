@@ -7,6 +7,10 @@ is what the chord charts of `rulings` are built on.
 Every operation is a pure function of an immutable shape; all point-valued
 arguments accept single points ``(2,)`` or batches ``(n, 2)``.
 
+Each shape states its boundary once, as a curve (`_boundary_curve`) and an
+outward normal (`_outward_normal_at`); `Domain.boundary_sample` builds the
+boundary samples of every shape from these two, as one record array.
+
 Conventions: boundaries are oriented counterclockwise and ``nu`` is the
 outward unit normal.
 """
@@ -14,14 +18,13 @@ outward unit normal.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, ParameterError, UnsupportedShapeError
 from .grids import _clip
 
-CORNER_DELTA_FACTOR = 1e-3  # corner cutoff: delta = 1e-3 * diam by default
+CORNER_DELTA_FACTOR = 1e-3  # check_admissible skips samples within 1e-3 diam of a corner
 _FOOT_MAX_STEPS = 100  # guard on the ellipse foot Newton iteration (~12 taken)
 
 
@@ -48,18 +51,18 @@ def _unsingle(vals, single):
     return vals[0] if single else vals
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """A boundary sample: position, outward normal, arclength.
+def _pair(u, v):
+    """np.stack([u, v], axis=-1) for u of any shape and v broadcast to it,
+    without stack's per-call checks."""
+    out = np.empty(np.shape(u) + (2,))
+    out[..., 0] = u
+    out[..., 1] = v
+    return out
 
-    At corners the normal is undefined; ``corner`` is set and ``nu`` is
-    None.
-    """
 
-    position: np.ndarray
-    nu: Optional[np.ndarray]
-    arclength: float
-    corner: bool = False
+# A boundary sample: position, outward normal, arclength and corner flag.
+SAMPLE_DTYPE = np.dtype([("position", float, 2), ("nu", float, 2), ("arclength", float),
+                         ("corner", bool)])
 
 
 @dataclass(frozen=True)
@@ -109,9 +112,12 @@ class MedialAxis:
         return lines
 
     def to_csv_rows(self, arc_samples=129):
-        """Flatten to (x1, y1, x2, y2) rows, one per sub-segment."""
+        """Flatten to (x1, y1, x2, y2) rows, one per sub-segment; a lone
+        node (the disc's) is one zero-length row."""
         rows = []
         for line in self.polylines(arc_samples):
+            if len(line) == 1:
+                line = np.repeat(line, 2, axis=0)
             for p, q in zip(line[:-1], line[1:]):
                 rows.append((p[0], p[1], q[0], q[1]))
         return rows
@@ -151,7 +157,21 @@ class Domain:
         raise NotImplementedError
 
     def boundary_sample(self, n):
-        """Quasi-uniform arclength sampling of the boundary."""
+        """About n boundary samples (a polygon rounds per side), quasi-uniform
+        in arclength: a record array with fields ``position`` (2), ``nu``
+        (2), ``arclength`` and ``corner``, read by column (``s.position``) or
+        by row (``s[i].position``).  ``nu`` is the outward normal, NaN at
+        corners."""
+        if n < 4:
+            raise ParameterError("need at least 4 boundary samples")
+        pos, arc, corner = self._boundary_curve(n)
+        s = np.recarray(len(pos), dtype=SAMPLE_DTYPE)
+        s.position, s.arclength, s.corner = pos, arc, corner
+        s.nu = np.where(corner[:, None], np.nan, self._outward_normal_at(pos))
+        return s
+
+    def _boundary_curve(self, n):
+        """(positions, arclengths, corner flags) of about n boundary points, CCW."""
         raise NotImplementedError
 
     def bbox(self):
@@ -177,13 +197,6 @@ class Domain:
         in |M (x - center)| <= 1.
         """
         raise NotImplementedError
-
-    def corner_points(self):
-        """Boundary corners (where the normal is undefined)."""
-        return np.zeros((0, 2))
-
-    def corner_delta(self):
-        return CORNER_DELTA_FACTOR * self.diameter()
 
     # -- serialization -----------------------------------------------------
     def spec(self):
@@ -229,21 +242,10 @@ class Disc(Domain):
     def medial_axis(self):
         return MedialAxis(vertices=[(tuple(self._c()), 0)])
 
-    def boundary_sample(self, n):
-        if n < 4:
-            raise ParameterError("need at least 4 boundary samples")
+    def _boundary_curve(self, n):
         th = 2.0 * np.pi * np.arange(n) / n
-        pts = []
-        for t in th:
-            nu = np.array([np.cos(t), np.sin(t)])
-            pts.append(
-                BoundaryPoint(
-                    position=self._c() + self.radius * nu,
-                    nu=nu,
-                    arclength=float(self.radius * t),
-                )
-            )
-        return pts
+        pos = self._c() + self.radius * _pair(np.cos(th), np.sin(th))
+        return pos, self.radius * th, np.zeros(n, dtype=bool)
 
     def bbox(self):
         c = self._c()
@@ -378,38 +380,21 @@ class Ellipse(Domain):
             vertices=[((-m, 0.0), 1), ((m, 0.0), 1)],
         )
 
-    def _param_table(self, n_table=16384):
-        phi = np.linspace(0.0, 2 * np.pi, n_table + 1)
-        pts = np.stack([self.a * np.cos(phi), self.b * np.sin(phi)], axis=1)
-        seg = np.hypot(*(np.diff(pts, axis=0)).T)
-        s = np.concatenate([[0.0], np.cumsum(seg)])
-        return phi, s
-
     def perimeter(self):
         from scipy.special import ellipe
 
         m = 1.0 - (self.b / self.a) ** 2
         return float(4.0 * self.a * ellipe(m))
 
-    def boundary_sample(self, n):
-        if n < 4:
-            raise ParameterError("need at least 4 boundary samples")
-        phi_tab, s_tab = self._param_table()
-        total = s_tab[-1]
-        targets = total * np.arange(n) / n
+    def _boundary_curve(self, n):
+        # equal steps in the arclength of a 16,384-chord inscribed polygon
+        phi_tab = np.linspace(0.0, 2 * np.pi, 16384 + 1)
+        tab = np.stack([self.a * np.cos(phi_tab), self.b * np.sin(phi_tab)], axis=1)
+        s_tab = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(tab, axis=0).T))])
+        targets = s_tab[-1] * np.arange(n) / n
         phi = np.interp(targets, s_tab, phi_tab)
         pos = np.stack([self.a * np.cos(phi), self.b * np.sin(phi)], axis=1)
-        nu = self._outward_normal_at(pos)
-        pts = []
-        for i in range(n):
-            pts.append(
-                BoundaryPoint(
-                    position=pos[i],
-                    nu=nu[i],
-                    arclength=float(targets[i]),
-                )
-            )
-        return pts
+        return pos, targets, np.zeros(n, dtype=bool)
 
     def bbox(self):
         return ((-self.a, -self.b), (self.a, self.b))
@@ -533,41 +518,16 @@ class HalfDisc(Domain):
         )
         return MedialAxis(arcs=[arc])
 
-    def corner_points(self):
-        c, u, w = self._frame()
-        return np.stack([c - self.radius * w, c + self.radius * w])
-
-    def boundary_sample(self, n):
-        if n < 4:
-            raise ParameterError("need at least 4 boundary samples")
+    def _boundary_curve(self, n):
+        # the flat side from t = -R with its length's share of the samples,
+        # then the arc from theta = 0, so that both corners are samples
         R = self.radius
-        total = (2 + np.pi) * R
-        targets = total * np.arange(n) / n
-        pts = []
-        corners = {0.0, 2 * R}
-        for s in targets:
-            if s < 2 * R:  # flat side, from t=-R to t=R
-                t = -R + s
-                loc = np.array([t, 0.0])
-                nu_loc = np.array([0.0, -1.0])
-                corner = any(abs(s - cval) < 1e-12 * R for cval in corners)
-            else:  # arc, from t=R back around to t=-R
-                th = (s - 2 * R) / R
-                loc = np.array([R * np.cos(th), R * np.sin(th)])
-                nu_loc = loc / R
-                corner = False
-            c, u, w = self._frame()
-            pos = c + loc[0] * w + loc[1] * u
-            nu = None if corner else nu_loc[0] * w + nu_loc[1] * u
-            pts.append(
-                BoundaryPoint(
-                    position=pos,
-                    nu=nu,
-                    arclength=float(s),
-                    corner=corner,
-                )
-            )
-        return pts
+        k = max(1, round(2 * n / (2 + np.pi)))
+        flat = 2 * R * np.arange(k) / k
+        th = np.pi * np.arange(n - k) / (n - k)
+        loc = np.concatenate([_pair(flat - R, 0.0), _pair(R * np.cos(th), R * np.sin(th))])
+        arc = np.concatenate([flat, 2 * R + R * th])
+        return self.from_local(loc), arc, np.isin(np.arange(n), (0, k))
 
     def bbox(self):
         c, u, w = self._frame()
@@ -753,36 +713,17 @@ class ConvexPolygon(Domain):
         sd = self.side_distances(c)[0]
         return bool(np.all(np.abs(sd - r) <= tol * (1 + r)))
 
-    def boundary_sample(self, n):
-        if n < 4:
-            raise ParameterError("need at least 4 boundary samples")
-        v = self.vertices
-        m = len(v)
+    def _boundary_curve(self, n):
+        # every vertex is a sample; the rest go to the sides by length
         L = self.edge_lengths
-        total = L.sum()
-        cum = np.concatenate([[0.0], np.cumsum(L)])
-        pts = []
-        # vertices are always included; distribute the rest by edge length
-        per_edge = np.maximum(1, np.round(n * L / total).astype(int))
-        for i in range(m):
-            k = per_edge[i]
-            for jj in range(k):
-                frac = jj / k
-                pos = v[i] + frac * (v[(i + 1) % m] - v[i])
-                corner = jj == 0
-                nu = None if corner else self.edge_normals[i]
-                pts.append(
-                    BoundaryPoint(
-                        position=pos,
-                        nu=nu,
-                        arclength=float(cum[i] + frac * L[i]),
-                        corner=corner,
-                    )
-                )
-        return pts
-
-    def corner_points(self):
-        return self.vertices.copy()
+        per_edge = np.maximum(1, np.round(n * L / L.sum()).astype(int))
+        side = np.repeat(np.arange(len(L)), per_edge)
+        j = np.arange(len(side)) - np.repeat(np.cumsum(per_edge) - per_edge, per_edge)
+        frac = j / per_edge[side]
+        d = np.roll(self.vertices, -1, axis=0) - self.vertices
+        pos = self.vertices[side] + frac[:, None] * d[side]
+        arc = np.concatenate([[0.0], np.cumsum(L)])[side] + frac * L[side]
+        return pos, arc, j == 0
 
     def bbox(self):
         v = self.vertices

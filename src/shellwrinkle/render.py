@@ -23,8 +23,7 @@ def _poly_points(points):
 
 
 def domain_outline(domain, n=256):
-    samples = domain.boundary_sample(n)
-    return np.array([bp.position for bp in samples])
+    return domain.boundary_sample(n).position
 
 
 class SvgCanvas:

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, UnsupportedShapeError
-from .geometry import ConvexPolygon, Disc, Ellipse, HalfDisc, Rectangle, rot90
+from .geometry import ConvexPolygon, Disc, Ellipse, HalfDisc, Rectangle, _pair, rot90
 
 
 def rot_minus90(v):
@@ -36,15 +36,6 @@ def rot_minus90(v):
     out = np.empty_like(v)
     out[..., 0] = v[..., 1]
     out[..., 1] = -v[..., 0]
-    return out
-
-
-def _pair(u, v):
-    """np.stack([u, v], axis=-1) for u of any shape and v broadcast to it,
-    without stack's per-call checks (one call per station on line_at)."""
-    out = np.empty(np.shape(u) + (2,))
-    out[..., 0] = u
-    out[..., 1] = v
     return out
 
 

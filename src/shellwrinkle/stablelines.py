@@ -27,7 +27,7 @@ from .grids import MaskedGrid
 from .rulings import locate
 
 # Region labels used in rasterized partitions.
-OUTSIDE, SIGMA, FLATTENED, ORDERED, UNCONSTRAINED = -1, 0, 1, 2, 3
+OUTSIDE, SIGMA, ORDERED, UNCONSTRAINED = -1, 0, 2, 3
 
 
 @dataclass

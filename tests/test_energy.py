@@ -22,7 +22,7 @@ from shellwrinkle.energy import (
     _frob2_sym,
 )
 from shellwrinkle.errors import ParameterError, RegimeError
-from shellwrinkle.geometry import ConvexPolygon, Disc, Ellipse, Rectangle
+from shellwrinkle.geometry import ConvexPolygon, Disc, Ellipse, HalfDisc, Rectangle
 from shellwrinkle.grids import MaskedGrid
 from shellwrinkle.herringbone import (
     DisplacementField,
@@ -241,6 +241,16 @@ class TestBoundaryFlux:
         errs = [abs(_boundary_flux(_field_over(UNIT_SQUARE, n, u_fn), UNIT_SQUARE) - exact)
                 for n in (100, 200, 400)]
         assert np.log2(errs[0] / errs[2]) / 2 >= 1.9, errs
+
+    def test_half_disc_second_order_in_the_samples(self):
+        # u = x is exact on the grid, so only the boundary rule errs: both
+        # corners are samples and each corner panel takes its chord's normal,
+        # which is off by O(h) on the arc's first and last panels
+        dom = HalfDisc(1.0, (0.2, 0.1), 0.7)
+        fld = _field_over(dom, 200, lambda p: p.copy())
+        errs = [abs(_boundary_flux(fld, dom, n) - 2 * dom.area()) for n in (512, 2048, 8192)]
+        assert np.log2(errs[0] / errs[2]) / 4 >= 1.9, errs
+        assert errs[1] < 1e-6, errs
 
 
 class TestHerringboneStencilsAtSmallB:

@@ -326,7 +326,94 @@ class TestSideRegions:
         assert np.allclose(node, centre, atol=1e-9) and degree == 5
 
 
+CLIP_SHAPES = {
+    "disc": Disc(1.0),
+    "offset_disc": Disc(0.8, (0.4, -0.3)),
+    "ellipse": Ellipse(2.0, 1.0),
+    "rectangle": Rectangle(2.0, 1.0),
+    "triangle": ConvexPolygon([(1.2, 0.0), (-0.6, 1.0), (-0.6, -1.0)]),
+    "regular_pentagon": ConvexPolygon(
+        np.stack([np.cos(0.3 + 2 * np.pi * np.arange(5) / 5),
+                  np.sin(0.3 + 2 * np.pi * np.arange(5) / 5)], axis=1)
+    ),
+}
+
+SAMPLE_SHAPES = {
+    **CLIP_SHAPES,
+    "pentagon": ConvexPolygon([(1.5, -0.8), (1.8, 0.9), (-0.2, 1.1), (-1.6, 0.2), (-1.0, -1.0)]),
+    "half_disc": HalfDisc(1.0),
+    "turned_half_disc": HalfDisc(1.0, (0.2, 0.1), 0.7),
+}
+
+
+def _corners(dom):
+    """The corners a boundary sample must flag, in boundary order."""
+    if isinstance(dom, ConvexPolygon):
+        return dom.vertices
+    if isinstance(dom, HalfDisc):
+        return dom.from_local([(-dom.radius, 0.0), (dom.radius, 0.0)])
+    return np.zeros((0, 2))
+
+
+@pytest.mark.parametrize("n", [4, 16, 1000])
+@pytest.mark.parametrize("name", list(SAMPLE_SHAPES))
+class TestBoundarySampleRecords:
+    """`boundary_sample` on every catalog shape: the records' columns."""
+
+    def test_positions_lie_on_the_boundary(self, name, n):
+        dom = SAMPLE_SHAPES[name]
+        s = dom.boundary_sample(n)
+        assert np.max(np.hypot(*(s.position - dom.nearest_boundary_point(s.position)).T)) <= 1e-12
+
+    def test_arclength_increases_below_the_perimeter(self, name, n):
+        dom = SAMPLE_SHAPES[name]
+        s = dom.boundary_sample(n)
+        arc = s.arclength
+        assert arc[0] == 0.0
+        assert np.all(np.diff(arc) > 0)
+        assert arc[-1] < dom.perimeter()
+        # each step along the curve, the closing one too, is no shorter than
+        # its chord and no longer than a quarter circle against its chord
+        # (chord / arc = 0.9003); and the samples run counterclockwise
+        step = np.diff(arc, append=dom.perimeter())
+        d = np.roll(s.position, -1, axis=0) - s.position
+        chord = np.hypot(*d.T)
+        assert np.all(chord <= step + 1e-6) and np.all(chord >= 0.9 * step - 1e-12)
+        assert np.sum(s.position[:, 0] * d[:, 1] - s.position[:, 1] * d[:, 0]) > 0
+
+    def test_normals_are_unit_and_outward_off_corners(self, name, n):
+        dom = SAMPLE_SHAPES[name]
+        s = dom.boundary_sample(n)
+        pos, nu = s.position[~s.corner], s.nu[~s.corner]
+        assert np.allclose(np.hypot(*nu.T), 1.0, rtol=0, atol=1e-15)
+        step = 1e-6 * dom.diameter() * nu
+        assert not np.any(dom.contains(pos + step))
+        assert np.all(dom.contains(pos - step))
+
+    def test_nu_is_nan_exactly_at_the_corners(self, name, n):
+        s = SAMPLE_SHAPES[name].boundary_sample(n)
+        assert np.array_equal(np.isnan(s.nu).any(axis=1), s.corner)
+        assert np.isnan(s.nu[s.corner]).all()
+
+    def test_corners_are_the_vertices_or_flat_side_ends(self, name, n):
+        dom = SAMPLE_SHAPES[name]
+        s = dom.boundary_sample(n)
+        expect = _corners(dom)
+        assert s.position[s.corner].shape == expect.shape
+        assert np.allclose(s.position[s.corner], expect, rtol=0, atol=1e-15)
+
+    def test_rows_read_as_the_columns(self, name, n):
+        s = SAMPLE_SHAPES[name].boundary_sample(n)
+        assert np.array_equal([bp.position for bp in s], s.position)
+        assert np.array_equal([bp.arclength for bp in s], s.arclength)
+
+
 class TestBoundarySample:
+    @pytest.mark.parametrize("name", list(SAMPLE_SHAPES))
+    def test_needs_4_samples(self, name):
+        with pytest.raises(ParameterError):
+            SAMPLE_SHAPES[name].boundary_sample(3)
+
     def test_disc_n4_symmetry(self, disc):
         pts = disc.boundary_sample(4)
         pos = np.array([bp.position for bp in pts])
@@ -351,20 +438,7 @@ class TestBoundarySample:
             assert np.min(np.hypot(*(pos - v).T)) < 1e-12
         corners = [bp for bp in pts if bp.corner]
         assert len(corners) == 5
-        assert all(bp.nu is None for bp in corners)
-
-
-CLIP_SHAPES = {
-    "disc": Disc(1.0),
-    "offset_disc": Disc(0.8, (0.4, -0.3)),
-    "ellipse": Ellipse(2.0, 1.0),
-    "rectangle": Rectangle(2.0, 1.0),
-    "triangle": ConvexPolygon([(1.2, 0.0), (-0.6, 1.0), (-0.6, -1.0)]),
-    "regular_pentagon": ConvexPolygon(
-        np.stack([np.cos(0.3 + 2 * np.pi * np.arange(5) / 5),
-                  np.sin(0.3 + 2 * np.pi * np.arange(5) / 5)], axis=1)
-    ),
-}
+        assert all(np.isnan(bp.nu).all() for bp in corners)
 
 
 @pytest.mark.parametrize("name", list(CLIP_SHAPES))

@@ -4,9 +4,10 @@ encoding against a per-cell loop, and the CSV writer's memory."""
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from shellwrinkle import characteristics as chars
-from shellwrinkle import render
+from shellwrinkle import cli, render
 from shellwrinkle.geometry import Disc
 from shellwrinkle.herringbone import DisplacementField
 from shellwrinkle.shell import ShellProfile
@@ -121,3 +122,18 @@ def test_heatmap_svg_matches_per_cell_runs(half_disc_neg):
     mask[:, 0] = True
     args = (-1.0, 0.5, 0.1, vals, mask)
     assert render.heatmap_svg(*args) == per_cell_heatmap_svg(*args)
+
+
+@pytest.mark.parametrize("shape, rows", [
+    (["disc", "--radius", "1"], ["0,0,0,0"]),
+    (["ellipse", "--a", "2", "--b-axis", "1"], ["-1.5,0,1.5,0"]),
+    (["rectangle", "--a", "2", "--b-axis", "1"],
+     ["2,-1,1,0", "1,0,-1,0", "-1,0,-2,-1", "2,1,1,0", "-2,1,-1,0"]),
+])
+def test_pattern_writes_every_medial_component(tmp_path, capsys, shape, rows):
+    # the disc's medial axis is its centre alone, written as one
+    # zero-length row; the segments of the others one row each
+    argv = ["pattern", "--shape", *shape, "--sign", "negative", "--out", str(tmp_path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    lines = (tmp_path / "medial_axis.csv").read_text().splitlines()
+    assert lines == ["x1,y1,x2,y2", *rows]

@@ -1,14 +1,18 @@
-"""Every function and class in `src/` has a reader in `src/` or the benchmark.
+"""Every function, class and module-level name in `src/` has a reader in
+`src/` or the benchmark.
 
 An AST scan of `src/shellwrinkle` collects each function and class
-definition, and every name that the package or `perfbench/*.py` reads (as a
-bare name or as an attribute).  A definition passes when its name is read
-somewhere outside its own body, when `perfbench/tracing.LAYERS` names it,
-or when it is listed in ORACLES or READ_ELSEWHERE.  A method (a def directly
-in a class body) counts as read only when it is read as an attribute
-(``x.name``), so a bare call of a function of the same name does not keep
-it.  Code that only tests call fails here.  Names still match by spelling,
-so a dead method that shares its name with a live attribute read passes.
+definition and each name a module-level assignment binds, and every name
+that the package or `perfbench/*.py` reads (as a bare name or as an
+attribute).  A definition passes when its name is read somewhere outside
+its own body (an assignment: outside its own statement), when
+`perfbench/tracing.LAYERS` names it, or when it is listed in ORACLES or
+READ_ELSEWHERE.  Dunders (``__all__``, ``__init__``) are exempt.  A method
+(a def directly in a class body) counts as read only when it is read as an
+attribute (``x.name``), so a bare call of a function of the same name does
+not keep it.  Code that only tests call fails here.  Names still match by
+spelling, so a dead method that shares its name with a live attribute read
+passes.
 """
 
 import ast
@@ -54,10 +58,22 @@ def _reads(tree, fname):
             yield node.attr, fname, node.lineno, True
 
 
+def _assigned(tree):
+    """(name, first line, last line) per name a module-level assignment
+    binds, tuple targets included."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                for node in ast.walk(target):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                        yield node.id, stmt.lineno, stmt.end_lineno
+
+
 def _scan():
     """(definitions, reads): (name, file, first line, last line, is_method)
-    per def in `src/`, and (name, file, line, as_attribute) per name read in
-    `src/` or `perfbench/`."""
+    per def or module-level assignment in `src/`, and (name, file, line,
+    as_attribute) per name read in `src/` or `perfbench/`."""
     defs, reads = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -70,6 +86,7 @@ def _scan():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defs.append((node.name, path.name, node.lineno, node.end_lineno,
                              id(node) in methods))
+        defs.extend((name, path.name, first, last, False) for name, first, last in _assigned(tree))
         reads.extend(_reads(tree, path.name))
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         reads.extend(_reads(ast.parse(path.read_text(), filename=str(path)),
