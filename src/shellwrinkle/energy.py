@@ -71,79 +71,102 @@ class StrainField:
     h: float
 
 
-def _row_blocks(field: DisplacementField):
+def _diff_rows(f, r0, r1, h, out):
+    """First difference along axis 0 of the rows f, on its rows r0:r1, into
+    out: centred, and one-sided on f's first and last rows, the formulas of
+    ``np.gradient(f, h, axis=0, edge_order=2)`` bit for bit.  It reads rows
+    r0 - 1 to r1 of f, or its first or last three rows at its edges."""
+    n = len(f)
+    a, b = max(r0, 1), min(r1, n - 1)
+    if a < b:
+        np.subtract(f[a + 1:b + 1], f[a - 1:b - 1], out=out[a - r0:b - r0])
+        out[a - r0:b - r0] /= 2.0 * h
+    if r0 == 0:
+        out[0] = -1.5 / h * f[0] + 2.0 / h * f[1] + -0.5 / h * f[2]
+    if r1 == n:
+        out[r1 - r0 - 1] = 0.5 / h * f[-3] + -2.0 / h * f[-2] + 1.5 / h * f[-1]
+    return out
+
+
+def _diff_cols(f, h, out):
+    """First difference along axis 1 of the rows f into out, as
+    ``np.gradient(f, h, axis=1, edge_order=2)`` bit for bit."""
+    np.subtract(f[:, 2:], f[:, :-2], out=out[:, 1:-1])
+    out[:, 1:-1] /= 2.0 * h
+    out[:, 0] = -1.5 / h * f[:, 0] + 2.0 / h * f[:, 1] + -0.5 / h * f[:, 2]
+    out[:, -1] = 0.5 / h * f[:, -3] + -2.0 / h * f[:, -2] + 1.5 / h * f[:, -1]
+    return out
+
+
+def _second_diffs(fx, fy, keep: slice, h, out, tmp):
+    """Second differences (11, 12, 22) on the rows ``keep`` of fx, fy, a
+    field's first differences on those rows and the rows around them."""
+    _diff_rows(fx, keep.start, keep.stop, h, out[0])
+    _diff_cols(fx[keep], h, out[1])
+    out[1] += _diff_rows(fy, keep.start, keep.stop, h, tmp)
+    out[1] *= 0.5
+    _diff_cols(fy[keep], h, out[2])
+    return out
+
+
+def _stencil_rows(field: DisplacementField, shell: ShellProfile, hessian: bool):
     """Walk the field in blocks of ``_BLOCK_ROWS`` grid rows.
 
-    Yields (rows, halo, keep, slab): ``halo`` is the block's grid rows
-    ``rows`` widened by 2 rows on each side (clipped to the array), ``slab``
-    is the field restricted to ``halo``, and ``keep`` selects ``rows``
-    within the slab.  A centered second difference on a kept row reads first
-    differences on the neighbouring rows, which read samples at most 2 rows
-    away, so on the kept rows every stencil of ``slab`` equals the
-    whole-grid stencil bit for bit: the one-sided edge formulas that the
-    slab applies at its halo rows never reach a kept row, and at the true
-    array edges they are the whole grid's.
+    Yields (r0, r1, e, hw, gp, m) per block of rows r0:r1: e(u) + grad w (x)
+    grad w / 2 - grad p (x) grad p / 2 and hess w - hess p (None unless
+    ``hessian``) as planes (11, 12, 22), the profile gradient gp (None
+    without ``grad_p``: it is zero, and so are its terms) and the eroded
+    domain mask, from the rows within 2.  Each block differences only its
+    own rows, and the slopes of w and p one row beyond, where the Hessian
+    reads them, with the whole-grid stencils' values bit for bit.  e and hw
+    are scratch planes allocated once per call; the caller may overwrite them.
     """
-    nx = field.shape[0]
+    nx, ny = field.shape
+    h, curved = field.h, shell.grad_p is not None
+    e, tmp = np.empty((3, _BLOCK_ROWS, ny)), np.empty((_BLOCK_ROWS, ny))
+    hw = np.empty((3, _BLOCK_ROWS, ny)) if hessian else None
+    hp = np.empty((3, _BLOCK_ROWS, ny)) if hessian and curved else None
+    wxb, wyb = np.empty((2, _BLOCK_ROWS + 2, ny))
+    u1, u2 = field.u[..., 0], field.u[..., 1]
     for r0 in range(0, nx, _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, nx)
-        lo, hi = max(r0 - 2, 0), min(r1 + 2, nx)
-        slab = DisplacementField(
-            origin=(field.origin[0] + lo * field.h, field.origin[1]), h=field.h,
-            u=field.u[lo:hi], w=field.w[lo:hi],
-            domain_mask=field.domain_mask[lo:hi], bulk_mask=field.bulk_mask[lo:hi],
-        )
-        yield slice(r0, r1), slice(lo, hi), slice(r0 - lo, r1 - lo), slab
+        # the grid's edge formulas read its first or last three rows
+        lo, hi = (max(min(r0 - 1, nx - 3), 0), min(max(r1 + 1, 3), nx)) if hessian else (r0, r1)
+        k = slice(r0 - lo, r1 - lo)
+        wx = _diff_rows(field.w, lo, hi, h, wxb[:hi - lo])
+        wy = _diff_cols(field.w[lo:hi], h, wyb[:hi - lo])
+        g = None
+        if curved:
+            g = shell.gradient(_centres(field, slice(lo, hi))).reshape(hi - lo, ny, 2)
+        eb, t = e[:, :r1 - r0], tmp[:r1 - r0]
+        _diff_rows(u1, r0, r1, h, eb[0])
+        eb[0] += np.multiply(np.square(wx[k], out=t), 0.5, out=t)
+        _diff_cols(u1[r0:r1], h, eb[1])
+        eb[1] += _diff_rows(u2, r0, r1, h, t)
+        eb[1] *= 0.5
+        eb[1] += np.multiply(np.multiply(wx[k], 0.5, out=t), wy[k], out=t)
+        _diff_cols(u2[r0:r1], h, eb[2])
+        eb[2] += np.multiply(np.square(wy[k], out=t), 0.5, out=t)
+        if curved:
+            eb[0] -= 0.5 * g[k][..., 0] ** 2
+            eb[1] -= 0.5 * g[k][..., 0] * g[k][..., 1]
+            eb[2] -= 0.5 * g[k][..., 1] ** 2
+        hb = _second_diffs(wx, wy, k, h, hw[:, :r1 - r0], t) if hessian else None
+        if hessian and curved:
+            # reference profile curvature by differencing its gradient samples
+            hb -= _second_diffs(g[..., 0], g[..., 1], k, h, hp[:, :r1 - r0], t)
+        m0 = max(r0 - 2, 0)
+        m = _eroded(field.domain_mask[m0:r1 + 2])[r0 - m0:r1 - m0]
+        yield r0, r1, eb, hb, (g[k] if curved else None), m
 
 
 def _centres(field: DisplacementField, rows: slice):
-    """Cell centres of grid rows ``rows`` as an (n, ny, 2) array, the values
-    ``field.points()`` gives for those rows."""
+    """Cell centres of grid rows ``rows``, row after row as an (n ny, 2)
+    array: the values ``field.points()`` gives for those rows."""
     xs = field.origin[0] + (np.arange(rows.start, rows.stop) + 0.5) * field.h
     ys = field.origin[1] + (np.arange(field.shape[1]) + 0.5) * field.h
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    return np.stack([X, Y], axis=-1)
-
-
-def _grad_p(shell: ShellProfile, centres):
-    return shell.gradient(centres.reshape(-1, 2)).reshape(centres.shape)
-
-
-def _first_diffs(slab: DisplacementField, keep: slice):
-    """The slab's six first differences, each taken once: (u1)_x, (u1)_y,
-    (u2)_x and (u2)_y on the kept rows, and w_x, w_y on the whole slab,
-    where the second differences of ``_hessian`` read them."""
-    u1, u2 = slab.u[..., 0], slab.u[..., 1]
-    return (
-        slab._d(u1, 0)[keep], slab._d(u1[keep], 1), slab._d(u2, 0)[keep],
-        slab._d(u2[keep], 1), slab._d(slab.w, 0), slab._d(slab.w, 1),
-    )
-
-
-def _strain_into(out, diffs, keep: slice, gp):
-    """Write e(u) + grad w (x) grad w / 2 - grad p (x) grad p / 2 on the kept
-    rows into the components out[0], out[1], out[2] (11, 12, 22).  diffs
-    come from ``_first_diffs``; gp is the profile gradient on the kept rows,
-    or None when it is identically zero, which leaves the sums unchanged."""
-    u1_1, u1_2, u2_1, u2_2, wx, wy = diffs
-    wx, wy = wx[keep], wy[keep]
-    out[0][...] = u1_1 + 0.5 * wx**2
-    out[1][...] = 0.5 * (u1_2 + u2_1) + 0.5 * wx * wy
-    out[2][...] = u2_2 + 0.5 * wy**2
-    if gp is not None:
-        out[0] -= 0.5 * gp[..., 0] ** 2
-        out[1] -= 0.5 * gp[..., 0] * gp[..., 1]
-        out[2] -= 0.5 * gp[..., 1] ** 2
-
-
-def _hessian(slab: DisplacementField, fx, fy, keep: slice):
-    """Second differences (11, 12, 22) on the kept rows of a field whose
-    first differences over the whole slab are fx, fy."""
-    return (
-        slab._d(fx, 0)[keep],
-        0.5 * (slab._d(fx[keep], 1) + slab._d(fy, 0)[keep]),
-        slab._d(fy[keep], 1),
-    )
+    return np.stack([X.ravel(), Y.ravel()], axis=1)
 
 
 def _check_profile(shell: ShellProfile):
@@ -152,30 +175,34 @@ def _check_profile(shell: ShellProfile):
 
 
 def strain(field: DisplacementField, shell: ShellProfile) -> StrainField:
-    """Geometrically linear strain by centered differences.
+    """Geometrically linear strain by centered differences, block by block
+    (see ``_stencil_rows``), so no whole-grid derivative array is built.
 
-    The stencils are evaluated in blocks of grid rows with a 2-row halo
-    (see ``_row_blocks``), so no whole-grid derivative array is built; each
-    value equals the whole-grid stencil's bit for bit.  Per block the six
-    first differences of u and w are taken once and the strain is written
-    straight into ε; a profile without ``grad_p`` adds no gradient term.
+    ε is stored as planes (3, nx, ny) and returned as their (nx, ny, 3) view
+    (11, 12, 22).  It and the eroded mask equal the whole-grid stencils'
+    (``np.gradient``, ``edge_order=2``) bit for bit.
     """
     _check_profile(shell)
-    eps = np.empty(field.shape + (3,))
-    for rows, _, keep, slab in _row_blocks(field):
-        gp = None if shell.grad_p is None else _grad_p(shell, _centres(field, rows))
-        _strain_into(np.moveaxis(eps[rows], -1, 0), _first_diffs(slab, keep), keep, gp)
-    return StrainField(eps=eps, mask=_eroded(field.domain_mask), h=field.h)
+    planes = np.empty((3,) + field.shape)
+    mask = np.empty(field.shape, dtype=bool)
+    for r0, r1, e, _, _, m in _stencil_rows(field, shell, hessian=False):
+        planes[:, r0:r1], mask[r0:r1] = e, m
+    return StrainField(eps=np.moveaxis(planes, 0, -1), mask=mask, h=field.h)
 
 
 def _frob2_sym(comp):
     """|A|_F^2 for symmetric matrices stored as (..., 3) = (11, 12, 22)."""
-    return _frob2(comp[..., 0], comp[..., 1], comp[..., 2])
+    return _frob2(np.moveaxis(comp, -1, 0).copy())
 
 
-def _frob2(a11, a12, a22):
-    """|A|_F^2 of the symmetric matrices with components a11, a12, a22."""
-    return a11**2 + 2.0 * a12**2 + a22**2
+def _frob2(planes):
+    """a11^2 + 2 a12^2 + a22^2 of the component planes (11, 12, 22), in
+    place: written over planes[0], and planes[1], planes[2] are overwritten."""
+    a11, a12, a22 = planes
+    a11 *= a11
+    a11 += np.multiply(np.square(a12, out=a12), 2.0, out=a12)
+    a11 += np.square(a22, out=a22)
+    return a11
 
 
 def _boundary_flux(field: DisplacementField, domain: Domain, n_samples=2048):
@@ -234,62 +261,39 @@ def energy(field: DisplacementField, shell: ShellProfile, params: EnergyParams,
     the pattern is built to annihilate); otherwise it uses the shell profile.
     The surface term (gamma > 0) needs ``domain`` for its boundary flux.
 
-    The stencils are evaluated in blocks of grid rows with a 2-row halo
-    (see ``_row_blocks``), which reproduces every whole-grid stencil value
-    bit for bit, and each quadrature sum is added up block by block: no
-    whole-grid strain, Hessian or target array is built, and only the
-    summation order differs from one sum over the whole grid.  Per block
-    the six first differences of u and w are taken once, and the Hessian of
-    w is differenced from that w_x and w_y.  Cell centres are built only
-    for what reads them: the profile gradient of a shell with ``grad_p``
-    (without it the gradient is zero, and so is the slope term), and a
-    target that varies in space; a constant target is subtracted as three
-    scalars.
+    The stencils run block by block (see ``_stencil_rows``), and each sum,
+    the covered count of ``renormalize`` included, is added up block by
+    block: no whole-grid array is built, and only the summation order
+    differs from whole-grid sums.  A constant target is subtracted as three
+    scalars, a varying one evaluated on each block's cell centres.
     """
     if field.params is not None and field.h > field.params.l_wr / 16 + 1e-15:
         raise ResolutionError("grid does not resolve the finest field scale")
     if params.gamma > 0 and domain is None:
         raise ParameterError("the surface term (gamma > 0) needs the domain")
-    mask = _eroded(field.domain_mask) if region is None else (region & _eroded(field.domain_mask))
-    area_factor = 1.0
-    if renormalize:
-        covered = float(mask.sum())
-        total = float(field.domain_mask.sum())
-        if covered > 0:
-            area_factor = total / covered
-    cell = field.h**2
-
     _check_profile(shell)
-    curved = shell.grad_p is not None
     stretching = bending = substrate = slope = 0.0
-    eps = np.empty((3, _BLOCK_ROWS) + field.shape[1:])
-    for rows, halo, keep, slab in _row_blocks(field):
-        m = mask[rows]
-        e = eps[:, : rows.stop - rows.start]
-        diffs = _first_diffs(slab, keep)
-        gp_halo = _grad_p(shell, _centres(field, halo)) if curved else None
-        gp = gp_halo[keep] if curved else None
-        _strain_into(e, diffs, keep, gp)
+    covered = 0
+    for r0, r1, e, hw, gp, m in _stencil_rows(field, shell, hessian=True):
         if target is not None:
-            if target.constant is not None:
-                mu_loc = target.constant
-            else:
-                mu_loc = target.matrix_at(_centres(field, rows).reshape(-1, 2))
-                mu_loc = mu_loc.reshape(e.shape[1:] + (2, 2))
-            e[0] -= 0.5 * mu_loc[..., 0, 0]
-            e[1] -= 0.5 * mu_loc[..., 0, 1]
-            e[2] -= 0.5 * mu_loc[..., 1, 1]
-        stretching += np.sum(_frob2(*e)[m])
-
-        hw = _hessian(slab, diffs[4], diffs[5], keep)
-        if curved:
-            # reference profile curvature by differencing its gradient samples
-            hp = _hessian(slab, gp_halo[..., 0], gp_halo[..., 1], keep)
-            hw = [a - b for a, b in zip(hw, hp)]
-        bending += np.sum(_frob2(*hw)[m])
-        substrate += np.sum(field.w[rows][m] ** 2)
-        if params.gamma > 0 and curved:
-            slope += np.sum(np.sum(gp**2, axis=-1)[field.domain_mask[rows]])
+            mu = target.constant
+            if mu is None:
+                mu = target.matrix_at(_centres(field, slice(r0, r1))).reshape(e.shape[1:] + (2, 2))
+            e[0] -= 0.5 * mu[..., 0, 0]
+            e[1] -= 0.5 * mu[..., 0, 1]
+            e[2] -= 0.5 * mu[..., 1, 1]
+        if region is not None:
+            m &= region[r0:r1]
+        covered += int(np.count_nonzero(m))
+        stretching += np.sum(_frob2(e)[m])
+        bending += np.sum(_frob2(hw)[m])
+        substrate += np.sum(field.w[r0:r1][m] ** 2)
+        if params.gamma > 0 and gp is not None:
+            slope += np.sum(np.sum(gp**2, axis=-1)[field.domain_mask[r0:r1]])
+    area_factor = 1.0
+    if renormalize and covered > 0:
+        area_factor = float(field.domain_mask.sum()) / covered
+    cell = field.h**2
     stretching = 0.5 * float(stretching) * cell * area_factor
     bending = 0.5 * params.b * float(bending) * cell * area_factor
     substrate = 0.5 * params.k * float(substrate) * cell * area_factor

@@ -25,7 +25,7 @@ from .errors import DomainError, ParameterError, UnsupportedShapeError
 from .grids import _clip
 
 CORNER_DELTA_FACTOR = 1e-3  # check_admissible skips samples within 1e-3 diam of a corner
-_FOOT_MAX_STEPS = 100  # guard on the ellipse foot Newton iteration (~12 taken)
+_FOOT_MAX_STEPS = 100  # guard on the ellipse Newton iterations (foot ~12, arclength 2-4)
 
 
 def rot90(v):
@@ -386,13 +386,26 @@ class Ellipse(Domain):
         m = 1.0 - (self.b / self.a) ** 2
         return float(4.0 * self.a * ellipe(m))
 
+    def _arclength(self, phi):
+        """Arclength from (a, 0) to (a cos phi, b sin phi), counterclockwise:
+        a (E(m) - E(pi/2 - phi | m)) with m = 1 - b^2/a^2."""
+        from scipy.special import ellipe, ellipeinc
+
+        m = 1.0 - (self.b / self.a) ** 2
+        return self.a * (ellipe(m) - ellipeinc(0.5 * np.pi - phi, m))
+
     def _boundary_curve(self, n):
-        # equal steps in the arclength of a 16,384-chord inscribed polygon
-        phi_tab = np.linspace(0.0, 2 * np.pi, 16384 + 1)
-        tab = np.stack([self.a * np.cos(phi_tab), self.b * np.sin(phi_tab)], axis=1)
-        s_tab = np.concatenate([[0.0], np.cumsum(np.hypot(*np.diff(tab, axis=0).T))])
-        targets = s_tab[-1] * np.arange(n) / n
-        phi = np.interp(targets, s_tab, phi_tab)
+        # phi solves s(phi) = target by Newton from the inverse interpolation
+        # of s at 257 angles; after a step below 1e-8 the next is rounding
+        targets = self.perimeter() * np.arange(n) / n
+        nodes = np.linspace(0.0, 2 * np.pi, 257)
+        phi = np.interp(targets, self._arclength(nodes), nodes)
+        for _ in range(_FOOT_MAX_STEPS):
+            step = (self._arclength(phi) - targets) / np.hypot(
+                self.a * np.sin(phi), self.b * np.cos(phi))
+            phi -= step
+            if np.abs(step).max() < 1e-8:
+                break
         pos = np.stack([self.a * np.cos(phi), self.b * np.sin(phi)], axis=1)
         return pos, targets, np.zeros(n, dtype=bool)
 

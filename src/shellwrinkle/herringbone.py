@@ -23,7 +23,7 @@ from .errors import ParameterError, RegimeError
 from .geometry import Domain, Rectangle
 
 GRID_PER_WAVELENGTH = 32  # default h = l_wr / 32
-_BLOCK_ROWS = 64  # grid rows per block when sampling and differencing fields
+_BLOCK_ROWS = 16  # grid rows per block when sampling and differencing fields
 
 
 # ----------------------------------------------------------------------
@@ -37,7 +37,8 @@ def profile_A(t, lambda1, lambda2):
     if lambda1 < 0 or lambda2 <= 0:
         raise ParameterError("profile_A needs lambda2 > 0 and lambda1 >= 0")
     theta = lambda1 / (lambda1 + lambda2)
-    tt = np.mod(np.asarray(t, dtype=float), 1.0)
+    tt = np.asarray(t, dtype=float)
+    tt = tt - np.floor(tt)  # t mod 1, bit for bit as np.mod(t, 1.0)
     up = 0.5 * lambda2 * tt
     down = 0.5 * lambda2 * theta - 0.5 * lambda1 * (tt - theta)
     return np.where(tt < theta, up, down)
@@ -45,7 +46,8 @@ def profile_A(t, lambda1, lambda2):
 
 def profile_A_prime(t, lambda1, lambda2):
     theta = lambda1 / (lambda1 + lambda2)
-    tt = np.mod(np.asarray(t, dtype=float), 1.0)
+    tt = np.asarray(t, dtype=float)
+    tt = tt - np.floor(tt)
     return np.where(tt < theta, 0.5 * lambda2, -0.5 * lambda1)
 
 
@@ -195,7 +197,10 @@ def optimal_params(b, k, mu: TargetDefect, sample_pts=None) -> HerringboneParams
 def smoothstep(u):
     """Quintic smoothstep on [0, 1] (C^2: s'' vanishes at both ends)."""
     u = np.clip(u, 0.0, 1.0)
-    return u**3 * (10.0 - 15.0 * u + 6.0 * u**2)
+    # u**3 only strictly inside (0, 1): pow(0, 3) is slow in libm, and it
+    # is 0 (pow(1, 3) is 1), the value the copy already holds
+    u3 = np.power(u, 3, out=u.copy(), where=(u > 0.0) & (u < 1.0))
+    return u3 * (10.0 - 15.0 * u + 6.0 * u**2)
 
 
 def smoothstep_d1(u):
@@ -220,6 +225,11 @@ def _ramp_slopes(u, lo, hi):
     """First and second derivatives of ``ramp`` at argument u."""
     width = hi - lo
     return smoothstep_d1(u) / width, smoothstep_d2(u) / width**2
+
+
+def _stack(comps):
+    """The (n, 2, 2) array whose [:, i, j] is the per-point vector comps[i][j]."""
+    return np.ascontiguousarray(np.moveaxis(np.array(comps), -1, 0))
 
 
 def ramp(d, lo, hi):
@@ -302,17 +312,6 @@ class HerringboneField:
         arg = _ramp_arg(band[1], 0.5 * self.d_int, self.d_int)
         return arg, smoothstep(arg)
 
-    def _cutoff_derivs(self, arg, band):
-        """(grad chi, hess chi) from ``self._cutoff(band)[0]``, with ``band =
-        self._band(x, sign=True)``."""
-        n = len(band[1])
-        if self.rank_one:
-            return np.zeros((n, 2)), np.zeros((n, 2, 2))
-        d1, d2 = _ramp_slopes(arg, 0.5 * self.d_int, self.d_int)
-        grad = (d1 * band[2])[:, None] * self.mdir[None, :]
-        hess = (d2)[:, None, None] * np.einsum("i,j->ij", self.mdir, self.mdir)[None, :, :]
-        return grad, hess
-
     def _shear(self, x):
         """Shear displacement v_sh at x: (profile argument, v_sh (n,2)); the
         argument is None for rank-one targets, which carry no shear."""
@@ -322,33 +321,12 @@ class HerringboneField:
         Aval = profile_A(arg, self.lam1, self.lam2)
         return arg, np.sqrt(2.0) * self.l_sh * Aval[:, None] * (self.eta2 + self.eta1)[None, :]
 
-    def _shear_grad(self, arg, n):
-        """grad v_sh (n,2,2) from ``self._shear(x)[0]``."""
-        if self.rank_one:
-            return np.zeros((n, 2, 2))
-        Ader = profile_A_prime(arg, self.lam1, self.lam2)
-        return Ader[:, None, None] * np.einsum(
-            "i,j->ij", self.eta2 + self.eta1, (self.eta2 - self.eta1) / np.sqrt(2.0)
-        )[None, :, :] * np.sqrt(2.0)
-
     def _wrinkle(self, x, eta):
         """Wrinkle before cutoffs at x, with eta from ``self._band(x)``:
         (phase t, cos t, v_wr, w_wr)."""
         t = (x[:, 0] * eta[:, 0] + x[:, 1] * eta[:, 1]) / self.l_wr
         ct = np.cos(t)
         return t, ct, self.amp_v * profile_V(t)[:, None] * eta, self.amp_w * np.sqrt(2.0) * ct
-
-    def _wrinkle_derivs(self, t, ct, eta):
-        """(grad v_wr, grad w_wr, hess w_wr) from ``self._wrinkle(x, eta)``.
-
-        eta is constant within each band so derivatives are taken at fixed
-        eta; the cutoff removes the bands' jump set from the support.
-        """
-        eta_eta = np.einsum("ni,nj->nij", eta, eta)
-        grad_w = (-self.amp_w * np.sqrt(2.0) * np.sin(t) / self.l_wr)[:, None] * eta
-        hess_w = (-self.amp_w * np.sqrt(2.0) * ct / self.l_wr**2)[:, None, None] * eta_eta
-        grad_v = self.amp_v * (np.cos(2.0 * t) / self.l_wr)[:, None, None] * eta_eta
-        return grad_v, grad_w, hess_w
 
     # -- assembled fields -------------------------------------------------
     def _values(self, x, band):
@@ -369,30 +347,47 @@ class HerringboneField:
         v, w, bulk = self._values(x, self._band(x))[0]
         return {"v": v, "w": w, "bulk": bulk}
 
+    def _fields(self, x):
+        """v, w, bulk and chi at x, and grad v, grad w, hess w as lists of
+        per-point components ([i], [i][j]).  grad w_wr = g eta, hess w_wr =
+        c eta (x) eta and grad v_wr = s eta (x) eta (eta is constant in each
+        band; the cutoff removes the bands' jump set from the support), grad
+        v_sh = A' (eta2 + eta1) (x) (eta2 - eta1), grad chi = chi' mdir and
+        hess chi = chi'' mdir (x) mdir; rank-one targets have no v_sh, chi."""
+        band = self._band(x, sign=True)
+        (v, w, bulk), (chi_arg, chi, sh_arg, t, ct, v_wr, w_wr) = self._values(x, band)
+        eta = [band[0][:, 0], band[0][:, 1]]
+        g = -self.amp_w * np.sqrt(2.0) * np.sin(t) / self.l_wr
+        c = -self.amp_w * np.sqrt(2.0) * ct / self.l_wr**2
+        s = self.amp_v * (np.cos(2.0 * t) / self.l_wr)
+        gw_wr = [g * eta[0], g * eta[1]]
+        grad_w = [gw_wr[0] * chi, gw_wr[1] * chi]
+        grad_v = [[s * (eta[i] * eta[j]) * chi for j in range(2)] for i in range(2)]
+        hess_w = [[c * (eta[i] * eta[j]) * chi for j in range(2)] for i in range(2)]
+        if self.rank_one:
+            return v, w, bulk, chi, grad_v, grad_w, hess_w
+        d1, d2 = _ramp_slopes(chi_arg, 0.5 * self.d_int, self.d_int)
+        d1 = d1 * band[2]
+        gchi = [d1 * self.mdir[0], d1 * self.mdir[1]]
+        a_der = profile_A_prime(sh_arg, self.lam1, self.lam2)
+        e_sum, e_dif = self.eta2 + self.eta1, (self.eta2 - self.eta1) / np.sqrt(2.0)
+        for i in range(2):
+            grad_w[i] += w_wr * gchi[i]
+            for j in range(2):
+                grad_v[i][j] += a_der * (e_sum[i] * e_dif[j]) * np.sqrt(2.0)
+                grad_v[i][j] += v_wr[:, i] * gchi[j]
+                hess_w[i][j] += gw_wr[i] * gchi[j]
+                hess_w[i][j] += gchi[i] * gw_wr[j]
+                hess_w[i][j] += w_wr * (d2 * (self.mdir[i] * self.mdir[j]))
+        return v, w, bulk, chi, grad_v, grad_w, hess_w
+
     def evaluate(self, x):
         """All assembled fields at points x: dict with v, grad_v, w, grad_w,
         hess_w, chi (internal cutoff), wall mask."""
-        x = np.atleast_2d(x)
-        band = self._band(x, sign=True)
-        (v, w, bulk), (chi_arg, chi, sh_arg, t, ct, v_wr, w_wr) = self._values(x, band)
-        gchi, hchi = self._cutoff_derivs(chi_arg, band)
-        g_sh = self._shear_grad(sh_arg, len(x))
-        g_wr, gw_wr, hw_wr = self._wrinkle_derivs(t, ct, band[0])
-        grad_v = (
-            g_sh
-            + g_wr * chi[:, None, None]
-            + np.einsum("ni,nj->nij", v_wr, gchi)
-        )
-        grad_w = gw_wr * chi[:, None] + w_wr[:, None] * gchi
-        hess_w = (
-            hw_wr * chi[:, None, None]
-            + np.einsum("ni,nj->nij", gw_wr, gchi)
-            + np.einsum("ni,nj->nij", gchi, gw_wr)
-            + w_wr[:, None, None] * hchi
-        )
+        v, w, bulk, chi, grad_v, grad_w, hess_w = self._fields(np.atleast_2d(x))
         return {
-            "v": v, "grad_v": grad_v, "w": w, "grad_w": grad_w,
-            "hess_w": hess_w, "chi_int": chi, "bulk": bulk,
+            "v": v, "grad_v": _stack(grad_v), "w": w, "grad_w": np.stack(grad_w, axis=1),
+            "hess_w": _stack(hess_w), "chi_int": chi, "bulk": bulk,
         }
 
     def strain_deviation(self, x):
@@ -421,7 +416,10 @@ def _eroded(mask, cells=2):
 class DisplacementField:
     """Sampled displacements on a square-cell grid with derivative stencils.
 
-    The grid must resolve the wrinkles: h <= l_wr / 16.
+    u is (nx, ny, 2) and w (nx, ny), row i and column j at the cell centre
+    origin + ((i, j) + 1/2) h.  The samplers store u as C-contiguous planes
+    (2, nx, ny) and hand out their ``np.moveaxis`` view; any (nx, ny, 2)
+    array works as well.  The grid must resolve the wrinkles: h <= l_wr / 16.
     """
 
     origin: tuple
@@ -449,17 +447,8 @@ class DisplacementField:
         return X, Y
 
     def _d(self, arr, axis):
-        """Centered first difference, one-sided at the array edges: the
-        formulas of ``np.gradient(arr, h, axis=axis, edge_order=2)``, bit
-        for bit, written straight into the result."""
-        h = self.h
-        out = np.empty(np.shape(arr))
-        f, d = np.moveaxis(arr, axis, 0), np.moveaxis(out, axis, 0)
-        np.subtract(f[2:], f[:-2], out=d[1:-1])
-        d[1:-1] /= 2.0 * h
-        d[0] = -1.5 / h * f[0] + 2.0 / h * f[1] + -0.5 / h * f[2]
-        d[-1] = 0.5 / h * f[-3] + -2.0 / h * f[-2] + 1.5 / h * f[-1]
-        return out
+        """Centered first difference, one-sided at the array edges."""
+        return np.gradient(arr, self.h, axis=axis, edge_order=2)
 
     def grad_w(self):
         return np.stack([self._d(self.w, 0), self._d(self.w, 1)], axis=-1)
@@ -497,25 +486,24 @@ def _square_bounds(square):
 
 
 def _sample_rows(evaluator, lo, h, nx, ny):
-    """Sample v, w and bulk on the cell-centered grid, in row blocks,
-    through ``evaluator.values``: only those three fields are computed, no
-    derivative field (the stencils difference the samples instead)."""
-    store = {
-        "v": np.empty((nx, ny, 2)),
-        "w": np.empty((nx, ny)),
-        "bulk": np.empty((nx, ny), dtype=bool),
-    }
-    ys = lo[1] + (np.arange(ny) + 0.5) * h
+    """Sample v, w and bulk on the cell-centered grid through
+    ``evaluator.values`` (no derivative field), in blocks of ``_BLOCK_ROWS``
+    rows whose points fill one reused buffer.  v is stored as planes
+    (2, nx, ny) and returned as their (nx, ny, 2) view."""
+    v = np.empty((2, nx, ny))
+    w = np.empty((nx, ny))
+    bulk = np.empty((nx, ny), dtype=bool)
+    pts = np.empty((_BLOCK_ROWS, ny, 2))
+    pts[..., 1] = lo[1] + (np.arange(ny) + 0.5) * h
     for r0 in range(0, nx, _BLOCK_ROWS):
         r1 = min(r0 + _BLOCK_ROWS, nx)
-        xs = lo[0] + (np.arange(r0, r1) + 0.5) * h
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-        out = evaluator.values(pts)
-        store["v"][r0:r1] = out["v"].reshape(r1 - r0, ny, 2)
-        store["w"][r0:r1] = out["w"].reshape(r1 - r0, ny)
-        store["bulk"][r0:r1] = out["bulk"].reshape(r1 - r0, ny)
-    return store
+        block = pts[: r1 - r0]
+        block[..., 0] = (lo[0] + (np.arange(r0, r1) + 0.5) * h)[:, None]
+        out = evaluator.values(block.reshape(-1, 2))
+        v[:, r0:r1] = np.moveaxis(out["v"].reshape(r1 - r0, ny, 2), -1, 0)
+        w[r0:r1] = out["w"].reshape(r1 - r0, ny)
+        bulk[r0:r1] = out["bulk"].reshape(r1 - r0, ny)
+    return np.moveaxis(v, 0, -1), w, bulk
 
 
 def herringbone(square, mu, params: HerringboneParams, h=None) -> DisplacementField:
@@ -526,11 +514,11 @@ def herringbone(square, mu, params: HerringboneParams, h=None) -> DisplacementFi
     lo, hi = _square_bounds(square)
     field_ = HerringboneField(target.constant, params, single=True)
     h, nx, ny = _grid_for(lo, hi, params.l_wr, h)
-    store = _sample_rows(field_, lo, h, nx, ny)
+    u, w, bulk = _sample_rows(field_, lo, h, nx, ny)
     return DisplacementField(
-        origin=lo, h=h, u=store["v"], w=store["w"],
+        origin=lo, h=h, u=u, w=w,
         domain_mask=np.ones((nx, ny), dtype=bool),
-        bulk_mask=store["bulk"], params=params, analytic=field_,
+        bulk_mask=bulk, params=params, analytic=field_,
     )
 
 
@@ -552,7 +540,6 @@ class PiecewiseHerringboneField:
         i0, i1 = int(np.floor(x0 / self.l_avg)), int(np.ceil(x1 / self.l_avg))
         j0, j1 = int(np.floor(y0 / self.l_avg)), int(np.ceil(y1 / self.l_avg))
         self.i0, self.j0 = i0, j0
-        self.ncols = i1 - i0
         self.nrows = j1 - j0
         self.cells = {}
         offs = (np.arange(avg_samples) + 0.5) / avg_samples
@@ -588,18 +575,17 @@ class PiecewiseHerringboneField:
         return args, vals, vals[:, 0] * vals[:, 1]
 
     def chi_ext(self, x, origin):
-        """Separable edge cutoff on the square at `origin` (value, grad, hess
-        as (n,), (n,2), (n,2,2))."""
+        """Separable edge cutoff on the square at `origin`: its value (n,),
+        and its gradient and Hessian as lists of per-point components ([i]
+        and [i][j])."""
         d_ext = self.params.delta_ext
         args, vals, chi = self._edge_cutoff(x, origin)
         d1s, d2s = _ramp_slopes(args, 0.5 * d_ext, d_ext)
         t = x - origin
         d1s = d1s * np.where(t < self.l_avg - t, 1.0, -1.0)
-        grad = np.stack([d1s[:, 0] * vals[:, 1], vals[:, 0] * d1s[:, 1]], axis=1)
-        hess = np.empty((len(chi), 2, 2))
-        hess[:, 0, 0] = d2s[:, 0] * vals[:, 1]
-        hess[:, 1, 1] = vals[:, 0] * d2s[:, 1]
-        hess[:, 0, 1] = hess[:, 1, 0] = d1s[:, 0] * d1s[:, 1]
+        grad = [d1s[:, 0] * vals[:, 1], vals[:, 0] * d1s[:, 1]]
+        mixed = d1s[:, 0] * d1s[:, 1]
+        hess = [[d2s[:, 0] * vals[:, 1], mixed], [mixed, vals[:, 0] * d2s[:, 1]]]
         return chi, grad, hess
 
     def cell_of(self, x):
@@ -655,19 +641,15 @@ class PiecewiseHerringboneField:
         }
         for idx, cell in self._squares(x):
             pts = x[idx]
-            f = cell["field"].evaluate(pts)
+            v, w, bulk, _, gv, gw, hw = cell["field"]._fields(pts)
             chi, gchi, hchi = self.chi_ext(pts, cell["origin"])
-            self._glue(out, idx, f, chi)
-            out["grad_v"][idx] = f["grad_v"] * chi[:, None, None] + np.einsum(
-                "ni,nj->nij", f["v"], gchi
-            )
-            out["grad_w"][idx] = f["grad_w"] * chi[:, None] + f["w"][:, None] * gchi
-            out["hess_w"][idx] = (
-                f["hess_w"] * chi[:, None, None]
-                + np.einsum("ni,nj->nij", f["grad_w"], gchi)
-                + np.einsum("ni,nj->nij", gchi, f["grad_w"])
-                + f["w"][:, None, None] * hchi
-            )
+            self._glue(out, idx, {"v": v, "w": w, "bulk": bulk}, chi)
+            out["grad_v"][idx] = _stack(
+                [[gv[i][j] * chi + v[:, i] * gchi[j] for j in range(2)] for i in range(2)])
+            out["grad_w"][idx] = np.stack([gw[i] * chi + w * gchi[i] for i in range(2)], axis=1)
+            out["hess_w"][idx] = _stack(
+                [[hw[i][j] * chi + gw[i] * gchi[j] + gchi[i] * gw[j] + w * hchi[i][j]
+                  for j in range(2)] for i in range(2)])
             out["mu_local"][idx] = cell["mu"]
             out["chi_ext"][idx] = chi
         return out
@@ -689,18 +671,17 @@ def piecewise_herringbone(domain: Domain, mu, params: HerringboneParams,
     assembly = PiecewiseHerringboneField(domain, target, params)
     (x0, y0), (x1, y1) = domain.bbox()
     h, nx, ny = _grid_for((x0, y0), (x1, y1), params.l_wr, h)
-    store = _sample_rows(assembly, (x0, y0), h, nx, ny)
+    u, w, bulk = _sample_rows(assembly, (x0, y0), h, nx, ny)
     xs = x0 + (np.arange(nx) + 0.5) * h
     ys = y0 + (np.arange(ny) + 0.5) * h
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel()], axis=1)
     inside = np.atleast_1d(domain.contains(pts)).reshape(nx, ny)
-    u, w = store["v"], store["w"]
     u[~inside] = 0.0
     w[~inside] = 0.0
     return DisplacementField(
         origin=(x0, y0), h=h, u=u, w=w,
         domain_mask=inside,
-        bulk_mask=store["bulk"] & inside,
+        bulk_mask=bulk & inside,
         params=params, analytic=assembly,
     )

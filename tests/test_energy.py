@@ -3,11 +3,13 @@ convergence, duality gaps, interpolation margins, and the scaling fit."""
 
 import json
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
 from shellwrinkle import cli
+from shellwrinkle import energy as energy_module
 from shellwrinkle.energy import (
     AnalyticScalarField,
     EnergyParams,
@@ -27,6 +29,7 @@ from shellwrinkle.grids import MaskedGrid
 from shellwrinkle.herringbone import (
     DisplacementField,
     TargetDefect,
+    _BLOCK_ROWS,
     herringbone,
     optimal_params,
     piecewise_herringbone,
@@ -242,6 +245,15 @@ class TestBoundaryFlux:
                 for n in (100, 200, 400)]
         assert np.log2(errs[0] / errs[2]) / 2 >= 1.9, errs
 
+    def test_ellipse_linear_field_at_rounding(self):
+        # u = x is exact on the grid, and the samples sit at equal steps of
+        # the exact arclength, so the periodic trapezoid rule errs only by
+        # rounding
+        dom = Ellipse(2.0, 1.0)
+        fld = _field_over(dom, 200, lambda p: p.copy())
+        errs = [abs(_boundary_flux(fld, dom, n) - 2 * dom.area()) for n in (512, 2048, 8192)]
+        assert max(errs) < 1e-12, errs
+
     def test_half_disc_second_order_in_the_samples(self):
         # u = x is exact on the grid, so only the boundary rule errs: both
         # corners are samples and each corner panel takes its chord's normal,
@@ -361,9 +373,21 @@ _ID_PARAMS = optimal_params(1e-8, 1.0, TargetDefect(np.eye(2)))
 _MU = np.array([[1.0, 0.05], [0.05, 0.9]])
 
 
-def _odd_rows_case():
-    # 352 rows: five full blocks and a half block
-    fld = herringbone(((0.0, 0.0), 0.11), np.eye(2), _ID_PARAMS)
+def _rows_case(nx, layout):
+    """A field of nx rows: interleaved u from ``grid_field`` (a smooth field
+    on a curved-slope shell against a varying target), or planar u from
+    ``herringbone`` (against mu = I, and restricted to its bulk and
+    renormalized when it spans more than one block)."""
+    if layout == "interleaved":
+        fld = grid_field((0.0, 0.0), 0.01, nx, 24, _smooth_u, _smooth_w)
+        return fld, _curved_slope_shell(), EnergyParams(b=0.3, k=2.0), dict(
+            target=TargetDefect(_target_field))
+    h = _ID_PARAMS.l_wr / 32
+    # off the wall through the origin, so w is nonzero on the smallest grid
+    fld = herringbone(((0.01, 0.03), nx * h), np.eye(2), _ID_PARAMS, h=h)
+    assert fld.shape == (nx, nx)
+    if nx < _BLOCK_ROWS:
+        return fld, FLAT, EnergyParams(b=1e-8, k=1.0), {}
     return fld, FLAT, EnergyParams(b=1e-8, k=1.0), dict(
         region=fld.stencil_bulk_mask(), renormalize=True, target=TargetDefect(np.eye(2)))
 
@@ -381,12 +405,18 @@ def _smooth_case(shell, params, **kw):
     return make_field(rect, 0.01, _smooth_u, _smooth_w), shell, params, dict(domain=rect, **kw)
 
 
+# row counts against the block size: the one-sided edge formulas of a last
+# block of 1 or 2 rows read rows of the block before it
+_ROW_COUNTS = {
+    "last-block-of-1-row": 3 * _BLOCK_ROWS + 1,
+    "last-block-of-2-rows": 3 * _BLOCK_ROWS + 2,
+    "fewer-rows-than-a-block": _BLOCK_ROWS - 1,
+}
+
 # each builds (field, shell, params, energy keywords)
 _BLOCK_CASES = {
-    "rows-not-multiple-of-64": _odd_rows_case,
-    "fewer-than-64-rows": lambda: (
-        herringbone(((0.0, 0.0), 0.015), np.eye(2), _ID_PARAMS), FLAT,
-        EnergyParams(b=1e-8, k=1.0), {}),
+    **{f"{rows}-{layout}": partial(_rows_case, n, layout)
+       for rows, n in _ROW_COUNTS.items() for layout in ("interleaved", "planar")},
     "piecewise-on-disc": _disc_case,
     "slope-shell-gamma": lambda: _smooth_case(
         _slope_shell(), EnergyParams(b=0.3, k=2.0, gamma=0.7)),
@@ -402,11 +432,22 @@ _BLOCK_CASES = {
 
 
 class TestRowBlocks:
-    """strain and energy walk the grid in row blocks with a 2-row halo."""
+    """strain and energy difference the grid in blocks of rows, each block
+    only on its own rows, with the values of the whole-grid stencils."""
 
     @pytest.mark.parametrize("name", list(_BLOCK_CASES))
     def test_blocks_equal_whole_grid_stencils(self, name):
-        fld, shell, ep, kw = _BLOCK_CASES[name]()
+        self._check_against_whole_grid(*_BLOCK_CASES[name]())
+
+    @pytest.mark.parametrize("layout", ["interleaved", "planar"])
+    def test_one_row_blocks(self, monkeypatch, layout):
+        # every block is one row, so one starts at row 1, whose neighbour
+        # row 0 takes the one-sided formula
+        monkeypatch.setattr(energy_module, "_BLOCK_ROWS", 1)
+        self._check_against_whole_grid(*_rows_case(7, layout))
+
+    @staticmethod
+    def _check_against_whole_grid(fld, shell, ep, kw):
         eps_ref, terms_ref = _whole_grid_reference(fld, shell, ep, **kw)
         st = strain(fld, shell)
         assert np.array_equal(st.eps, eps_ref)
@@ -415,6 +456,34 @@ class TestRowBlocks:
         terms = (br.stretching, br.bending, br.substrate, br.surface)
         assert terms == pytest.approx(terms_ref, rel=1e-12, abs=0.0)
         assert br.bending > 0 and br.substrate > 0
+
+    def test_fields_are_component_planes(self):
+        # u and eps are views of C-contiguous planes (2 or 3, nx, ny)
+        fld = herringbone(((0.0, 0.0), 0.015), np.eye(2), _ID_PARAMS)
+        disc = _disc_case()[0]
+        for f in (fld, disc):
+            assert f.u.shape == f.shape + (2,)
+            assert np.moveaxis(f.u, -1, 0).flags.c_contiguous
+        eps = strain(fld, FLAT).eps
+        assert eps.shape == fld.shape + (3,)
+        assert np.moveaxis(eps, -1, 0).flags.c_contiguous
+
+    def test_strain_memory_above_output_bounded_as_rows_grow(self):
+        # 8x the rows at fixed ny: beyond the returned eps and mask, strain
+        # holds scratch planes of one block, and no whole-grid array
+        h, ny = 1.0 / 256, 512
+        plane = _BLOCK_ROWS * ny * 8
+        above = []
+        for nx in (256, 2048):
+            fld = grid_field((0.0, 0.0), h, nx, ny, _smooth_u, _smooth_w)
+            tracemalloc.start()
+            try:
+                st = strain(fld, FLAT)
+                above.append(tracemalloc.get_traced_memory()[1] - st.eps.nbytes - st.mask.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert above[1] < 2.0 * above[0], above
+        assert max(above) < 16 * plane, (above, plane)
 
     def test_energy_memory_bounded_as_rows_grow(self):
         # 8x the rows at fixed ny: whole-grid stencils would grow the peak 8x
