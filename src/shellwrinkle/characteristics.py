@@ -252,7 +252,7 @@ def _frozen_k_fill(chart, k, s, u, L):
     center).  The error is O(L^3 Lip K), so it is exact on constant-K
     shells.
     """
-    lines = [chart.line_at(si) for si in s]
+    lines = chart.lines_at(s)
     rho0 = np.array([ln.rho0 for ln in lines])
     rho1 = np.array([ln.rho1 for ln in lines])
     u = np.clip(u, 0.0, L)

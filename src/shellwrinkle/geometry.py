@@ -51,6 +51,24 @@ def _unsingle(vals, single):
     return vals[0] if single else vals
 
 
+def _finite(shape, name, value, dims=()):
+    """``value`` as a float, or as an array of shape ``dims``; a
+    ParameterError naming the field unless it is that many finite numbers."""
+    try:
+        x = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        x = np.array(np.nan)
+    if x.shape != dims or not np.all(np.isfinite(x)):
+        what = f"a finite {dims[0]}-vector" if dims else "a finite number"
+        raise ParameterError(f"{shape} {name} must be {what}, got {value!r}")
+    return x if dims else float(x)
+
+
+def _cross(a, b):
+    """The z-component of a x b over (..., 2) arrays."""
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
 def _pair(u, v):
     """np.stack([u, v], axis=-1) for u of any shape and v broadcast to it,
     without stack's per-call checks."""
@@ -111,6 +129,45 @@ class MedialAxis:
             lines = [np.asarray([v for v, _ in self.vertices], dtype=float)]
         return lines
 
+    def exit_length(self, y, nu):
+        """Distance from boundary points y along -nu to the axis: the length
+        of each quickest-exit ray, 0 from a corner.  A ray along a segment's
+        own line (the ellipse's vertex rays) meets its nearer end; an arc is
+        met where |x - focus| = d(x, directrix); a lone node (the disc's
+        centre) is at |y - node|."""
+        if not self.segments and not self.arcs:
+            return np.hypot(*(y - self.vertices[0][0]).T)
+        best = np.full(len(y), np.inf)
+
+        def keep(L, hit, tol):
+            hit &= L >= -1e-3 * tol  # a corner's ray meets the axis at L ~ 0
+            np.minimum(best, np.where(hit, np.maximum(L, 0.0), np.inf), out=best)
+
+        for p, q in self.segments:
+            w, e = np.subtract(p, y), np.subtract(q, p)  # y - L nu = p + s e
+            den, wxn, tol = _cross(nu, e), _cross(w, nu), 1e-9 * np.hypot(*e)
+            par = np.abs(den) <= 1e-3 * tol
+            den = np.where(par, 1.0, den)
+            s = wxn / den
+            keep(-_cross(w, e) / den, ~par & (s >= -1e-9) & (s <= 1 + 1e-9), tol)
+            if par.any():
+                wn = np.sum(w * nu, axis=1)  # the ends lie at L = -wn and -wn - e.nu
+                keep(-np.maximum(wn, wn + nu @ e), par & (np.abs(wxn) <= tol), tol)
+        for arc in self.arcs:
+            f, u = np.asarray(arc.focus, float), np.asarray(arc.directrix_normal, float)
+            w, nu_u = y - f, nu @ u
+            g = (arc.directrix_point - f) @ u - w @ u  # y's distance to the directrix
+            # |w - L nu|^2 = (g + L nu_u)^2, that is A L^2 + B L + C = 0
+            A, B = 1.0 - nu_u**2, -2.0 * (np.sum(w * nu, axis=1) + g * nu_u)
+            C = np.sum(w * w, axis=1) - g * g
+            q = -0.5 * (B + np.copysign(np.sqrt(np.maximum(B * B - 4 * A * C, 0.0)), B))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                for L in (C / q, q / A):  # both roots, stable as A -> 0
+                    t = (w - L[:, None] * nu) @ rot90(u)
+                    keep(L, (g + L * nu_u >= 0.0) & (t >= arc.t_range[0] - 1e-9)
+                         & (t <= arc.t_range[1] + 1e-9), 1e-9 * np.ptp(arc.t_range))
+        return best
+
     def to_csv_rows(self, arc_samples=129):
         """Flatten to (x1, y1, x2, y2) rows, one per sub-segment; a lone
         node (the disc's) is one zero-length row."""
@@ -125,7 +182,16 @@ class MedialAxis:
 
 class Domain:
     """Base class for catalog shapes.  Subclasses implement the exact
-    closed-form queries; generic Lipschitz domains are rejected by design."""
+    closed-form queries; generic Lipschitz domains are rejected by design.
+
+    At K < 0 `rulings.ExitChart` reads a shape only through its boundary
+    data: `_boundary_pieces()`, a (t0, t1, speed) per smooth piece between
+    corners, with t the shape's own parameter (an angle on a circle or an
+    ellipse, the position along a flat side) and speed the largest |dy/dt|;
+    `_boundary_at(t)` and its inverse `_boundary_parameter(y)`;
+    `_curvature_at(y)`, 0 on flat sides; `_outward_normal_at` and
+    `medial_axis()`.
+    """
 
     name = "domain"
 
@@ -210,8 +276,9 @@ class Disc(Domain):
     name = "disc"
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if _finite("disc", "radius", self.radius) <= 0:
             raise ParameterError("disc radius must be positive")
+        _finite("disc", "center", self.center, (2,))
 
     def _c(self):
         return np.asarray(self.center, dtype=float)
@@ -244,8 +311,20 @@ class Disc(Domain):
 
     def _boundary_curve(self, n):
         th = 2.0 * np.pi * np.arange(n) / n
-        pos = self._c() + self.radius * _pair(np.cos(th), np.sin(th))
-        return pos, self.radius * th, np.zeros(n, dtype=bool)
+        return self._boundary_at(th), self.radius * th, np.zeros(n, dtype=bool)
+
+    def _boundary_pieces(self):
+        return [(-np.pi, np.pi, self.radius)]
+
+    def _boundary_at(self, t):
+        return self._c() + self.radius * _pair(np.cos(t), np.sin(t))
+
+    def _boundary_parameter(self, y):
+        v = y - self._c()
+        return np.arctan2(v[:, 1], v[:, 0])
+
+    def _curvature_at(self, y):
+        return np.full(len(y), 1.0 / self.radius)
 
     def bbox(self):
         c = self._c()
@@ -291,7 +370,7 @@ class Ellipse(Domain):
     name = "ellipse"
 
     def __post_init__(self):
-        if not (0 < self.b < self.a):
+        if not (0 < _finite("ellipse", "b", self.b) < _finite("ellipse", "a", self.a)):
             raise ParameterError("ellipse requires 0 < b < a")
 
     def contains(self, x, tol=0.0):
@@ -406,8 +485,21 @@ class Ellipse(Domain):
             phi -= step
             if np.abs(step).max() < 1e-8:
                 break
-        pos = np.stack([self.a * np.cos(phi), self.b * np.sin(phi)], axis=1)
-        return pos, targets, np.zeros(n, dtype=bool)
+        return self._boundary_at(phi), targets, np.zeros(n, dtype=bool)
+
+    def _boundary_pieces(self):
+        return [(-np.pi, np.pi, self.a)]
+
+    def _boundary_at(self, t):
+        return _pair(self.a * np.cos(t), self.b * np.sin(t))
+
+    def _boundary_parameter(self, y):
+        return np.arctan2(y[:, 1] / self.b, y[:, 0] / self.a)
+
+    def _curvature_at(self, y):
+        # 1 / (a^2 b^2 |g|^3) with g = (y1/a^2, y2/b^2) the unnormalised normal
+        g = np.hypot(y[:, 0] / self.a**2, y[:, 1] / self.b**2)
+        return 1.0 / ((self.a * self.b * g) ** 2 * g)
 
     def bbox(self):
         return ((-self.a, -self.b), (self.a, self.b))
@@ -453,8 +545,10 @@ class HalfDisc(Domain):
     name = "half_disc"
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if _finite("half_disc", "radius", self.radius) <= 0:
             raise ParameterError("half-disc radius must be positive")
+        _finite("half_disc", "center", self.center, (2,))
+        _finite("half_disc", "orientation", self.orientation)
 
     def _frame(self):
         u = np.array([np.cos(self.orientation), np.sin(self.orientation)])
@@ -511,15 +605,36 @@ class HalfDisc(Domain):
         y[below, 1] = 0.0
         return _unsingle(np.atleast_2d(self.from_local(y)), single)
 
+    def _on_arc(self, loc):
+        """Whether boundary points, in local coordinates, lie on the arc
+        rather than the flat side: the nearer of the two; a corner is on the
+        flat side."""
+        return np.abs(np.hypot(loc[:, 0], loc[:, 1]) - self.radius) < np.abs(loc[:, 1])
+
     def _outward_normal_at(self, y):
         loc = np.atleast_2d(self.to_local(y))
-        r = np.hypot(loc[:, 0], loc[:, 1])
-        on_arc = np.abs(r - self.radius) < 1e-9 * self.radius
-        nu_loc = np.zeros_like(loc)
-        nu_loc[on_arc] = loc[on_arc] / r[on_arc, None]
-        nu_loc[~on_arc] = np.array([0.0, -1.0])
+        radial = loc / np.maximum(np.hypot(loc[:, 0], loc[:, 1]), 1e-300)[:, None]
+        nu_loc = np.where(self._on_arc(loc)[:, None], radial, (0.0, -1.0))
         c, u, w = self._frame()
         return nu_loc[:, :1] * w + nu_loc[:, 1:] * u
+
+    def _boundary_pieces(self):
+        # the arc by its angle, then the flat side by pi + R + its local t
+        return [(0.0, np.pi, self.radius), (np.pi, np.pi + 2 * self.radius, 1.0)]
+
+    def _boundary_at(self, t):
+        R = self.radius
+        arc = R * _pair(np.cos(t), np.sin(t))
+        return self.from_local(np.where((t <= np.pi)[:, None], arc, _pair(t - np.pi - R, 0.0)))
+
+    def _boundary_parameter(self, y):
+        loc = np.atleast_2d(self.to_local(y))
+        R = self.radius
+        return np.where(self._on_arc(loc), np.clip(np.arctan2(loc[:, 1], loc[:, 0]), 0.0, np.pi),
+                        np.pi + R + np.clip(loc[:, 0], -R, R))
+
+    def _curvature_at(self, y):
+        return np.where(self._on_arc(np.atleast_2d(self.to_local(y))), 1.0 / self.radius, 0.0)
 
     def medial_axis(self):
         c, u, w = self._frame()
@@ -582,16 +697,16 @@ class ConvexPolygon(Domain):
 
     Its one medial description is `side_regions`: the points nearest each
     side, where that side's quickest-exit rays run.  The medial axis is the
-    edges the regions share, and the negative-curvature charts of `rulings`
-    are chords of the regions along the side normals.
+    edges the regions share.  Its boundary parameter is the arclength from
+    the first vertex, so each side is one flat piece.
     """
 
     name = "convex_polygon"
 
     def __init__(self, vertices):
         v = np.asarray(vertices, dtype=float)
-        if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
-            raise ParameterError("need at least 3 planar vertices")
+        if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3 or not np.all(np.isfinite(v)):
+            raise ParameterError("polygon vertices must be at least 3 finite planar points")
         scale = np.max(np.abs(v)) + 1.0
         n = len(v)
         for i in range(n):
@@ -608,6 +723,7 @@ class ConvexPolygon(Domain):
         self.edge_tangents = d / self.edge_lengths[:, None]
         self.edge_normals = -rot90(self.edge_tangents)  # outward for CCW
         self.edge_offsets = np.sum(self.edge_normals * v, axis=1)  # x.nu = c on edge
+        self._side_starts = np.concatenate([[0.0], np.cumsum(self.edge_lengths)])
 
     def __repr__(self):
         return f"ConvexPolygon({self.vertices.tolist()})"
@@ -651,6 +767,21 @@ class ConvexPolygon(Domain):
 
     def _outward_normal_at(self, y):
         return self.edge_normals[self.nearest_side(y)]
+
+    def _boundary_pieces(self):
+        return [(t0, t1, 1.0) for t0, t1 in zip(self._side_starts[:-1], self._side_starts[1:])]
+
+    def _boundary_at(self, t):
+        i = np.clip(np.searchsorted(self._side_starts, t, "right") - 1, 0, len(self.vertices) - 1)
+        return self.vertices[i] + (t - self._side_starts[i])[:, None] * self.edge_tangents[i]
+
+    def _boundary_parameter(self, y):
+        i = self.nearest_side(y)
+        along = np.sum((y - self.vertices[i]) * self.edge_tangents[i], axis=1)
+        return self._side_starts[i] + np.clip(along, 0.0, self.edge_lengths[i])
+
+    def _curvature_at(self, y):
+        return np.zeros(len(y))
 
     def side_regions(self):
         """The side regions as polygons: region i is {x : d_i(x) <= d_j(x)
@@ -735,7 +866,7 @@ class ConvexPolygon(Domain):
         frac = j / per_edge[side]
         d = np.roll(self.vertices, -1, axis=0) - self.vertices
         pos = self.vertices[side] + frac[:, None] * d[side]
-        arc = np.concatenate([[0.0], np.cumsum(L)])[side] + frac * L[side]
+        arc = self._side_starts[side] + frac * L[side]
         return pos, arc, j == 0
 
     def bbox(self):
@@ -789,7 +920,7 @@ class Rectangle(ConvexPolygon):
     name = "rectangle"
 
     def __init__(self, a, b):
-        if not (0 < b < a):
+        if not (0 < _finite("rectangle", "b", b) < _finite("rectangle", "a", a)):
             raise ParameterError("rectangle requires 0 < b < a")
         self.a, self.b = a, b
         super().__init__(((-a, -b), (a, -b), (a, b), (-a, b)))

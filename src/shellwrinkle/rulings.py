@@ -7,11 +7,14 @@ one region of that family in closed form: membership test, the coordinates
 any station, the transverse direction ``eta``, and the change-of-measure
 factor ``rho`` (affine along each line).
 
-Most charts are chords in a fixed direction (`ChordChart`) of a convex
-piece of the shape: the whole shape, the positive rectangle's and tangential
-polygon's regions, or, at negative curvature, a polygon's side regions
-(`ConvexPolygon.side_regions`) along their outward normals.  Fans of rays
-and the ellipse and half-disc exit families have charts of their own.
+At negative curvature every shape has the same family: the rays of
+quickest exit, which leave each boundary point along the inward normal and
+end on the medial axis.  `ExitChart` builds them for any shape from its
+boundary data (see `geometry.Domain`), one chart per smooth boundary piece.
+At positive curvature the charts are chords in a fixed direction
+(`ChordChart`) of a convex piece of the shape (the whole shape, or the
+rectangle's and a tangential polygon's regions), and the half-disc's fan of
+rays (`FanChart`).
 
 Charts are consumed by the dual-potential evaluator (values by convex
 interpolation along rulings), by the stable-line builder, and by the
@@ -32,11 +35,8 @@ from .geometry import ConvexPolygon, Disc, Ellipse, HalfDisc, Rectangle, _pair, 
 
 
 def rot_minus90(v):
-    v = np.asarray(v, dtype=float)
-    out = np.empty_like(v)
-    out[..., 0] = v[..., 1]
-    out[..., 1] = -v[..., 0]
-    return out
+    """Clockwise rotation by 90 degrees; works on (..., 2) arrays."""
+    return -rot90(v)
 
 
 @dataclass(frozen=True)
@@ -74,51 +74,50 @@ class LineGeometry:
 
 
 class Chart:
-    """Base chart; subclasses fill in the closed-form geometry."""
+    """Base chart; subclasses fill in the closed-form geometry.  A chart
+    defines ``line_at`` or ``lines_at``, and ``coords`` and ``eta_at`` or
+    ``coords_eta``; each pair's other member follows."""
 
     label = "O"
     data_kind = "bvp"  # or 'cauchy'
-    start_kind = "boundary"
-    end_kind = "boundary"
+    speed = 1.0  # stations are spacing / speed apart: about the largest |d end / ds|
 
     def contains(self, x):
         raise NotImplementedError
 
     def coords(self, x):
         """(s, u, L): line index, distance from start, line length."""
-        raise NotImplementedError
+        return self.coords_eta(x)[:3]
 
     def line_at(self, s):
-        raise NotImplementedError
+        return self.lines_at([s])[0]
+
+    def lines_at(self, ss):
+        """The lines at stations ss."""
+        return [self.line_at(s) for s in ss]
 
     def s_range(self):
-        raise NotImplementedError
-
-    def s_step(self, spacing):
-        """Station step in s-units producing start points ~spacing apart."""
-        return spacing
-
+        """(s0, s1), the range of the line index."""
+        return self.t0, self.t1
 
     def eta_at(self, x):
-        raise NotImplementedError
+        return self.coords_eta(x)[3]
 
     def coords_eta(self, x):
-        """``coords(x)`` and ``eta_at(x)`` as one (s, u, L, eta) tuple; a
-        chart whose two share work overrides it."""
+        """``coords(x)`` and ``eta_at(x)`` as one (s, u, L, eta) tuple."""
         return (*self.coords(x), self.eta_at(x))
 
     def stations(self, spacing, min_length=0.0):
         """Interior lattice of stations at the given step: s0 + step, ...,
         strictly inside (s0, s1)."""
         s0, s1 = self.s_range()
-        step = self.s_step(spacing)
+        step = spacing / self.speed
         n = max(1, int(np.ceil((s1 - s0) / step - 1e-12)) - 1)
         ss = s0 + step * np.arange(1, n + 1)
         ss = ss[ss < s1 - 1e-12 * max(1.0, abs(s1))]
         if len(ss) == 0:
             ss = np.array([0.5 * (s0 + s1)])
-        lines = [self.line_at(s) for s in ss]
-        return [ln for ln in lines if ln.length > min_length]
+        return [ln for ln in self.lines_at(ss) if ln.length > min_length]
 
 
 def locate(charts, pts):
@@ -163,8 +162,7 @@ class ChordChart(Chart):
     chart carries its affine roof ``(c, g)``: phi = c + g . x on it.
     """
 
-    def __init__(self, shape, direction, label="O", kinds=("boundary", "boundary"),
-                 data_kind="bvp", roof=None):
+    def __init__(self, shape, direction, label="O", kinds=("boundary", "boundary"), roof=None):
         d = np.asarray(direction, dtype=float)
         self.d = d / np.hypot(*d)
         self.m = rot90(self.d)
@@ -172,7 +170,6 @@ class ChordChart(Chart):
         self.roof = roof
         self.label = label
         self.start_kind, self.end_kind = kinds
-        self.data_kind = data_kind
         self._eta = rot_minus90(self.d)
 
     def contains(self, x):
@@ -191,19 +188,15 @@ class ChordChart(Chart):
         return x + rel_lo[:, None] * self.d, x + rel_hi[:, None] * self.d
 
     def line_at(self, s):
-        p = s * self.m
-        lo, hi = self.shape.line_spans(p, self.d)
-        start = p + lo[0] * self.d
-        end = p + hi[0] * self.d
+        start, end = self.endpoints(s * self.m)
         return LineGeometry(
-            s=float(s), start=start, end=end, eta=self._eta.copy(),
+            s=float(s), start=start[0], end=end[0], eta=self._eta.copy(),
             start_kind=self.start_kind, end_kind=self.end_kind,
             rho0=1.0, rho1=0.0, label=self.label,
         )
 
     def s_range(self):
         return self.shape.extent(self.m)
-
 
     def eta_at(self, x):
         x = np.atleast_2d(x)
@@ -214,27 +207,21 @@ class FanChart(Chart):
     """Radial rulings about a center point, in a rotated local frame.
 
     Local polar coordinates (r, theta) about ``center`` with theta measured
-    from the local first axis; lines run from r_inner(theta) to
-    r_outer(theta).  rho is proportional to r.
+    from the local first axis; lines run from r_inner(theta) > 0 to
+    r_outer(theta), boundary to boundary.  rho is proportional to r.
     """
 
-    def __init__(self, center, frame, theta_range, r_inner, r_outer,
-                 label="O", kinds=("boundary", "boundary"), data_kind="bvp"):
+    def __init__(self, center, frame, theta_range, r_inner, r_outer):
         self.center = np.asarray(center, dtype=float)
         self.frame = np.asarray(frame, dtype=float)  # columns: local axes
         self.t0, self.t1 = theta_range
         self.r_inner = r_inner
         self.r_outer = r_outer
-        self.label = label
-        self.start_kind, self.end_kind = kinds
-        self.data_kind = data_kind
+        self.speed = float(r_outer(0.5 * (self.t0 + self.t1)))
 
     def _local(self, x):
-        x = np.atleast_2d(x)
-        v = (x - self.center) @ self.frame
-        r = np.hypot(v[:, 0], v[:, 1])
-        th = np.arctan2(v[:, 1], v[:, 0])
-        return r, th
+        v = (np.atleast_2d(x) - self.center) @ self.frame
+        return np.hypot(v[:, 0], v[:, 1]), np.arctan2(v[:, 1], v[:, 0])
 
     def contains(self, x, tol=1e-9):
         r, th = self._local(x)
@@ -247,198 +234,85 @@ class FanChart(Chart):
     def coords(self, x):
         r, th = self._local(x)
         ri = self.r_inner(th)
-        ro = self.r_outer(th)
-        return th, r - ri, np.maximum(ro - ri, 0.0)
+        return th, r - ri, np.maximum(self.r_outer(th) - ri, 0.0)
+
+    def _ray(self, x):
+        """The angle and unit direction of the ray through each point."""
+        th = self._local(x)[1]
+        return th, np.stack([np.cos(th), np.sin(th)], axis=1) @ self.frame.T
 
     def endpoints(self, x):
         """Start and end of the ray through each point."""
-        r, th = self._local(x)
-        e_r = np.stack([np.cos(th), np.sin(th)], axis=1) @ self.frame.T
+        th, e_r = self._ray(x)
         return (self.center + self.r_inner(th)[:, None] * e_r,
                 self.center + self.r_outer(th)[:, None] * e_r)
 
     def line_at(self, s):
-        ri = float(self.r_inner(s))
-        ro = float(self.r_outer(s))
+        ri, ro = float(self.r_inner(s)), float(self.r_outer(s))
         e_r = self.frame @ np.array([np.cos(s), np.sin(s)])
-        start = self.center + ri * e_r
-        end = self.center + ro * e_r
-        eta = rot_minus90(e_r)
-        if ri > 1e-12 * (1 + ro):
-            rho0, rho1 = 1.0, 1.0 / ri
-        else:
-            rho0, rho1 = 0.0, 1.0  # fan center: rho = r vanishes at the start
         return LineGeometry(
-            s=float(s), start=start, end=end, eta=eta,
-            start_kind=self.start_kind, end_kind=self.end_kind,
-            rho0=rho0, rho1=rho1, label=self.label,
+            s=float(s), start=self.center + ri * e_r, end=self.center + ro * e_r,
+            eta=rot_minus90(e_r), start_kind="boundary", end_kind="boundary",
+            rho0=1.0, rho1=1.0 / ri, label=self.label,
         )
 
-    def s_range(self):
-        return self.t0, self.t1
-
-    def s_step(self, spacing):
-        r_ref = max(float(self.r_outer(0.5 * (self.t0 + self.t1))), 1e-12)
-        return spacing / r_ref
-
-
     def eta_at(self, x):
-        r, th = self._local(x)
-        e_r = np.stack([np.cos(th), np.sin(th)], axis=1) @ self.frame.T
-        return rot_minus90(e_r)
+        return rot_minus90(self._ray(x)[1])
 
 
-class EllipseExitChart(Chart):
-    """Quickest-exit rulings of the negatively curved ellipse.
+class ExitChart(Chart):
+    """Quickest-exit rays of one smooth boundary piece, t in (t0, t1).
 
-    Lines run from the medial segment to the boundary along the boundary
-    normal; the index is the boundary parameter phi of the foot point,
-    running over (0, pi) for the upper half and (pi, 2 pi) for the lower.
-    rho is affine along each line (the family is a tangential fan).
+    The line at t runs from y - L nu to y = ``domain._boundary_at(t)``, with
+    nu the outward normal at y and L = ``exit_length(y, nu)`` the distance
+    to the medial axis; eta = rot_minus90(nu).  rho = 1 + u kappa / (1 -
+    kappa L); where 1 - kappa L ~ 0 the ray starts at its centre of
+    curvature (the disc's) and rho = u.  A point lies on its foot's line.
     """
 
-    label = "O"
     data_kind = "cauchy"
-    start_kind = "medial_axis"
-    end_kind = "boundary"
 
-    def __init__(self, ellipse: Ellipse, half: str):
-        self.E = ellipse
-        self.half = half  # 'upper' | 'lower'
+    def __init__(self, domain, t0, t1, speed):
+        self.domain, self.t0, self.t1, self.speed = domain, t0, t1, speed
+        self._axis = domain.medial_axis()
+        self._one_piece = len(domain._boundary_pieces()) == 1
 
-    def _phi_data(self, phi):
-        a, b = self.E.a, self.E.b
-        cs, sn = np.cos(phi), np.sin(phi)
-        y = _pair(a * cs, b * sn)
-        g = _pair(cs / a, sn / b)
-        N = np.hypot(g[..., 0], g[..., 1])
-        nu = g / N[..., None]
-        t_cut = b * b * N
-        z = _pair(cs * (a - b * b / a), 0.0)
-        return y, nu, t_cut, z
+    def _rays(self, t):
+        """Foot y, outward normal nu and length L of the lines at t."""
+        y = self.domain._boundary_at(t)
+        nu = self.domain._outward_normal_at(y)
+        return y, nu, self._axis.exit_length(y, nu)
 
     def contains(self, x):
         x = np.atleast_2d(x)
-        inside = self.E.contains(x)
-        # the upper chart takes the closed half so that axis points (medial
-        # segment and its two extensions) are covered by exactly one chart
-        if self.half == "upper":
-            side = x[:, 1] >= 0
-        else:
-            side = x[:, 1] < 0
-        return inside & side
+        if self._one_piece:
+            return self.domain.contains(x)
+        t = self.domain._boundary_parameter(self.domain.nearest_boundary_point(x))
+        return self.domain.contains(x) & (t >= self.t0) & (t <= self.t1)
 
-    def _phi_of(self, x):
-        """Boundary parameter of each point's foot, in [-pi, pi]."""
-        y = np.atleast_2d(self.E.nearest_boundary_point(x))
-        return np.arctan2(y[:, 1] / self.E.b, y[:, 0] / self.E.a)
-
-    def coords(self, x, phi=None):
-        """(s, u, L); ``phi`` is ``_phi_of(x)`` when the caller has it."""
-        x = np.atleast_2d(x)
-        if phi is None:
-            phi = self._phi_of(x)
-        phi = np.mod(phi, 2 * np.pi)
-        y, nu, t_cut, z = self._phi_data(phi)
-        d = np.hypot(*(x - y).T)
-        return phi, t_cut - d, t_cut
-
-    def _eta_of_phi(self, phi):
-        # the boundary normal at the foot, as in line_at: x - foot vanishes
-        # on cells projected onto the boundary.  phi is not reduced mod
-        # 2 pi, so eta keeps the bits of the unreduced cos and sin.
-        return rot_minus90(self._phi_data(phi)[1])
-
-    def line_at(self, s):
-        y, nu, t_cut, z = self._phi_data(float(s))
-        # rho'(u) from the fan spread: position(u) = z + u nu
-        a, b = self.E.a, self.E.b
-        cs, sn = np.cos(s), np.sin(s)
-        g = np.array([cs / a, sn / b])
-        N = np.hypot(*g)
-        gp = np.array([-sn / a, cs / b])
-        nup = gp / N - g * (g @ gp) / N**3
-        zp = np.array([-sn * (a - b * b / a), 0.0])
-        perp = rot90(nu)
-        c0 = zp @ perp
-        c1 = nup @ perp
-        if abs(c0) < 1e-14:
-            rho0, rho1 = 0.0, 1.0
-        else:
-            rho0, rho1 = 1.0, c1 / c0
-        return LineGeometry(
-            s=float(s), start=z, end=y, eta=rot_minus90(nu),
-            start_kind=self.start_kind, end_kind=self.end_kind,
-            rho0=rho0, rho1=rho1, label=self.label,
-        )
-
-    def s_range(self):
-        eps = 1e-6
-        if self.half == "upper":
-            return eps, np.pi - eps
-        return np.pi + eps, 2 * np.pi - eps
-
-    def s_step(self, spacing):
-        return spacing / self.E.a
-
-
-    def eta_at(self, x):
-        return self._eta_of_phi(self._phi_of(np.atleast_2d(x)))
+    def _foot(self, x):
+        """Each point's foot parameter t and its depth |x - foot|; the foot
+        points die here, before `coords_eta` builds the rays."""
+        foot = self.domain.nearest_boundary_point(x)
+        return self.domain._boundary_parameter(foot), np.hypot(*(x - foot).T)
 
     def coords_eta(self, x):
-        """The coordinates and eta from one foot point per point."""
         x = np.atleast_2d(x)
-        phi = self._phi_of(x)
-        return (*self.coords(x, phi), self._eta_of_phi(phi))
+        t, depth = self._foot(x)
+        _, nu, L = self._rays(t)
+        return t, L - depth, L, rot_minus90(nu)
 
-
-class HalfDiscSouthChart(Chart):
-    """Flat-side region of the negatively curved half-disc: parallel exit
-    lines from the medial parabola to the flat side (stated in the local
-    frame of the half-disc)."""
-
-    label = "O"
-    data_kind = "cauchy"
-    start_kind = "medial_axis"
-    end_kind = "boundary"
-
-    def __init__(self, hd: HalfDisc):
-        self.hd = hd
-        self.R = hd.radius
-        c, u, w = hd._frame()
-        self.c, self.u, self.w = c, u, w
-
-    def _vM(self, t):
-        return (self.R**2 - t**2) / (2 * self.R)
-
-    def contains(self, x, tol=0.0):
-        loc = np.atleast_2d(self.hd.to_local(x))
-        return (loc[:, 1] >= -tol) & (loc[:, 1] <= self._vM(loc[:, 0]) + tol) & (
-            np.abs(loc[:, 0]) <= self.R
-        )
-
-    def coords(self, x):
-        loc = np.atleast_2d(self.hd.to_local(x))
-        s = loc[:, 0]
-        L = self._vM(s)
-        return s, L - loc[:, 1], L
-
-    def line_at(self, s):
-        top = self.c + s * self.w + self._vM(s) * self.u
-        bot = self.c + s * self.w
-        return LineGeometry(
-            s=float(s), start=top, end=bot, eta=rot_minus90(-self.u),
-            start_kind=self.start_kind, end_kind=self.end_kind,
-            rho0=1.0, rho1=0.0, label=self.label,
-        )
-
-    def s_range(self):
-        return -self.R, self.R
-
-
-    def eta_at(self, x):
-        x = np.atleast_2d(x)
-        return np.broadcast_to(rot_minus90(-self.u), x.shape).copy()
+    def lines_at(self, ss):
+        y, nu, L = self._rays(np.asarray(ss, dtype=float))
+        kappa = self.domain._curvature_at(y)
+        rest = 1.0 - kappa * L
+        focal = rest < 1e-9
+        rho1 = np.where(focal, 1.0, kappa / np.where(focal, 1.0, rest))
+        return [LineGeometry(s=float(s), start=a, end=b, eta=e, rho0=0.0 if f else 1.0,
+                             rho1=float(r1), start_kind="focal_point" if f else "medial_axis",
+                             end_kind="boundary", label=self.label)
+                for s, a, b, e, f, r1 in zip(ss, y - L[:, None] * nu, y, rot_minus90(nu),
+                                             focal, rho1)]
 
 
 # ----------------------------------------------------------------------
@@ -515,14 +389,16 @@ def _vertex_roof(poly: ConvexPolygon):
 def _u_chart(shape, roof, decomposition: UDecomposition, kinds):
     ang = decomposition.angle
     d = np.array([np.cos(ang), np.sin(ang)])
-    return ChordChart(shape, d, label="U", kinds=kinds, data_kind="bvp", roof=roof)
+    return ChordChart(shape, d, label="U", kinds=kinds, roof=roof)
 
 
 def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
     """Build the ruling charts for (shape, curvature sign).
 
-    sign: +1 (or 0, which shares the structure of +1) or -1.  At -1 the
-    lines start on the medial axis, which ``domain.medial_axis()`` describes.
+    sign: +1 (or 0, which shares the structure of +1) or -1.  At +1 the
+    charts are stated per catalog shape.  At -1 they are one `ExitChart` per
+    smooth boundary piece, built from the shape's boundary data alone, so
+    any convex shape that states it is covered.
     """
     if decomposition is None:
         decomposition = UDecomposition()
@@ -540,14 +416,9 @@ def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
             c, u, w = domain._frame()
             f = c - R * u  # fan point (mirror of the apex across the flat side)
             frame = np.stack([w, u], axis=1)
-            chart = FanChart(
-                center=f, frame=frame,
-                theta_range=(np.pi / 4, 3 * np.pi / 4),
-                r_inner=lambda th: R / np.sin(th),
-                r_outer=lambda th: 2 * R * np.sin(th),
-                label="O", kinds=("boundary", "boundary"), data_kind="bvp",
-            )
-            return [chart]
+            return [FanChart(f, frame, (np.pi / 4, 3 * np.pi / 4),
+                             r_inner=lambda th: R / np.sin(th),
+                             r_outer=lambda th: 2 * R * np.sin(th))]
         if isinstance(domain, Rectangle):
             regs = rectangle_regions(domain)
             charts = [
@@ -584,33 +455,4 @@ def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
             return charts
         raise UnsupportedShapeError(f"no positive-curvature charts for {domain.name}")
 
-    # negative sign
-    if isinstance(domain, Disc):
-        R = domain.radius
-        chart = FanChart(
-            center=np.asarray(domain.center, dtype=float), frame=np.eye(2),
-            theta_range=(-np.pi, np.pi),
-            r_inner=lambda th: 0.0 * np.asarray(th),
-            r_outer=lambda th: R + 0.0 * np.asarray(th),
-            label="O", kinds=("focal_point", "boundary"), data_kind="cauchy",
-        )
-        return [chart]
-    if isinstance(domain, Ellipse):
-        return [EllipseExitChart(domain, "upper"), EllipseExitChart(domain, "lower")]
-    if isinstance(domain, ConvexPolygon):
-        return [ChordChart(region, nu, kinds=("medial_axis", "boundary"), data_kind="cauchy")
-                for region, nu in zip(domain.side_regions(), domain.edge_normals)]
-    if isinstance(domain, HalfDisc):
-        R = domain.radius
-        c, u, w = domain._frame()
-        frame = np.stack([w, u], axis=1)
-        south = HalfDiscSouthChart(domain)
-        north = FanChart(
-            center=c, frame=frame,
-            theta_range=(0.0, np.pi),
-            r_inner=lambda th: R / (1.0 + np.sin(th)),
-            r_outer=lambda th: R + 0.0 * np.asarray(th),
-            label="O", kinds=("medial_axis", "boundary"), data_kind="cauchy",
-        )
-        return [south, north]
-    raise UnsupportedShapeError(f"no negative-curvature charts for {domain.name}")
+    return [ExitChart(domain, *piece) for piece in domain._boundary_pieces()]

@@ -8,10 +8,10 @@ The singular set is empty for the largest extension; for the smallest it
 is the medial axis, ``Domain.medial_axis()``, where the quickest-exit rays
 end.
 
-Stable lines are built from the shape-specific ruling charts, never
-extracted numerically from a discrete Hessian: the catalog's uniqueness
-results hold for exactly these families and numerical ruling extraction is
-ill-conditioned.
+Stable lines are built from the closed-form ruling charts of `rulings`,
+never extracted numerically from a discrete Hessian: the catalog's
+uniqueness results hold for exactly these families and numerical ruling
+extraction is ill-conditioned.
 """
 
 from __future__ import annotations

@@ -1,7 +1,12 @@
 """Characteristic ODE solvers against independent RK4 shooting oracles, the
 assembled defect fields against closed forms, and the weak-form residual."""
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,6 +341,32 @@ class TestMemory:
         (lines,) = family.lines_by_chart
         table = len(lines) * chars.DEFAULT_SAMPLES_PER_LINE * 8
         assert peak < table, (peak, table)
+
+    def test_negative_curvature_imports_no_scipy(self, request):
+        # importing scipy.special alone adds about 26 MB of resident memory;
+        # the K < 0 pipeline, in a fresh process, must not load any of scipy
+        specs = [request.getfixturevalue(name).spec() for name, shell in CASES
+                 if shell.sign == "negative"]
+        code = (
+            "import json, sys\n"
+            "from shellwrinkle.airy import dual_value\n"
+            "from shellwrinkle.characteristics import defect_field, primal_value\n"
+            "from shellwrinkle.geometry import make_domain\n"
+            "from shellwrinkle.shell import ShellProfile\n"
+            "neg = ShellProfile.constant(-1.0)\n"
+            "for spec in json.loads(sys.argv[1]):\n"
+            "    domain = make_domain(spec)\n"
+            "    df = defect_field(domain, neg, 64)\n"
+            "    primal_value(df)\n"
+            "    dual_value(domain, neg, df.airy, 64)\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code, json.dumps(specs)], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        assert len(specs) == 6
+        assert json.loads(out.stdout) == []
 
 
 class TestPrimalValues:

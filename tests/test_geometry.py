@@ -1,6 +1,8 @@
 """Geometry catalog: exact distances, exit gradients, medial axes, side regions,
 sampling."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,6 +255,29 @@ class TestMedialAxis:
         d_arc = 1.0 - np.hypot(inner[:, 0], inner[:, 1])
         assert np.allclose(d_flat, d_arc, atol=1e-12)
 
+    def test_exit_length_closed_forms(self, disc, ellipse, rect, half_disc_neg, pentagon):
+        def exit_length(dom, y):
+            return dom.medial_axis().exit_length(y, dom._outward_normal_at(y))
+
+        # the disc's rays reach the centre; the ellipse's vertex ray runs
+        # along the axis to its end, b^2/a; the minor vertex's is b long
+        assert exit_length(disc, np.array([[0.6, 0.8]])) == pytest.approx([1.0], abs=1e-15)
+        np.testing.assert_allclose(exit_length(ellipse, np.array([[2.0, 0.0], [0.0, -1.0]])),
+                                   [0.5, 1.0], rtol=0, atol=1e-15)
+        # flat sides: the rectangle's band and the half-disc's parabola
+        np.testing.assert_allclose(exit_length(rect, np.array([[0.5, 1.0], [2.0, 0.5]])),
+                                   [1.0, 0.5], rtol=0, atol=1e-15)
+        x = np.array([-0.9, -0.3, 0.0, 0.6])
+        np.testing.assert_allclose(exit_length(half_disc_neg, np.stack([x, 0 * x], axis=1)),
+                                   (1 - x**2) / 2, rtol=0, atol=1e-15)
+        # the half-disc's arc: 1 - 1 / (1 + sin theta); a corner's ray is empty
+        th = np.array([0.3, 1.2, 2.5])
+        y = np.stack([np.cos(th), np.sin(th)], axis=1)
+        np.testing.assert_allclose(exit_length(half_disc_neg, y), 1 - 1 / (1 + np.sin(th)),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(exit_length(pentagon, pentagon.vertices), 0.0,
+                                   rtol=0, atol=1e-15)
+
     def test_axis_points_have_two_feet(self, pentagon):
         ma = pentagon.medial_axis()
         bnd = np.array([bp.position for bp in pentagon.boundary_sample(8192)])
@@ -483,6 +508,21 @@ class TestLineClipping:
             assert hi >= vals.max() - 1e-12 and hi - vals.max() <= spacing
 
 
+NAN, INF = float("nan"), float("inf")
+
+# Specs that construct no shape, and the field each error must name.
+NON_FINITE_SPECS = [
+    ({"shape": "disc", "radius": NAN}, "radius"),
+    ({"shape": "disc", "radius": 1.0, "center": [NAN, 0.0]}, "center"),
+    ({"shape": "ellipse", "a": INF, "b": 1.0}, "a"),
+    ({"shape": "rectangle", "a": INF, "b": 1.0}, "a"),
+    ({"shape": "half_disc", "radius": NAN}, "radius"),
+    ({"shape": "half_disc", "radius": 1.0, "center": [1.0]}, "center"),
+    ({"shape": "half_disc", "radius": 1.0, "orientation": -INF}, "orientation"),
+    ({"shape": "convex_polygon", "vertices": [[0.0, 0.0], [1.0, NAN], [0.0, 1.0]]}, "vertices"),
+]
+
+
 class TestValidationAndConfig:
     def test_ellipse_needs_b_below_a(self):
         with pytest.raises(ParameterError):
@@ -527,6 +567,19 @@ class TestValidationAndConfig:
     def test_make_domain_names_missing_key(self, spec, missing):
         with pytest.raises(ParameterError, match=f"{spec['shape']} needs '{missing}'"):
             make_domain(spec)
+
+    @pytest.mark.parametrize("spec, name", NON_FINITE_SPECS)
+    def test_make_domain_names_a_non_finite_field(self, spec, name):
+        with pytest.raises(ParameterError, match=f"{name} must"):
+            make_domain(spec)
+
+    @pytest.mark.parametrize("spec, name", NON_FINITE_SPECS)
+    def test_cli_reports_a_non_finite_field(self, tmp_path, capsys, spec, name):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"domain": spec, "shell": {"sign": "negative"}}))
+        assert cli.main(["defect", "--config", str(path)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{name} must" in err
 
     def test_cli_reports_missing_key(self, capsys):
         assert cli.main(["defect", "--shape", "disc"]) == cli.EXIT_USAGE

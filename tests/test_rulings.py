@@ -37,12 +37,21 @@ def test_every_masked_point_has_a_chart(request, name, shell):
 
 
 def test_point_outside_every_station_range_is_uncovered(ellipse):
-    charts = airy.solve_dual(ellipse, NEG).charts
-    # foot parameter 0 falls between the two half-charts' station ranges
+    # beyond the vertex: outside the shape, and its s = -x lies below the
+    # chord chart's station range (-2, 2)
+    charts = airy.solve_dual(ellipse, POS).charts
     assert locate(charts, np.array([[2.0 + 1e-9, 0.0]]))[0] == -1
-    # just outside the lower half: the lower chart, by its station range
-    below = ellipse.nearest_boundary_point(np.array([[0.3, -0.9]])) * (1 + 1e-12)
-    assert locate(charts, below)[0] == 1
+
+
+def test_boundary_projection_goes_to_its_own_piece(half_disc_neg):
+    # just outside the arc (or the flat side), no chart contains the point;
+    # the foot's parameter lies in its own piece's station range only
+    charts = airy.solve_dual(half_disc_neg, NEG).charts
+    assert [c.s_range() for c in charts] == [(0.0, np.pi), (np.pi, np.pi + 2.0)]
+    arc = half_disc_neg.nearest_boundary_point(np.array([[0.3, 0.9]])) * (1 + 1e-12)
+    flat = np.array([[0.4, -1e-12]])
+    assert not np.any(membership(charts, np.concatenate([arc, flat])))
+    np.testing.assert_array_equal(locate(charts, np.concatenate([arc, flat])), [0, 1])
 
 
 def test_rectangle_seams_take_the_first_chart(rect):

@@ -114,17 +114,6 @@ class TestFamilies:
             d = ln.end - ln.start
             assert abs(d @ ln.eta) < 1e-12
 
-    def test_negative_polygon_lines_parallel_to_normals(self, pentagon):
-        af = airy.solve_dual(pentagon, NEG)
-        fam = stable_lines(pentagon, af, 0.05)
-        for chart, lines in zip(fam.charts, fam.lines_by_chart):
-            nu = chart.d
-            for ln in lines:
-                d = ln.end - ln.start
-                d = d / np.hypot(*d)
-                assert abs(d @ nu) == pytest.approx(1.0, abs=1e-12)
-                assert ln.start_kind == "medial_axis"
-
     def test_pairwise_disjoint(self, ellipse, half_disc_pos, rect):
         for dom, sh in ((ellipse, POS), (half_disc_pos, POS), (rect, NEG)):
             af = airy.solve_dual(dom, sh)
@@ -205,6 +194,36 @@ def test_phi_hessian_is_rank_one_along_every_line(request, name, shell):
             eta_x = chart.eta_at(x)
             assert np.allclose(np.abs(eta_x @ eta), 1.0, rtol=0, atol=1e-12)
             assert np.all(np.abs(eta_x @ d) < 1e-12)
+
+
+NEG_CASES = [(name, shell) for name, shell in CASES if shell.sign == "negative"]
+
+
+@pytest.mark.parametrize("name,shell", NEG_CASES,
+                         ids=[f"{n}-{s.sign}" for n, s in NEG_CASES])
+def test_negative_lines_are_exit_rays(request, name, shell):
+    # every station line leaves the boundary along the inward normal at its
+    # end, is as long as its start's boundary distance, and neighbouring
+    # lines spread as rho does: across them, |d start| / |d end| =
+    # rho(0) / rho(L), which is 1 / (1 + rho1 L) off a focal point, to
+    # within a tenth of the step |d end|
+    dom = request.getfixturevalue(name)
+    af = airy.solve_dual(dom, shell)
+    spacing = dom.diameter() / 200
+    fam = stable_lines(dom, af, spacing)
+    for chart, lines in zip(fam.charts, fam.lines_by_chart):
+        assert len(lines) > 10
+        for ln in lines:
+            nu = dom._outward_normal_at(ln.end[None, :])[0]
+            np.testing.assert_allclose(ln.direction(), nu, rtol=0, atol=1e-12)
+            assert dom.boundary_distance(ln.start) == pytest.approx(ln.length, abs=1e-9)
+            assert ln.start_kind == ("focal_point" if ln.rho0 == 0.0 else "medial_axis")
+        for a, b in zip(lines[:-1], lines[1:]):
+            eta = 0.5 * (a.eta + b.eta)
+            step = abs((b.end - a.end) @ eta)
+            spread = abs((b.start - a.start) @ eta) / step
+            ratio = np.mean([ln.rho0 / ln.rho_at(ln.length) for ln in (a, b)])
+            assert abs(spread - ratio) <= 0.1 * step
 
 
 class TestLineRho:

@@ -41,7 +41,7 @@ ORACLES = {
 
 # Definitions that only tests call today but that a planned reader needs.
 READ_ELSEWHERE = {
-    "labels": "read by the `pattern` output of ROADMAP item 6",
+    "labels": "read by the `pattern` output of ROADMAP item 8",
 }
 
 
