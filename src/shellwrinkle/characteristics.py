@@ -54,7 +54,6 @@ class LineSolution:
 
     line: LineGeometry
     lam: np.ndarray
-    data_kind: str  # 'two_point_bvp' | 'cauchy'
     sign_violation: bool = False
 
     @property
@@ -108,7 +107,7 @@ def solve_bvp(line: LineGeometry, K, n=DEFAULT_SAMPLES_PER_LINE, out=None) -> Li
         raise DataError("rho must be positive along a two-point line")
     c = 2.0 * i2[-1] / t[-1]
     lam = np.divide(c * t - 2.0 * i2, rho, out=out)
-    return LineSolution(line=line, lam=lam, data_kind="two_point_bvp")
+    return LineSolution(line=line, lam=lam)
 
 
 def solve_cauchy(line: LineGeometry, K, n=DEFAULT_SAMPLES_PER_LINE, out=None) -> LineSolution:
@@ -127,7 +126,7 @@ def solve_cauchy(line: LineGeometry, K, n=DEFAULT_SAMPLES_PER_LINE, out=None) ->
     lam.fill(0.0)
     np.divide(-2.0 * i2, rho, out=lam, where=rho > 0)
     violation = bool(lam.min() < -CAUCHY_SIGN_TOL)
-    return LineSolution(line=line, lam=lam, data_kind="cauchy", sign_violation=violation)
+    return LineSolution(line=line, lam=lam, sign_violation=violation)
 
 
 def solve_line(line: LineGeometry, K, data_kind, n=DEFAULT_SAMPLES_PER_LINE, out=None):

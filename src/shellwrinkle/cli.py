@@ -357,7 +357,7 @@ def main(argv=None):
     except (ParameterError, ResolutionError, UnsupportedShapeError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (

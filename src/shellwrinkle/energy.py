@@ -454,8 +454,9 @@ def scaling_study(domain: Domain, shell: ShellProfile,
     (bending + substrate, bulk-renormalized; plus the surface part through
     the computed leading-order area deficit).  The stretching term measures
     the construction error and is reported against its own scale
-    (b/k)^(1/10).  Weighted least squares with weights (b/k)^(-1/10) fits
-    ratio = c1 + slope * (b/k)^(1/10).
+    (b/k)^(1/10).  Both are means over the jittered samples, summed square
+    by square (``_pattern_sums``).  Weighted least squares with weights
+    (b/k)^(-1/10) fits ratio = c1 + slope * (b/k)^(1/10).
     """
     warnings = _check_regime(params_seq)
     df = defect_field(domain, shell, resolution)
@@ -465,33 +466,20 @@ def scaling_study(domain: Domain, shell: ShellProfile,
     pts_all = _stratified_domain_samples(domain, n_samples, rng)
 
     points = []
+    area = domain.area()
     for ep in params_seq:
         hp = optimal_params(ep.b, ep.k, mu_target, _domain_pts(df))
         assembly = PiecewiseHerringboneField(domain, mu_target, hp)
-        out = assembly.evaluate(pts_all)
-        bulk = out["bulk"]
-        area = domain.area()
-        dens_wr = (
-            0.5 * ep.b * np.einsum("nij,nij->n", out["hess_w"], out["hess_w"])
-            + 0.5 * ep.k * out["w"] ** 2
-        )
-        bulk_frac = float(bulk.mean())
-        wrinkling = float(dens_wr[bulk].mean()) * area if bulk.any() else 0.0
+        dens_wr, n_bulk, dev2 = _pattern_sums(assembly, pts_all, ep)
+        wrinkling = dens_wr / n_bulk * area if n_bulk else 0.0
         # construction-error stretching vs the local (per-square) target
-        e_v = 0.5 * (out["grad_v"] + np.transpose(out["grad_v"], (0, 2, 1)))
-        dev = (
-            e_v
-            + 0.5 * np.einsum("ni,nj->nij", out["grad_w"], out["grad_w"])
-            - 0.5 * out["mu_local"]
-        )
-        stretching = 0.5 * float(np.einsum("nij,nij->n", dev, dev).mean()) * area
-        gamma_part = ep.gamma * primal
-        ratio = (wrinkling + gamma_part) / ep.gamma_eff
+        stretching = 0.5 * dev2 / len(pts_all) * area
+        ratio = (wrinkling + ep.gamma * primal) / ep.gamma_eff
         points.append(
             ScalingPoint(
                 params=ep, herr_params=hp, ratio=ratio,
                 stretching=stretching, stretch_scale=(ep.b / ep.k) ** 0.1,
-                bulk_fraction=bulk_frac,
+                bulk_fraction=n_bulk / len(pts_all),
             )
         )
 
@@ -512,6 +500,26 @@ def scaling_study(domain: Domain, shell: ShellProfile,
         points=points, c1=c1, slope=slope, residuals=residuals,
         decay_exponent=decay, regime_warnings=warnings, primal=primal,
     )
+
+
+def _pattern_sums(assembly: PiecewiseHerringboneField, pts, ep: EnergyParams):
+    """Sums over pts, reduced square by square from ``assembly.by_square``:
+    the wrinkling density b |hess w|^2 / 2 + k w^2 / 2 over the bulk, the
+    bulk count, and |e(v) + grad w (x) grad w / 2 - mu_local / 2|^2 over
+    all points (those on no square with a field add nothing)."""
+    dens_wr, n_bulk, dev2 = 0.0, 0, 0.0
+    for _, f in assembly.by_square(pts):
+        hw, gv, gw, mu, bulk = f["hess_w"], f["grad_v"], f["grad_w"], f["mu_local"], f["bulk"]
+        hess2 = hw[0][0] ** 2 + hw[0][1] ** 2 + hw[1][0] ** 2 + hw[1][1] ** 2
+        dens = 0.5 * ep.b * hess2 + 0.5 * ep.k * f["w"] ** 2
+        dens_wr += float(np.sum(dens[bulk]))
+        n_bulk += int(np.count_nonzero(bulk))
+        # e(v) + grad w (x) grad w / 2 - mu / 2 is symmetric: (11, 12, 22)
+        d11 = gv[0][0] + 0.5 * gw[0] ** 2 - 0.5 * mu[0, 0]
+        d12 = 0.5 * (gv[0][1] + gv[1][0]) + 0.5 * gw[0] * gw[1] - 0.5 * mu[0, 1]
+        d22 = gv[1][1] + 0.5 * gw[1] ** 2 - 0.5 * mu[1, 1]
+        dev2 += float(np.sum(d11**2 + 2.0 * d12**2 + d22**2))
+    return dens_wr, n_bulk, dev2
 
 
 def _domain_pts(df):

@@ -704,7 +704,10 @@ class ConvexPolygon(Domain):
     name = "convex_polygon"
 
     def __init__(self, vertices):
-        v = np.asarray(vertices, dtype=float)
+        try:
+            v = np.asarray(vertices, dtype=float)
+        except (TypeError, ValueError):
+            v = np.empty(0)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3 or not np.all(np.isfinite(v)):
             raise ParameterError("polygon vertices must be at least 3 finite planar points")
         scale = np.max(np.abs(v)) + 1.0
@@ -933,7 +936,8 @@ class Rectangle(ConvexPolygon):
 
 
 def make_domain(spec):
-    """Build a catalog shape from a JSON-compatible description."""
+    """Build a catalog shape from a JSON-compatible description; a missing
+    key or a non-finite or non-numeric value raises a ParameterError naming it."""
     if not isinstance(spec, dict) or "shape" not in spec:
         raise ParameterError("domain spec must be a mapping with a 'shape' key")
     kind = spec["shape"]
@@ -943,18 +947,19 @@ def make_domain(spec):
             raise ParameterError(f"{kind} needs {key!r}")
         return spec[key]
 
+    def num(key, default=None, dims=()):
+        x = _finite(kind, key, need(key) if default is None else spec.get(key, default), dims)
+        return tuple(x.tolist()) if dims else x
+
     if kind == "disc":
-        return Disc(radius=float(need("radius")), center=tuple(spec.get("center", (0.0, 0.0))))
+        return Disc(radius=num("radius"), center=num("center", (0.0, 0.0), (2,)))
     if kind == "ellipse":
-        return Ellipse(a=float(need("a")), b=float(need("b")))
+        return Ellipse(a=num("a"), b=num("b"))
     if kind == "rectangle":
-        return Rectangle(a=float(need("a")), b=float(need("b")))
+        return Rectangle(a=num("a"), b=num("b"))
     if kind == "half_disc":
-        return HalfDisc(
-            radius=float(need("radius")),
-            center=tuple(spec.get("center", (0.0, 0.0))),
-            orientation=float(spec.get("orientation", np.pi / 2)),
-        )
+        return HalfDisc(radius=num("radius"), center=num("center", (0.0, 0.0), (2,)),
+                        orientation=num("orientation", np.pi / 2))
     if kind == "convex_polygon":
         return ConvexPolygon(need("vertices"))
     raise UnsupportedShapeError(f"unknown shape {kind!r}")

@@ -50,7 +50,10 @@ class MaskedGrid:
         self.X, self.Y = np.meshgrid(xs, ys, indexing="ij")
         xn = x0 + np.arange(self.nx + 1) * self.h
         yn = y0 + np.arange(self.ny + 1) * self.h
-        self.weights = _cell_areas(domain, xn, yn, self.h)
+        self.weights, full = _cell_areas(domain, xn, yn, self.h)
+        if not full.any():
+            raise ResolutionError(f"no cell of the resolution-{resolution} grid lies wholly"
+                                  f" inside the {domain.name}: raise the resolution")
         self.mask = self.weights > 0.0
 
     def points(self):
@@ -93,7 +96,7 @@ class MaskedGrid:
 
 def _cell_areas(domain, xn, yn, h):
     """Area inside the domain of each cell [xn[i], xn[i+1]] x [yn[j], yn[j+1]]
-    (cells of side h)."""
+    (cells of side h), and which cells lie wholly inside."""
     planes, conic = domain.region()
     xn_, yn_ = xn[:, None], yn[None, :]
 
@@ -130,7 +133,7 @@ def _cell_areas(domain, xn, yn, h):
             area = _unit_disc_area((polys - center) @ M.T) / np.linalg.det(M)
         extent = max(np.abs(xn[[0, -1]]).max(), np.abs(yn[[0, -1]]).max())
         weights[ix, iy] = np.where(area > _ROUNDOFF * extent * h, area, 0.0)
-    return weights
+    return weights, full
 
 
 def _conic_radius2(X, Y, center, M):

@@ -228,7 +228,8 @@ def _ramp_slopes(u, lo, hi):
 
 
 def _stack(comps):
-    """The (n, 2, 2) array whose [:, i, j] is the per-point vector comps[i][j]."""
+    """The (n, 2) or (n, 2, 2) array whose [:, i] or [:, i, j] is the
+    per-point vector comps[i] or comps[i][j]."""
     return np.ascontiguousarray(np.moveaxis(np.array(comps), -1, 0))
 
 
@@ -244,12 +245,29 @@ def ramp(d, lo, hi):
 # ----------------------------------------------------------------------
 
 
-class HerringboneField:
+def _empty_values(n):
+    """Buffers v (2, n), w (n,) and bulk (n,) for ``_values_into``."""
+    return np.empty((2, n)), np.empty(n), np.empty(n, dtype=bool)
+
+
+class _Sampled:
+    """``values`` from a field's ``_values_into``, which grids sample."""
+
+    def values(self, x):
+        """v, w and the bulk flag at points x, equal to those ``evaluate``
+        returns, without the derivative fields (v as an (n, 2) view)."""
+        x = np.atleast_2d(x)
+        v, w, bulk = _empty_values(len(x))
+        self._values_into(x, v, w, bulk)
+        return {"v": v.T, "w": w, "bulk": bulk}
+
+
+class HerringboneField(_Sampled):
     """Closed-form herringbone displacements for a constant target.
 
     ``evaluate`` gives v, w and all first/second derivatives analytically;
     ``values`` gives v, w and the bulk flag alone, from the same formulas.
-    Grids are sampled from ``values``.
+    Grids are sampled through ``_values_into``.
     """
 
     def __init__(self, mu_matrix, params: HerringboneParams, single=True):
@@ -269,7 +287,6 @@ class HerringboneField:
         self.rank_one = self.theta < 1e-12
         # band geometry
         self.mdir = (eta2 - eta1) / np.sqrt(2.0)  # wall normal
-        self._band_eta = np.array([eta2, eta1])  # eta outside / inside the first band
         self.l_sh = params.l_sh
         self.l_wr = params.l_wr
         self.d_int = params.delta_int
@@ -278,19 +295,18 @@ class HerringboneField:
 
     # -- band helpers ---------------------------------------------------
     def _band(self, x, sign=False):
-        """(eta at x, distance to the jump set, sign of d(dist)/ds); the
-        sign, which only the cutoff's gradient reads, is None unless
-        ``sign`` is true."""
+        """(eta at x as two component vectors, distance to the jump set,
+        sign of d(dist)/ds); the sign, which only the cutoff's gradient
+        reads, is None unless ``sign`` is true."""
         x = np.atleast_2d(x)
         s = x @ self.mdir
         if self.rank_one:
-            eta = np.broadcast_to(self.eta2, x.shape)
             dist = np.full(len(x), np.inf)
             dsign = np.zeros(len(x)) if sign else None
-            return eta, dist, dsign
+            return [self.eta2[0], self.eta2[1]], dist, dsign
         u = np.mod(s, self.l_sh)
         in_first = u < self.theta * self.l_sh
-        eta = np.take(self._band_eta, in_first.astype(np.intp), axis=0)
+        eta = [np.where(in_first, self.eta1[k], self.eta2[k]) for k in range(2)]
         d0 = np.minimum(u, self.l_sh - u)
         d1 = np.abs(u - self.theta * self.l_sh)
         dist = np.minimum(d0, d1)
@@ -313,50 +329,50 @@ class HerringboneField:
         return arg, smoothstep(arg)
 
     def _shear(self, x):
-        """Shear displacement v_sh at x: (profile argument, v_sh (n,2)); the
-        argument is None for rank-one targets, which carry no shear."""
+        """Shear displacement v_sh at x: (profile argument, v_sh as two
+        components); both are None for rank-one targets, which have none."""
         if self.rank_one:
-            return None, np.zeros_like(x)
+            return None, None
         arg = (x @ (self.eta2 - self.eta1)) / (np.sqrt(2.0) * self.l_sh)
-        Aval = profile_A(arg, self.lam1, self.lam2)
-        return arg, np.sqrt(2.0) * self.l_sh * Aval[:, None] * (self.eta2 + self.eta1)[None, :]
+        a = np.sqrt(2.0) * self.l_sh * profile_A(arg, self.lam1, self.lam2)
+        e_sum = self.eta2 + self.eta1
+        return arg, [a * e_sum[0], a * e_sum[1]]
 
     def _wrinkle(self, x, eta):
         """Wrinkle before cutoffs at x, with eta from ``self._band(x)``:
-        (phase t, cos t, v_wr, w_wr)."""
-        t = (x[:, 0] * eta[:, 0] + x[:, 1] * eta[:, 1]) / self.l_wr
+        (phase t, cos t, v_wr as two component vectors, w_wr)."""
+        t = (x[:, 0] * eta[0] + x[:, 1] * eta[1]) / self.l_wr
         ct = np.cos(t)
-        return t, ct, self.amp_v * profile_V(t)[:, None] * eta, self.amp_w * np.sqrt(2.0) * ct
+        pv = self.amp_v * profile_V(t)
+        return t, ct, [pv * eta[0], pv * eta[1]], self.amp_w * np.sqrt(2.0) * ct
 
     # -- assembled fields -------------------------------------------------
-    def _values(self, x, band):
-        """The assembled v, w and bulk flag at x with ``band =
-        self._band(x)``, and the pieces ``evaluate`` differentiates."""
+    def _values_into(self, x, v, w, bulk, band=None):
+        """Write the assembled v (two component rows), w and bulk flag at x
+        into v, w and bulk; returns the pieces ``_fields`` differentiates."""
+        band = self._band(x) if band is None else band
         chi_arg, chi = self._cutoff(band)
         sh_arg, v_sh = self._shear(x)
         t, ct, v_wr, w_wr = self._wrinkle(x, band[0])
-        v = v_sh + v_wr * chi[:, None]
-        w = w_wr * chi
-        bulk = band[1] >= self.d_int
-        return (v, w, bulk), (chi_arg, chi, sh_arg, t, ct, v_wr, w_wr)
-
-    def values(self, x):
-        """v, w and the bulk flag at points x, equal to those ``evaluate``
-        returns, without the derivative fields."""
-        x = np.atleast_2d(x)
-        v, w, bulk = self._values(x, self._band(x))[0]
-        return {"v": v, "w": w, "bulk": bulk}
+        for i in range(2):
+            np.multiply(v_wr[i], chi, out=v[i])
+            if v_sh is not None:
+                v[i] += v_sh[i]
+        np.multiply(w_wr, chi, out=w)
+        np.greater_equal(band[1], self.d_int, out=bulk)
+        return chi_arg, chi, sh_arg, t, ct, v_wr, w_wr
 
     def _fields(self, x):
-        """v, w, bulk and chi at x, and grad v, grad w, hess w as lists of
-        per-point components ([i], [i][j]).  grad w_wr = g eta, hess w_wr =
-        c eta (x) eta and grad v_wr = s eta (x) eta (eta is constant in each
-        band; the cutoff removes the bands' jump set from the support), grad
-        v_sh = A' (eta2 + eta1) (x) (eta2 - eta1), grad chi = chi' mdir and
-        hess chi = chi'' mdir (x) mdir; rank-one targets have no v_sh, chi."""
+        """v, w, bulk and chi at x, and grad v, grad w, hess w, as per-point
+        components (v[i], [i][j]).  grad w_wr = g eta, hess w_wr = c eta (x)
+        eta and grad v_wr = s eta (x) eta (eta is constant in each band; the
+        cutoff removes the bands' jump set from the support), grad v_sh =
+        A' (eta2 + eta1) (x) (eta2 - eta1), grad chi = chi' mdir and hess
+        chi = chi'' mdir (x) mdir; rank-one targets have no v_sh, chi."""
         band = self._band(x, sign=True)
-        (v, w, bulk), (chi_arg, chi, sh_arg, t, ct, v_wr, w_wr) = self._values(x, band)
-        eta = [band[0][:, 0], band[0][:, 1]]
+        v, w, bulk = _empty_values(len(x))
+        chi_arg, chi, sh_arg, t, ct, v_wr, w_wr = self._values_into(x, v, w, bulk, band)
+        eta = band[0]
         g = -self.amp_w * np.sqrt(2.0) * np.sin(t) / self.l_wr
         c = -self.amp_w * np.sqrt(2.0) * ct / self.l_wr**2
         s = self.amp_v * (np.cos(2.0 * t) / self.l_wr)
@@ -375,7 +391,7 @@ class HerringboneField:
             grad_w[i] += w_wr * gchi[i]
             for j in range(2):
                 grad_v[i][j] += a_der * (e_sum[i] * e_dif[j]) * np.sqrt(2.0)
-                grad_v[i][j] += v_wr[:, i] * gchi[j]
+                grad_v[i][j] += v_wr[i] * gchi[j]
                 hess_w[i][j] += gw_wr[i] * gchi[j]
                 hess_w[i][j] += gchi[i] * gw_wr[j]
                 hess_w[i][j] += w_wr * (d2 * (self.mdir[i] * self.mdir[j]))
@@ -386,7 +402,7 @@ class HerringboneField:
         hess_w, chi (internal cutoff), wall mask."""
         v, w, bulk, chi, grad_v, grad_w, hess_w = self._fields(np.atleast_2d(x))
         return {
-            "v": v, "grad_v": _stack(grad_v), "w": w, "grad_w": np.stack(grad_w, axis=1),
+            "v": v.T, "grad_v": _stack(grad_v), "w": w, "grad_w": _stack(grad_w),
             "hess_w": _stack(hess_w), "chi_int": chi, "bulk": bulk,
         }
 
@@ -487,9 +503,9 @@ def _square_bounds(square):
 
 def _sample_rows(evaluator, lo, h, nx, ny):
     """Sample v, w and bulk on the cell-centered grid through
-    ``evaluator.values`` (no derivative field), in blocks of ``_BLOCK_ROWS``
-    rows whose points fill one reused buffer.  v is stored as planes
-    (2, nx, ny) and returned as their (nx, ny, 2) view."""
+    ``evaluator._values_into`` (no derivative field), in blocks of
+    ``_BLOCK_ROWS`` rows whose points fill one reused buffer.  Each block is
+    written straight into v's planes (2, nx, ny), returned as (nx, ny, 2)."""
     v = np.empty((2, nx, ny))
     w = np.empty((nx, ny))
     bulk = np.empty((nx, ny), dtype=bool)
@@ -499,10 +515,8 @@ def _sample_rows(evaluator, lo, h, nx, ny):
         r1 = min(r0 + _BLOCK_ROWS, nx)
         block = pts[: r1 - r0]
         block[..., 0] = (lo[0] + (np.arange(r0, r1) + 0.5) * h)[:, None]
-        out = evaluator.values(block.reshape(-1, 2))
-        v[:, r0:r1] = np.moveaxis(out["v"].reshape(r1 - r0, ny, 2), -1, 0)
-        w[r0:r1] = out["w"].reshape(r1 - r0, ny)
-        bulk[r0:r1] = out["bulk"].reshape(r1 - r0, ny)
+        evaluator._values_into(block.reshape(-1, 2), v[:, r0:r1].reshape(2, -1),
+                               w[r0:r1].reshape(-1), bulk[r0:r1].reshape(-1))
     return np.moveaxis(v, 0, -1), w, bulk
 
 
@@ -522,12 +536,13 @@ def herringbone(square, mu, params: HerringboneParams, h=None) -> DisplacementFi
     )
 
 
-class PiecewiseHerringboneField:
+class PiecewiseHerringboneField(_Sampled):
     """Lattice of per-square herringbones glued by edge cutoffs.
 
     Squares Q_alpha = alpha l_avg + [0, l_avg)^2 tile the plane; each square
     carries the cell average of the target and its own closed-form field,
-    multiplied by a separable C^2 edge cutoff.
+    multiplied by a separable C^2 edge cutoff.  ``by_square`` walks points
+    square by square; ``evaluate`` scatters what it yields.
     """
 
     def __init__(self, domain: Domain, mu: TargetDefect, params: HerringboneParams,
@@ -595,42 +610,53 @@ class PiecewiseHerringboneField:
         return i, j
 
     def _squares(self, x):
-        """Group the points x by lattice square: yields (indices, cell) for
-        each square that holds points and carries a field."""
+        """Group the points x by lattice square, sorting them once: yields
+        (indices, x[indices], cell) for each square that carries a field."""
         i, j = self.cell_of(x)
         stride = self.nrows + 2
         keys = (i - self.i0).astype(np.int64) * stride + (j - self.j0)
         order = np.argsort(keys, kind="stable")
-        split_at = np.flatnonzero(np.diff(keys[order])) + 1
-        for idx in np.split(order, split_at):
-            key = int(keys[idx[0]])
+        xs = x[order]
+        cuts = np.flatnonzero(np.diff(keys[order])) + 1
+        for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(x)]):
+            key = int(keys[order[a]])
             cell = self.cells.get((key // stride + self.i0, key % stride + self.j0))
             if cell is not None:
-                yield idx, cell
+                yield order[a:b], xs[a:b], cell
 
-    @staticmethod
-    def _glue(out, idx, f, chi):
-        """Write the per-square v, w and bulk ``f`` times the edge cutoff
-        ``chi`` into ``out`` at ``idx``."""
-        out["v"][idx] = f["v"] * chi[:, None]
-        out["w"][idx] = f["w"] * chi
-        out["bulk"][idx] = f["bulk"] & (chi > 1.0 - 1e-12)
-
-    def values(self, x):
-        """v, w and the bulk flag at points x, equal to those ``evaluate``
-        returns, without the derivative fields."""
-        x = np.atleast_2d(x)
-        n = len(x)
-        out = {"v": np.zeros((n, 2)), "w": np.zeros(n), "bulk": np.zeros(n, dtype=bool)}
-        for idx, cell in self._squares(x):
-            pts = x[idx]
+    def _values_into(self, x, v, w, bulk):
+        """Write the glued v (two component rows), w and bulk flag at x
+        into v, w and bulk."""
+        v[:], w[:], bulk[:] = 0.0, 0.0, False
+        for idx, pts, cell in self._squares(x):
+            fv, fw, fbulk = _empty_values(len(idx))
+            cell["field"]._values_into(pts, fv, fw, fbulk)
             chi = self._edge_cutoff(pts, cell["origin"])[2]
-            self._glue(out, idx, cell["field"].values(pts), chi)
-        return out
+            v[:, idx] = fv * chi
+            w[idx] = fw * chi
+            bulk[idx] = fbulk & (chi > 1.0 - 1e-12)
+
+    def by_square(self, x):
+        """Walk the points x square by square.  Yields (indices, fields)
+        for each square that holds points and carries a field: the glued
+        v and grad_w as component lists [i], grad_v and hess_w as [i][j],
+        w, bulk, the edge cutoff chi_ext and the square's target mu_local
+        (2, 2), each at the points x[indices]."""
+        for idx, pts, cell in self._squares(x):
+            v, w, bulk, _, gv, gw, hw = cell["field"]._fields(pts)
+            chi, gchi, hchi = self.chi_ext(pts, cell["origin"])
+            yield idx, {
+                "v": [v[i] * chi for i in range(2)], "w": w * chi,
+                "bulk": bulk & (chi > 1.0 - 1e-12), "chi_ext": chi, "mu_local": cell["mu"],
+                "grad_v": [[gv[i][j] * chi + v[i] * gchi[j] for j in range(2)] for i in range(2)],
+                "grad_w": [gw[i] * chi + w * gchi[i] for i in range(2)],
+                "hess_w": [[hw[i][j] * chi + gw[i] * gchi[j] + gchi[i] * gw[j] + w * hchi[i][j]
+                            for j in range(2)] for i in range(2)],
+            }
 
     def evaluate(self, x):
         """Assembled fields at points x (same keys as HerringboneField plus
-        'mu_local' and 'wall')."""
+        'mu_local' and 'chi_ext'), scattered from ``by_square``."""
         x = np.atleast_2d(x)
         n = len(x)
         out = {
@@ -639,19 +665,9 @@ class PiecewiseHerringboneField:
             "hess_w": np.zeros((n, 2, 2)), "bulk": np.zeros(n, dtype=bool),
             "mu_local": np.zeros((n, 2, 2)), "chi_ext": np.zeros(n),
         }
-        for idx, cell in self._squares(x):
-            pts = x[idx]
-            v, w, bulk, _, gv, gw, hw = cell["field"]._fields(pts)
-            chi, gchi, hchi = self.chi_ext(pts, cell["origin"])
-            self._glue(out, idx, {"v": v, "w": w, "bulk": bulk}, chi)
-            out["grad_v"][idx] = _stack(
-                [[gv[i][j] * chi + v[:, i] * gchi[j] for j in range(2)] for i in range(2)])
-            out["grad_w"][idx] = np.stack([gw[i] * chi + w * gchi[i] for i in range(2)], axis=1)
-            out["hess_w"][idx] = _stack(
-                [[hw[i][j] * chi + gw[i] * gchi[j] + gchi[i] * gw[j] + w * hchi[i][j]
-                  for j in range(2)] for i in range(2)])
-            out["mu_local"][idx] = cell["mu"]
-            out["chi_ext"][idx] = chi
+        for idx, f in self.by_square(x):
+            for key, val in f.items():
+                out[key][idx] = _stack(val) if isinstance(val, list) else val
         return out
 
 

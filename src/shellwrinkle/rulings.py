@@ -55,7 +55,6 @@ class LineGeometry:
     end_kind: str
     rho0: float
     rho1: float
-    label: str  # 'O' or 'U'
 
     @functools.cached_property
     def length(self):
@@ -192,7 +191,7 @@ class ChordChart(Chart):
         return LineGeometry(
             s=float(s), start=start[0], end=end[0], eta=self._eta.copy(),
             start_kind=self.start_kind, end_kind=self.end_kind,
-            rho0=1.0, rho1=0.0, label=self.label,
+            rho0=1.0, rho1=0.0,
         )
 
     def s_range(self):
@@ -253,7 +252,7 @@ class FanChart(Chart):
         return LineGeometry(
             s=float(s), start=self.center + ri * e_r, end=self.center + ro * e_r,
             eta=rot_minus90(e_r), start_kind="boundary", end_kind="boundary",
-            rho0=1.0, rho1=1.0 / ri, label=self.label,
+            rho0=1.0, rho1=1.0 / ri,
         )
 
     def eta_at(self, x):
@@ -310,7 +309,7 @@ class ExitChart(Chart):
         rho1 = np.where(focal, 1.0, kappa / np.where(focal, 1.0, rest))
         return [LineGeometry(s=float(s), start=a, end=b, eta=e, rho0=0.0 if f else 1.0,
                              rho1=float(r1), start_kind="focal_point" if f else "medial_axis",
-                             end_kind="boundary", label=self.label)
+                             end_kind="boundary")
                 for s, a, b, e, f, r1 in zip(ss, y - L[:, None] * nu, y, rot_minus90(nu),
                                              focal, rho1)]
 

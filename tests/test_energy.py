@@ -23,11 +23,13 @@ from shellwrinkle.energy import (
     _eroded,
     _frob2_sym,
 )
+from shellwrinkle.characteristics import defect_field
 from shellwrinkle.errors import ParameterError, RegimeError
 from shellwrinkle.geometry import ConvexPolygon, Disc, Ellipse, HalfDisc, Rectangle
 from shellwrinkle.grids import MaskedGrid
 from shellwrinkle.herringbone import (
     DisplacementField,
+    PiecewiseHerringboneField,
     TargetDefect,
     _BLOCK_ROWS,
     herringbone,
@@ -615,6 +617,33 @@ class TestInterpolation:
             interpolation_check(zero, bad, 1.0, 1.0, MaskedGrid(rect, 192))
 
 
+def _scaling_reference(domain, shell, params_seq, resolution, n_samples, seed):
+    """Per point of params_seq: (ratio, stretching, bulk_fraction) from
+    ``PiecewiseHerringboneField.evaluate`` on all samples at once, with the
+    densities as einsum contractions of the (n, 2, 2) fields."""
+    df = defect_field(domain, shell, resolution)
+    primal = df.primal_value()
+    target = energy_module._grid_target(df)
+    rng = np.random.default_rng(seed)
+    pts = energy_module._stratified_domain_samples(domain, n_samples, rng)
+    area = domain.area()
+    rows = []
+    for ep in params_seq:
+        hp = optimal_params(ep.b, ep.k, target, df.grid.masked_points())
+        out = PiecewiseHerringboneField(domain, target, hp).evaluate(pts)
+        bulk = out["bulk"]
+        dens = (0.5 * ep.b * np.einsum("nij,nij->n", out["hess_w"], out["hess_w"])
+                + 0.5 * ep.k * out["w"] ** 2)
+        wrinkling = float(dens[bulk].mean()) * area
+        gv, gw = out["grad_v"], out["grad_w"]
+        dev = (0.5 * (gv + np.transpose(gv, (0, 2, 1)))
+               + 0.5 * np.einsum("ni,nj->nij", gw, gw) - 0.5 * out["mu_local"])
+        stretching = 0.5 * float(np.einsum("nij,nij->n", dev, dev).mean()) * area
+        rows.append(((wrinkling + ep.gamma * primal) / ep.gamma_eff, stretching,
+                     float(bulk.mean())))
+    return rows
+
+
 class TestScalingStudy:
     def test_regime_validation(self, ellipse):
         sh = ShellProfile.constant(1.0)
@@ -636,6 +665,19 @@ class TestScalingStudy:
         rep1 = scaling_study(ellipse, sh, seq1, resolution=128, n_samples=2**18)
         assert abs(rep0.c1 - np.pi / 2) / (np.pi / 2) < 0.2
         assert abs(rep1.c1 - np.pi / 2) / (np.pi / 2) < 0.2
+
+    def test_points_match_whole_array_reference(self, ellipse):
+        # the square-by-square sums against the whole-array evaluation and
+        # einsum forms the study used before
+        sh = ShellProfile.constant(1.0)
+        seq = [EnergyParams(b=bb, k=1.0, gamma=1e-3) for bb in (1e-6, 1e-8, 1e-10)]
+        rep = scaling_study(ellipse, sh, seq, resolution=96, n_samples=2**16, seed=5)
+        ref = _scaling_reference(ellipse, sh, seq, resolution=96, n_samples=2**16, seed=5)
+        for p, (ratio, stretching, bulk_fraction) in zip(rep.points, ref):
+            assert p.ratio == pytest.approx(ratio, rel=1e-12, abs=0)
+            assert p.stretching == pytest.approx(stretching, rel=1e-12, abs=0)
+            assert p.bulk_fraction == pytest.approx(bulk_fraction, rel=1e-12, abs=0)
+            assert 0.0 < p.bulk_fraction < 1.0 and p.stretching > 0.0
 
     def test_zero_curvature_limit_zero(self, ellipse):
         sh = FLAT

@@ -581,6 +581,34 @@ class TestValidationAndConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{name} must" in err
 
+    @pytest.mark.parametrize("spec, name", [
+        ({"shape": "ellipse", "a": "x", "b": 1.0}, "ellipse a must"),
+        ({"shape": "convex_polygon", "vertices": "abc"}, "vertices must"),
+        ({"shape": "disc", "radius": 1.0, "center": "ab"}, "center must"),
+    ])
+    def test_cli_reports_a_non_numeric_field(self, tmp_path, capsys, spec, name):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"domain": spec, "shell": {"sign": "negative"}}))
+        assert cli.main(["defect", "--config", str(path)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+
+    def test_cli_reports_a_shape_too_thin_for_the_grid(self, capsys):
+        argv = ["defect", "--shape", "ellipse", "--a", "1", "--b-axis", "1e-6",
+                "--sign", "negative", "--resolution", "64"]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "resolution" in err
+
+    def test_cli_lets_a_library_value_error_surface(self, monkeypatch):
+        # only a missing or malformed config file reads as a config error
+        def broken(cfg):
+            raise ValueError("library bug")
+
+        monkeypatch.setitem(cli.COMMANDS, "defect", broken)
+        with pytest.raises(ValueError, match="library bug"):
+            cli.main(["defect", "--shape", "disc", "--radius", "1"])
+
     def test_cli_reports_missing_key(self, capsys):
         assert cli.main(["defect", "--shape", "disc"]) == cli.EXIT_USAGE
         assert "disc needs 'radius'" in capsys.readouterr().err

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from shellwrinkle.geometry import HalfDisc
+from shellwrinkle.errors import ResolutionError
+from shellwrinkle.geometry import Ellipse, HalfDisc
 from shellwrinkle.grids import MaskedGrid
 
 CATALOG = ["ellipse", "disc", "rect", "half_disc_pos", "half_disc_neg", "triangle", "pentagon"]
@@ -50,3 +51,9 @@ def test_eval_points_lie_in_domain(request, name, n):
     pts = grid.eval_points()
     assert pts.shape == (int(grid.mask.sum()), 2)
     assert np.all(dom.contains(pts, tol=1e-12))
+
+
+def test_shape_too_thin_for_the_grid_raises():
+    # no cell of side 2/64 lies wholly inside an ellipse 2e-6 thick
+    with pytest.raises(ResolutionError, match="resolution-64 grid"):
+        MaskedGrid(Ellipse(1.0, 1e-6), 64)

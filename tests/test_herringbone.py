@@ -221,13 +221,19 @@ class TestSingleSquare:
         # |Q_wall| <= C (delta_int / l_sh) |Q| with a modest constant
         assert wall_frac <= 6.0 * ID_PARAMS.delta_int / ID_PARAMS.l_sh
 
-    def test_grid_field_matches_analytic(self):
-        fld = herringbone(((0.0, 0.0), 0.25), np.eye(2), ID_PARAMS)
+    @pytest.mark.parametrize("mu", [np.eye(2), np.array([[1.0, 0.1], [0.1, 0.8]]),
+                                    np.diag([0.0, 2.0])], ids=["iso", "aniso", "rank-one"])
+    def test_grid_field_matches_analytic(self, mu):
+        # the sampler writes each row block straight into its planes: the
+        # samples are evaluate's values at the cell centres, bit for bit
+        fld = herringbone(((0.0, 0.0), 0.25), mu, ID_PARAMS)
         X, Y = fld.points()
         pts = np.stack([X.ravel(), Y.ravel()], axis=1)
         ev = fld.analytic.evaluate(pts)
-        assert np.allclose(fld.w.ravel(), ev["w"], atol=1e-14)
-        assert np.allclose(fld.u.reshape(-1, 2), ev["v"], atol=1e-14)
+        assert np.array_equal(fld.u.reshape(-1, 2), ev["v"])
+        assert np.array_equal(fld.w.ravel(), ev["w"])
+        assert np.array_equal(fld.bulk_mask.ravel(), ev["bulk"])
+        assert 0.0 < fld.bulk_mask.mean() <= 1.0
 
     @pytest.mark.parametrize("mu", [np.eye(2), np.array([[1.0, 0.3], [0.3, 0.6]]),
                                     np.diag([0.0, 2.0])], ids=["iso", "aniso", "rank-one"])
