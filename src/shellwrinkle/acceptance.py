@@ -223,7 +223,7 @@ def criterion_2():
     af = airy_mod.solve_dual(H, sh)
     chart = af.charts[0]
     line = chart.line_at(np.pi / 2)
-    sol = chars.solve_bvp(line, sh.k)
+    sol = chars.solve_bvp(line, sh.curvature)
     lam_15 = sol.lam_at(0.5)  # u = r - 1 = 0.5 on the ray from r=1 to r=2
     err_h = abs(lam_15 - 0.25)
 

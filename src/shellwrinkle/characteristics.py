@@ -7,7 +7,11 @@ Along each stable line the defect density solves
 with two-point data (rho lam = 0 at both endpoints) when the line runs
 boundary-to-boundary, and Cauchy data (rho lam = (rho lam)' = 0 at the
 start) when it starts on the singular set or a focal point.  Both are
-integrated by double cumulative trapezoid sums.  The defect measure is
+integrated by double cumulative trapezoid sums on n uniform nodes.  K is the
+shell's own `ShellProfile.curvature`: a callable is sampled at the nodes; a
+number needs no samples, because the double sum is linear and rho is affine,
+so it is K h^2 (rho0 S1 + rho1 L Su) with S1 and Su the unit-step sums of 1
+and of u = linspace(0, 1, n), computed once per n.  The defect measure is
 taken absolutely continuous, mu = lam eta (x) eta on the cells.  That
 misses the line density that an O/U interface carries at K > 0, where the
 unconstrained chords end with a nonzero slope of lam; `curlcurl_residual`
@@ -81,32 +85,58 @@ def _cumtrapz(y, h):
     return out
 
 
+@functools.lru_cache(maxsize=4)
+def _unit_sums(n):
+    """(S1, Su): the unit-step double cumulative trapezoid sums of 1 and of
+    u = linspace(0, 1, n), shared read-only by every constant-K line with n
+    samples."""
+    sums = tuple(_cumtrapz(_cumtrapz(y, 1.0), 1.0) for y in (np.ones(n), _unit_grid(n)))
+    for a in sums:
+        a.flags.writeable = False
+    return sums
+
+
 def _integrate_line(line: LineGeometry, K, n):
-    """Nodes t, rho(t) and I2, the double cumulative integral of rho K."""
+    """Nodes t, rho(t) and -2 I2, with I2 the double cumulative integral of
+    rho K: the rho lam of Cauchy data at the start.
+
+    A callable K is sampled at the line's points and summed twice; a
+    number scales the cached unit-grid sums, rho K = K (rho0 + rho1 L u)
+    giving I2 = K h^2 (rho0 S1 + rho1 L Su), the same sums to rounding.
+    """
     L = line.length
     if L <= 0:
         raise ParameterError("degenerate line")
     t = L * _unit_grid(n)
     rho = line.rho_at(t)
-    k = np.asarray(K(line.point_at(t)), dtype=float)
     h = L / (n - 1)
-    i2 = _cumtrapz(_cumtrapz(rho * k, h), h)
-    return t, rho, i2
+    if callable(K):
+        k = np.asarray(K(line.point_at(t)), dtype=float)
+        p = _cumtrapz(_cumtrapz(rho * k, h), h)
+        p *= -2.0
+    else:
+        s1, su = _unit_sums(n)
+        kh2 = -2.0 * K * h * h
+        p = s1 * (kh2 * line.rho0)
+        p += su * (kh2 * line.rho1 * L)
+    return t, rho, p
 
 
 def solve_bvp(line: LineGeometry, K, n=DEFAULT_SAMPLES_PER_LINE, out=None) -> LineSolution:
     """Two-point problem: rho lam = 0 at both endpoints.
 
     (rho lam)(t) = -2 I2(t) + c t with I2 the double cumulative integral of
-    rho K and c fixed by the right endpoint.  lam is written into ``out``
-    (an (n,) float array) when given, else into a new array.
+    rho K and c fixed by the right endpoint.  K is a number or a callable on
+    (n, 2) points, as in `ShellProfile.curvature`; a number is integrated
+    from cached unit-grid sums without sampling the line.  lam is written
+    into ``out`` (an (n,) float array) when given, else into a new array.
     """
-    t, rho, i2 = _integrate_line(line, K, n)
+    t, rho, p = _integrate_line(line, K, n)
     # rho is affine, so it is positive along the line iff at both ends
     if not (rho[0] > 0 and rho[-1] > 0):
         raise DataError("rho must be positive along a two-point line")
-    c = 2.0 * i2[-1] / t[-1]
-    lam = np.divide(c * t - 2.0 * i2, rho, out=out)
+    p += t * (-p[-1] / t[-1])
+    lam = np.divide(p, rho, out=out)
     return LineSolution(line=line, lam=lam)
 
 
@@ -115,21 +145,23 @@ def solve_cauchy(line: LineGeometry, K, n=DEFAULT_SAMPLES_PER_LINE, out=None) ->
 
     A density dipping below -CAUCHY_SIGN_TOL is reported as a curvature-sign
     violation: along Cauchy lines the density and K take opposite signs.
-    lam is written into ``out`` (an (n,) float array) when given, else into
-    a new array.
+    K is a number or a callable, as in `solve_bvp`.  lam is written into
+    ``out`` (an (n,) float array) when given, else into a new array.
     """
     if line.start_kind == "boundary":
         raise DataError("Cauchy data must start on the singular set or a focal point")
-    t, rho, i2 = _integrate_line(line, K, n)
+    t, rho, p = _integrate_line(line, K, n)
     # lam = 0 where rho vanishes: at a fan center lam ~ -K u^2 / 3 -> 0
     lam = np.empty(n) if out is None else out
     lam.fill(0.0)
-    np.divide(-2.0 * i2, rho, out=lam, where=rho > 0)
+    np.divide(p, rho, out=lam, where=rho > 0)
     violation = bool(lam.min() < -CAUCHY_SIGN_TOL)
     return LineSolution(line=line, lam=lam, sign_violation=violation)
 
 
 def solve_line(line: LineGeometry, K, data_kind, n=DEFAULT_SAMPLES_PER_LINE, out=None):
+    """`solve_bvp` when ``data_kind`` is "bvp", else `solve_cauchy`; K is a
+    number or a callable, as `ShellProfile.curvature` holds it."""
     if data_kind == "bvp":
         return solve_bvp(line, K, n, out)
     return solve_cauchy(line, K, n, out)
@@ -140,9 +172,10 @@ class DefectField:
     """Rank-one defect density on a masked grid.
 
     ``uncovered`` marks the masked cells that no chart holds (``locate``
-    returns -1); they carry lam = 0 and mu = 0.  The field keeps the grid
-    values only; the per-line densities they were interpolated from are not
-    kept.
+    returns -1); they carry lam = 0 and mu = 0.  ``sign_violations`` counts
+    the Cauchy lines whose density took the sign of K (`solve_cauchy`).
+    The field keeps the grid values only; the per-line densities they were
+    interpolated from are not kept.
     """
 
     domain: Domain
@@ -154,6 +187,7 @@ class DefectField:
     airy: AiryField
     uncovered: np.ndarray
     interface_flag: bool = False
+    sign_violations: int = 0
     primal: Optional[float] = None
 
     def primal_value(self):
@@ -167,8 +201,9 @@ class DefectField:
 
 def _rasterize_chart(lines, K, data_kind, s, u, L):
     """Solve a chart's lines and return lam at points with chart
-    coordinates (s, u, L), and a mask of points farther than 1.5 station
-    steps from any solved line.
+    coordinates (s, u, L), a mask of points farther than 1.5 station steps
+    from any solved line, and the number of lines whose solve reported a
+    sign violation.
 
     ``lines`` are sorted by station.  They are solved LINE_WINDOW at a time
     into one reused (LINE_WINDOW, n_t) window, and each point is
@@ -183,7 +218,7 @@ def _rasterize_chart(lines, K, data_kind, s, u, L):
     """
     n = len(lines)
     if n == 0:
-        return np.zeros(len(s)), np.ones(len(s), dtype=bool)
+        return np.zeros(len(s)), np.ones(len(s), dtype=bool), 0
     stations = np.array([ln.s for ln in lines])
     step = np.median(np.diff(stations)) if n > 1 else None
     # point i lies between stations j[i] - 1 and j[i]; it waits for the
@@ -194,21 +229,21 @@ def _rasterize_chart(lines, K, data_kind, s, u, L):
     lam = np.empty(len(s))
     far = np.zeros(len(s), dtype=bool)
     window = np.empty((min(LINE_WINDOW, n), DEFAULT_SAMPLES_PER_LINE))
-    lo = hi = start = 0  # the window holds lines lo .. hi - 1
+    lo = hi = start = violations = 0  # the window holds lines lo .. hi - 1
     while hi < n:
         if hi:
             window[0] = window[hi - 1 - lo]
             lo = hi - 1
         top = min(lo + len(window), n)
         for k in range(hi, top):
-            solve_line(lines[k], K, data_kind, out=window[k - lo])
+            violations += solve_line(lines[k], K, data_kind, out=window[k - lo]).sign_violation
         hi = top
         stop = len(order) if hi == n else int(np.searchsorted(j_sorted, hi))
         for a in range(start, stop, POINT_BLOCK):
             p = order[a:min(a + POINT_BLOCK, stop)]
             lam[p], far[p] = _interpolate_lines(stations, window, lo, step, j[p], s[p], u[p], L[p])
         start = stop
-    return lam, far
+    return lam, far, violations
 
 
 def _interpolate_lines(stations, window, lo, step, j, s, u, L):
@@ -290,13 +325,19 @@ def defect_field(domain: Domain, shell: ShellProfile, resolution=256,
     eta_m = np.full((len(pts), 2), np.nan)
     which = locate(family.charts, pts)
     interface_flag = False
+    sign_violations = 0
     for ci, (chart, lines) in enumerate(zip(family.charts, family.lines_by_chart)):
         if any(ln.start_kind == "interface" or ln.end_kind == "interface" for ln in lines):
             interface_flag = True
         idx = np.flatnonzero(which == ci)
-        s, u, L, eta = chart.coords_eta(pts[idx])
-        eta_m[idx] = eta
-        lam, far = _rasterize_chart(lines, shell.k, chart.data_kind, s, u, L)
+        # chart coordinates POINT_BLOCK cells at a time, so the foot-point
+        # temporaries stay small
+        s, u, L = np.empty((3, len(idx)))
+        for a in range(0, len(idx), POINT_BLOCK):
+            blk = slice(a, a + POINT_BLOCK)
+            s[blk], u[blk], L[blk], eta_m[idx[blk]] = chart.coords_eta(pts[idx[blk]])
+        lam, far, bad = _rasterize_chart(lines, shell.curvature, chart.data_kind, s, u, L)
+        sign_violations += bad
         if np.any(far):
             lam[far] = _frozen_k_fill(chart, shell.k(pts[idx[far]]), s[far], u[far], L[far])
         lam_m[idx] = lam
@@ -316,6 +357,7 @@ def defect_field(domain: Domain, shell: ShellProfile, resolution=256,
     return DefectField(
         domain=domain, shell=shell, grid=grid, lam=lam, eta=eta, mu=mu,
         airy=airy, uncovered=uncovered, interface_flag=interface_flag,
+        sign_violations=sign_violations,
     )
 
 
@@ -337,6 +379,7 @@ def _mixture_field(domain, shell, resolution, deco):
     f1.mu = mu
     f1.lam = lam
     f1.eta = eta
+    f1.sign_violations += f2.sign_violations
     f1.primal = None
     return f1
 

@@ -44,6 +44,32 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
+def _number(value, key, kind=float):
+    """``value`` converted by ``kind`` (float, int or `_floats`); a
+    ParameterError naming ``key`` unless it converts to finite numbers."""
+    try:
+        x = kind(value)
+        ok = bool(np.all(np.isfinite(x)))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ParameterError(f"{key} must be numeric and finite, got {value!r}")
+    return x
+
+
+def _floats(value):
+    return np.asarray(value, dtype=float)
+
+
+def _section(cfg, key, default=None):
+    """cfg[key], or ``default`` when absent; a ParameterError naming ``key``
+    unless it is a mapping."""
+    spec = cfg.get(key, default)
+    if spec is not None and not isinstance(spec, dict):
+        raise ParameterError(f"{key} must be a mapping, got {spec!r}")
+    return spec
+
+
 def _load_config(path):
     with open(path) as fh:
         return json.load(fh)
@@ -57,27 +83,28 @@ def _domain_from(cfg):
 
 
 def _shell_from(cfg):
-    spec = cfg.get("shell", {"sign": "zero", "curvature": 0.0})
+    spec = _section(cfg, "shell", {"sign": "zero", "curvature": 0.0})
     sign = spec.get("sign")
     k = spec.get("curvature", {"positive": 1.0, "negative": -1.0, "zero": 0.0}.get(sign, 0.0))
+    k = _number(k, "shell curvature")
     if sign is None:
         sign = "zero" if k == 0 else ("positive" if k > 0 else "negative")
-    return ShellProfile(curvature=float(k), sign=sign)
+    return ShellProfile(curvature=k, sign=sign)
 
 
 def _decomposition_from(cfg):
-    spec = cfg.get("u_decomposition")
+    spec = _section(cfg, "u_decomposition")
     if spec is None:
         return None
     if spec.get("kind") == "random":
-        seed = int(cfg.get("seed", 0))
+        seed = _number(cfg.get("seed", 0), "seed", int)
         rng = np.random.default_rng(seed)
         return UDecomposition(kind="parallel", angle=float(rng.uniform(0, np.pi)))
     return UDecomposition(
         kind=spec.get("kind", "parallel"),
-        angle=float(spec.get("angle", 0.0)),
-        angle2=float(spec.get("angle2", np.pi / 4)),
-        weight=float(spec.get("weight", 0.5)),
+        angle=_number(spec.get("angle", 0.0), "u_decomposition angle"),
+        angle2=_number(spec.get("angle2", np.pi / 4), "u_decomposition angle2"),
+        weight=_number(spec.get("weight", 0.5), "u_decomposition weight"),
     )
 
 
@@ -99,7 +126,7 @@ def cmd_pattern(cfg):
     domain = _domain_from(cfg)
     shell = _shell_from(cfg)
     deco = _decomposition_from(cfg)
-    spacing = float(cfg.get("spacing", domain.diameter() / 40))
+    spacing = _number(cfg.get("spacing", domain.diameter() / 40), "spacing")
     af = airy_mod.solve_dual(domain, shell, deco)
     family = stable_lines(domain, af, spacing)
     medial = domain.medial_axis() if af.sign < 0 else None
@@ -117,10 +144,11 @@ def cmd_pattern(cfg):
 def cmd_dual(cfg):
     domain = _domain_from(cfg)
     shell = _shell_from(cfg)
-    resolution = int(cfg.get("resolution", 256))
+    resolution = _number(cfg.get("resolution", 256), "resolution", int)
+    tol = _number(_section(cfg, "tolerances", {}).get("admissibility", 1e-8),
+                  "tolerances admissibility")
     af = airy_mod.solve_dual(domain, shell, _decomposition_from(cfg))
     value = airy_mod.dual_value(domain, shell, af, resolution)
-    tol = float(cfg.get("tolerances", {}).get("admissibility", 1e-8))
     rep = airy_mod.check_admissible(af, domain, tol)
     payload = {
         "command": "dual",
@@ -142,11 +170,12 @@ def cmd_dual(cfg):
 def cmd_defect(cfg):
     domain = _domain_from(cfg)
     shell = _shell_from(cfg)
-    resolution = int(cfg.get("resolution", 256))
+    resolution = _number(cfg.get("resolution", 256), "resolution", int)
+    test_count = _number(cfg.get("test_count", 8), "test_count", int)
     df = chars.defect_field(domain, shell, resolution, _decomposition_from(cfg))
     primal = df.primal_value()
     dual = airy_mod.dual_value(domain, shell, df.airy, resolution)
-    residual = chars.curlcurl_residual(df, shell, int(cfg.get("test_count", 8)))
+    residual = chars.curlcurl_residual(df, shell, test_count)
     gap = 0.0 if max(primal, dual) == 0 else abs(primal - dual) / max(primal, dual)
     payload = {
         "command": "defect",
@@ -155,6 +184,7 @@ def cmd_defect(cfg):
         "gap": gap,
         "residual": residual,
         "min_lambda": df.min_lambda(),
+        "sign_violations": df.sign_violations,
         "interface_caveat": df.interface_flag,
     }
     files = {}
@@ -175,11 +205,11 @@ def cmd_defect(cfg):
 
 
 def cmd_herringbone(cfg):
-    b = float(cfg.get("b", 1e-8))
-    k = float(cfg.get("k", 1.0))
-    mu = np.asarray(cfg.get("mu", [[1.0, 0.0], [0.0, 1.0]]), dtype=float)
+    b = _number(cfg.get("b", 1e-8), "b")
+    k = _number(cfg.get("k", 1.0), "k")
+    mu = _number(cfg.get("mu", [[1.0, 0.0], [0.0, 1.0]]), "mu", _floats)
     params = optimal_params(b, k, TargetDefect(mu))
-    side = float(cfg.get("side", 1.0))
+    side = _number(cfg.get("side", 1.0), "side")
     fld = herringbone(((0.0, 0.0), side), mu, params)
     files = {}
     if "out" in cfg:
@@ -205,14 +235,14 @@ def cmd_herringbone(cfg):
 
 
 def cmd_energy(cfg):
-    b = float(cfg.get("b", 1e-8))
-    k = float(cfg.get("k", 1.0))
-    gamma = float(cfg.get("gamma", 0.0))
+    b = _number(cfg.get("b", 1e-8), "b")
+    k = _number(cfg.get("k", 1.0), "k")
+    gamma = _number(cfg.get("gamma", 0.0), "gamma")
     ep = EnergyParams(b=b, k=k, gamma=gamma)
-    mu = np.asarray(cfg.get("mu", [[1.0, 0.0], [0.0, 1.0]]), dtype=float)
+    mu = _number(cfg.get("mu", [[1.0, 0.0], [0.0, 1.0]]), "mu", _floats)
     target = TargetDefect(mu)
     params = optimal_params(b, k, target)
-    side = float(cfg.get("side", 1.0))
+    side = _number(cfg.get("side", 1.0), "side")
     fld = herringbone(((0.0, 0.0), side), mu, params)
     square = ConvexPolygon([(0.0, 0.0), (side, 0.0), (side, side), (0.0, side)])
     shell = ShellProfile(curvature=0.0, sign="zero")
@@ -251,11 +281,14 @@ def cmd_verify(cfg):
 def cmd_sweep(cfg):
     domain = _domain_from(cfg)
     shell = _shell_from(cfg)
-    bs = cfg.get("b_values", [1e-6, 1e-8, 1e-10])
-    k = float(cfg.get("k", 1.0))
-    gamma = float(cfg.get("gamma", 0.0))
+    bs = _number(cfg.get("b_values", [1e-6, 1e-8, 1e-10]), "b_values", _floats)
+    if bs.ndim != 1:
+        raise ParameterError(f"b_values must be a list of numbers, got {cfg['b_values']!r}")
+    k = _number(cfg.get("k", 1.0), "k")
+    gamma = _number(cfg.get("gamma", 0.0), "gamma")
+    resolution = _number(cfg.get("resolution", 192), "resolution", int)
     seq = [EnergyParams(b=float(bb), k=k, gamma=gamma) for bb in bs]
-    rep = scaling_study(domain, shell, seq, resolution=int(cfg.get("resolution", 192)))
+    rep = scaling_study(domain, shell, seq, resolution=resolution)
     payload = {
         "command": "sweep",
         "c1": rep.c1,

@@ -718,7 +718,7 @@ class ConvexPolygon(Domain):
             cross = e1[0] * e2[1] - e1[1] * e2[0]
             if np.hypot(*e1) < 1e-12 * scale:
                 raise ParameterError("repeated polygon vertices")
-            if cross <= 1e-12 * scale**2:
+            if not cross > 1e-12 * scale**2:  # a cross product that overflows to NaN fails too
                 raise ParameterError("polygon must be strictly convex with CCW vertices")
         self.vertices = v
         d = np.roll(v, -1, axis=0) - v
@@ -935,9 +935,15 @@ class Rectangle(ConvexPolygon):
         return {"shape": "rectangle", "a": self.a, "b": self.b}
 
 
+SCALE_BOUND = 1e100  # a spec's numbers are at most this in magnitude, its sizes at least 1/this
+
+
 def make_domain(spec):
     """Build a catalog shape from a JSON-compatible description; a missing
-    key or a non-finite or non-numeric value raises a ParameterError naming it."""
+    key, a non-finite or non-numeric value, or one out of scale (a number
+    above SCALE_BOUND in magnitude, a size below 1/SCALE_BOUND, where areas
+    and grid steps would overflow or underflow) raises a ParameterError
+    naming it."""
     if not isinstance(spec, dict) or "shape" not in spec:
         raise ParameterError("domain spec must be a mapping with a 'shape' key")
     kind = spec["shape"]
@@ -947,19 +953,30 @@ def make_domain(spec):
             raise ParameterError(f"{kind} needs {key!r}")
         return spec[key]
 
-    def num(key, default=None, dims=()):
+    def in_scale(key, x, size=False):
+        m = np.abs(x)
+        if np.any(m > SCALE_BOUND) or (size and np.any(m < 1.0 / SCALE_BOUND)):
+            raise ParameterError(
+                f"{kind} {key} is out of scale: numbers must be at most {SCALE_BOUND:g} and "
+                f"sizes at least {1.0 / SCALE_BOUND:g} in magnitude, "
+                f"got {np.asarray(x).tolist()!r}")
+
+    def num(key, default=None, dims=(), size=False):
         x = _finite(kind, key, need(key) if default is None else spec.get(key, default), dims)
+        in_scale(key, x, size)
         return tuple(x.tolist()) if dims else x
 
     if kind == "disc":
-        return Disc(radius=num("radius"), center=num("center", (0.0, 0.0), (2,)))
+        return Disc(radius=num("radius", size=True), center=num("center", (0.0, 0.0), (2,)))
     if kind == "ellipse":
-        return Ellipse(a=num("a"), b=num("b"))
+        return Ellipse(a=num("a", size=True), b=num("b", size=True))
     if kind == "rectangle":
-        return Rectangle(a=num("a"), b=num("b"))
+        return Rectangle(a=num("a", size=True), b=num("b", size=True))
     if kind == "half_disc":
-        return HalfDisc(radius=num("radius"), center=num("center", (0.0, 0.0), (2,)),
+        return HalfDisc(radius=num("radius", size=True), center=num("center", (0.0, 0.0), (2,)),
                         orientation=num("orientation", np.pi / 2))
     if kind == "convex_polygon":
-        return ConvexPolygon(need("vertices"))
+        poly = ConvexPolygon(need("vertices"))
+        in_scale("vertices", poly.vertices)
+        return poly
     raise UnsupportedShapeError(f"unknown shape {kind!r}")

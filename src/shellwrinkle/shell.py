@@ -20,9 +20,10 @@ from .errors import DataError
 class ShellProfile:
     """Curvature data K = det(grad grad p) with a declared sign.
 
-    sign is one of {"positive", "negative", "zero"}; a constant K must not
-    contradict it beyond ``tol``.  grad_p is only needed for energy
-    evaluation with a nonflat reference profile.
+    sign is one of {"positive", "negative", "zero"}; a constant K must be a
+    finite number, is kept as a float, and must not contradict the sign
+    beyond ``tol``.  grad_p is only needed for energy evaluation with a
+    nonflat reference profile.
     """
 
     curvature: float | Callable = 0.0
@@ -34,7 +35,14 @@ class ShellProfile:
         if self.sign not in ("positive", "negative", "zero"):
             raise DataError(f"bad curvature sign {self.sign!r}")
         if not callable(self.curvature):
-            k = float(self.curvature)
+            try:
+                k = float(self.curvature)
+            except (TypeError, ValueError):
+                k = np.nan
+            if not np.isfinite(k):
+                raise DataError(
+                    f"constant curvature must be a finite number, got {self.curvature!r}")
+            object.__setattr__(self, "curvature", k)
             ok = (
                 (self.sign == "positive" and k >= -self.tol)
                 or (self.sign == "negative" and k <= self.tol)

@@ -66,9 +66,10 @@ def make_line(start, end, start_kind="boundary", end_kind="boundary", rho0=1.0, 
 
 
 def whole_table_field(domain, shell, resolution):
-    """Reference (lam, eta) for `defect_field`: every chart's lines solved
-    into one (n_lines, n) table, every point interpolated from it at once,
-    and each chart's coords and eta taken by separate calls."""
+    """Reference (lam, eta) for `defect_field`: every chart's lines solved,
+    with the K `defect_field` passes, into one (n_lines, n) table, every
+    point interpolated from it at once, and each chart's coords and eta
+    taken by separate calls over all its points."""
     grid = MaskedGrid(domain, resolution)
     family = stable_lines(domain, airy.solve_dual(domain, shell), grid.h / 2.0,
                           min_length=10.0 * grid.h)
@@ -87,7 +88,8 @@ def whole_table_field(domain, shell, resolution):
         far = np.ones(len(s), dtype=bool)
         if lines:
             st = np.array([ln.s for ln in lines])
-            table = np.array([chars.solve_line(ln, shell.k, chart.data_kind).lam for ln in lines])
+            table = np.array([chars.solve_line(ln, shell.curvature, chart.data_kind).lam
+                              for ln in lines])
             n_t = table.shape[1]
             tau = np.clip(u / np.maximum(L, 1e-300), 0.0, 1.0)
             j = np.searchsorted(st, s)
@@ -196,10 +198,12 @@ class TestSolveCauchy:
         assert np.max(np.abs(sol.lam)) == 0.0
 
     def test_sign_rule_flags_positive_curvature(self):
-        # Cauchy data with K > 0 forces a negative density: flagged
+        # Cauchy data with K > 0 forces a negative density: flagged, with K
+        # sampled or a number
         line = make_line((0.0, 0.0), (1.0, 0.0), start_kind="medial_axis")
         sol = chars.solve_cauchy(line, lambda x: np.ones(len(x)))
         assert sol.sign_violation
+        assert chars.solve_cauchy(line, 1.0).sign_violation
 
     def test_wrong_data_kind(self):
         line = make_line((0.0, 0.0), (1.0, 0.0), start_kind="boundary")
@@ -216,6 +220,108 @@ class TestSolveCauchy:
         sol = chars.solve_cauchy(line, K, n=501, out=buf)
         assert sol.lam is buf and buf[0] == 0.0
         assert np.array_equal(buf, chars.solve_cauchy(line, K, n=501).lam)
+
+
+def double_trapezoid_lam(line, K, data_kind, n=chars.DEFAULT_SAMPLES_PER_LINE):
+    """lam from the closed forms of the double cumulative trapezoid sums of
+    a constant K on the line's n nodes: with rho = rho0 + rho1 L i/(n - 1),
+    I2[i] = K h^2 (rho0 i^2/2 + rho1 L i (2 i^2 + 1) / (12 (n - 1)))."""
+    i = np.arange(n, dtype=float)
+    L = line.length
+    h = L / (n - 1)
+    t = h * i
+    rho = line.rho0 + line.rho1 * t
+    i2 = K * h * h * (line.rho0 * i * i / 2 + line.rho1 * L * i * (2 * i * i + 1) / (12 * (n - 1)))
+    if data_kind == "bvp":
+        return (2.0 * i2[-1] / t[-1] * t - 2.0 * i2) / rho
+    lam = np.zeros(n)
+    np.divide(-2.0 * i2, rho, out=lam, where=rho > 0)
+    return lam
+
+
+class TestShellProfile:
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf, "abc", None])
+    def test_a_constant_curvature_must_be_finite(self, k):
+        with pytest.raises(DataError, match="finite"):
+            ShellProfile(curvature=k, sign="negative")
+
+    def test_constant_rejects_a_non_finite_value(self):
+        for k in (np.inf, -np.inf, np.nan):
+            with pytest.raises(DataError):
+                ShellProfile.constant(k)
+
+    def test_a_constant_is_kept_as_a_float(self):
+        # the line solve multiplies by it directly
+        sh = ShellProfile(curvature=np.float32(-0.5), sign="negative")
+        assert type(sh.curvature) is float and sh.curvature == -0.5
+
+
+class TestConstantCurvature:
+    @pytest.mark.parametrize("name,shell", CASES, ids=CASE_IDS)
+    def test_a_number_solves_every_line_as_the_sampled_k_does(self, request, name, shell):
+        # the cached unit-grid sums give the double trapezoid sums to
+        # rounding: against their closed form to 1e-14 of the line's largest
+        # |lam|; the sampled path's cumulative sums round to up to 7.3e-14
+        # (the regular pentagon), so the two paths meet to 1e-13
+        domain = request.getfixturevalue(name)
+        grid = MaskedGrid(domain, 128)
+        family = stable_lines(domain, airy.solve_dual(domain, shell), grid.h / 2.0,
+                              min_length=10.0 * grid.h)
+        worst_exact = worst_sampled = 0.0
+        for chart, lines in zip(family.charts, family.lines_by_chart):
+            for ln in lines:
+                lam = chars.solve_line(ln, shell.curvature, chart.data_kind).lam
+                exact = double_trapezoid_lam(ln, shell.curvature, chart.data_kind)
+                sampled = chars.solve_line(ln, shell.k, chart.data_kind).lam
+                scale = np.abs(exact).max()
+                worst_exact = max(worst_exact, np.abs(lam - exact).max() / scale)
+                worst_sampled = max(worst_sampled, np.abs(lam - sampled).max() / scale)
+        assert worst_exact <= 1e-14
+        assert worst_sampled <= 1e-13
+
+    def test_unit_sums_are_cached_read_only(self):
+        s1, su = chars._unit_sums(501)
+        assert chars._unit_sums(501)[0] is s1
+        assert not s1.flags.writeable and not su.flags.writeable
+        i = np.arange(501.0)
+        assert np.array_equal(s1, i * i / 2)
+        assert np.abs(su - i * (2 * i * i + 1) / 12 / 500).max() < 1e-12 * su[-1]
+
+    @pytest.mark.parametrize("name,shell", [("rect", NEG), ("rect", POS), ("disc", NEG)],
+                             ids=["rect-negative", "rect-positive", "disc-negative"])
+    def test_a_number_samples_nothing_inside_the_line_solve(self, request, monkeypatch,
+                                                            name, shell):
+        # a constant K needs no points along the line and no K call; a
+        # callable K, given the same values, samples every line
+        inside = {"solves": 0, "point_at": 0, "k": 0}
+        solve = chars.solve_line
+
+        def counted_solve(*args, **kwargs):
+            inside["solves"] += 1
+            active.append(True)
+            try:
+                return solve(*args, **kwargs)
+            finally:
+                active.pop()
+
+        def spy(key, fn):
+            def wrapped(*args, **kwargs):
+                inside[key] += bool(active)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        active = []
+        monkeypatch.setattr(chars, "solve_line", counted_solve)
+        monkeypatch.setattr(LineGeometry, "point_at", spy("point_at", LineGeometry.point_at))
+        monkeypatch.setattr(ShellProfile, "k", spy("k", ShellProfile.k))
+        domain = request.getfixturevalue(name)
+        chars.defect_field(domain, shell, 96)
+        assert inside["solves"] > 0 and inside["point_at"] == inside["k"] == 0
+        k = shell.curvature
+        sampled = ShellProfile(curvature=lambda x: np.full(len(x), k), sign=shell.sign)
+        inside.update(solves=0)
+        chars.defect_field(domain, sampled, 96)
+        assert inside["point_at"] == inside["solves"] > 0
 
 
 class TestDefectField:
@@ -251,9 +357,11 @@ class TestDefectField:
     def test_every_case_fully_covered(self, request, name, shell, resolution):
         # every masked cell's evaluation point lies in some chart's station
         # range, and cells beyond the last solved line (fan ends, the coarse
-        # negative ellipse) take the frozen-K fill instead of dropping out
+        # negative ellipse) take the frozen-K fill instead of dropping out;
+        # and no catalog line breaks the Cauchy sign rule
         df = chars.defect_field(request.getfixturevalue(name), shell, resolution)
         assert int(df.uncovered.sum()) == 0
+        assert df.sign_violations == 0
 
     @pytest.mark.parametrize("name,shell", CASES, ids=CASE_IDS)
     def test_eta_is_unit_on_every_covered_cell(self, request, name, shell):
@@ -313,6 +421,15 @@ class TestDefectField:
         monkeypatch.setattr(chars, "POINT_BLOCK", 97)
         blocked = chars.defect_field(half_disc_neg, NEG, 64)
         assert np.array_equal(whole.lam, blocked.lam)
+        assert np.array_equal(whole.eta, blocked.eta, equal_nan=True)
+
+    def test_sign_violations_are_counted(self, disc):
+        # K declared negative but positive beyond x = 0.3: the Cauchy rays
+        # through that part of the disc end with a negative density
+        shell = ShellProfile(curvature=lambda x: np.where(x[:, 0] > 0.3, 2.0, -1.0),
+                             sign="negative")
+        df = chars.defect_field(disc, shell, 64)
+        assert df.sign_violations > 0
 
     def test_interface_flag_on_positive_rectangle(self, rect):
         df = chars.defect_field(rect, POS, 96)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import interior_points
 from shellwrinkle import cli
-from shellwrinkle.errors import DomainError, ParameterError
+from shellwrinkle.errors import DomainError, ParameterError, ShellWrinkleError
 from shellwrinkle.geometry import (
     ConvexPolygon,
     Disc,
@@ -19,6 +19,7 @@ from shellwrinkle.geometry import (
     Rectangle,
     make_domain,
 )
+from shellwrinkle.grids import MaskedGrid
 
 
 def brute_distance(domain, x, n=100_000):
@@ -550,6 +551,12 @@ class TestValidationAndConfig:
         with pytest.raises(ParameterError):
             Rectangle(1.0, 1.0)
 
+    def test_polygon_whose_cross_products_overflow_is_rejected(self):
+        # (1e200, 1e200) then (2e200, 1e200) turns clockwise, but the cross
+        # product is inf - inf = NaN
+        with pytest.raises(ParameterError, match="strictly convex"), np.errstate(all="ignore"):
+            ConvexPolygon([(0.0, 0.0), (1e200, 1e200), (3e200, 2e200)])
+
     def test_make_domain_rejects_unknown(self):
         with pytest.raises(Exception):
             make_domain({"shape": "annulus", "r0": 1, "r1": 2})
@@ -609,6 +616,19 @@ class TestValidationAndConfig:
         with pytest.raises(ValueError, match="library bug"):
             cli.main(["defect", "--shape", "disc", "--radius", "1"])
 
+    @pytest.mark.parametrize("spec", [
+        {"shape": "disc", "radius": 1e308},
+        {"shape": "disc", "radius": 5e-324},
+        {"shape": "disc", "radius": 1.0, "center": [1e200, 0.0]},
+        {"shape": "ellipse", "a": 1e154, "b": 1.0},
+        {"shape": "half_disc", "radius": 1e200},
+        {"shape": "convex_polygon", "vertices": [[0.0, 0.0], [1e120, 0.0], [0.0, 1e120]]},
+    ])
+    def test_make_domain_rejects_a_spec_out_of_scale(self, spec):
+        # areas and grid steps of such shapes overflow or underflow
+        with pytest.raises(ParameterError, match="out of scale"):
+            make_domain(spec)
+
     def test_cli_reports_missing_key(self, capsys):
         assert cli.main(["defect", "--shape", "disc"]) == cli.EXIT_USAGE
         assert "disc needs 'radius'" in capsys.readouterr().err
@@ -635,3 +655,53 @@ def test_half_disc_contains_consistent(rho, ang):
     p = c + rho * (np.cos(ang) * w + np.sin(ang) * u)
     loc = hd.to_local(p)
     assert hd.contains(p) == bool((np.hypot(*loc) <= 1.0) and loc[1] >= 0)
+
+
+_FUZZ_BAD = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1e154, 1e200, 1e308,
+                     "abc", "", None, [], [1.0], [1.0, "x"]]),
+)
+_FUZZ_GOOD = st.floats(0.05, 5.0)
+_FUZZ_VALUES = st.one_of(_FUZZ_GOOD, _FUZZ_BAD)
+_FUZZ_POLYGONS = st.builds(
+    lambda n, r, phase: [[r * np.cos(phase + 2 * np.pi * k / n),
+                          r * np.sin(phase + 2 * np.pi * k / n)] for k in range(n)]
+    if isinstance(r, float) else [[r, 0.0]] * n,
+    st.integers(1, 6), _FUZZ_VALUES, st.floats(0.0, 2 * np.pi),
+)
+_FUZZ_CENTERS = st.lists(_FUZZ_VALUES, min_size=2, max_size=2) | st.lists(_FUZZ_VALUES, max_size=3)
+_FUZZ_SPECS = st.one_of(
+    # each catalog shape with its keys, any of them bad
+    st.fixed_dictionaries({"shape": st.just("disc"), "radius": _FUZZ_VALUES},
+                          optional={"center": _FUZZ_CENTERS}),
+    st.fixed_dictionaries({"shape": st.just("ellipse"), "a": _FUZZ_VALUES, "b": _FUZZ_VALUES}),
+    st.fixed_dictionaries({"shape": st.just("rectangle"), "a": _FUZZ_VALUES, "b": _FUZZ_VALUES}),
+    st.fixed_dictionaries({"shape": st.just("half_disc"), "radius": _FUZZ_VALUES},
+                          optional={"center": _FUZZ_CENTERS, "orientation": _FUZZ_VALUES}),
+    st.fixed_dictionaries({"shape": st.just("convex_polygon"), "vertices": _FUZZ_POLYGONS}),
+    # any shape name with any subset of the keys
+    st.fixed_dictionaries(
+        {"shape": st.sampled_from(["disc", "ellipse", "rectangle", "half_disc",
+                                   "convex_polygon", "annulus", 3])},
+        optional={"radius": _FUZZ_VALUES, "a": _FUZZ_VALUES, "b": _FUZZ_VALUES,
+                  "center": _FUZZ_CENTERS | _FUZZ_BAD, "orientation": _FUZZ_VALUES,
+                  "vertices": st.lists(st.lists(_FUZZ_VALUES, max_size=3), max_size=4)
+                  | _FUZZ_BAD},
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_FUZZ_SPECS, resolution=st.sampled_from([-1, 0, 31]) | st.integers(32, 64))
+def test_make_domain_fuzz_gives_a_finite_domain_or_a_typed_error(spec, resolution):
+    # missing keys, NaN, +-inf, zero and negative sizes, strings and short
+    # lists: a spec either builds a domain whose extent and grid are finite
+    # or raises one of the package's errors
+    try:
+        domain = make_domain(spec)
+        grid = MaskedGrid(domain, resolution)
+    except ShellWrinkleError:
+        return
+    assert np.all(np.isfinite(domain.bbox())) and np.isfinite(domain.area()) and domain.area() > 0
+    assert np.all(np.isfinite(grid.weights)) and grid.weights.sum() > 0
