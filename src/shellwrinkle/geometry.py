@@ -51,9 +51,11 @@ def _unsingle(vals, single):
     return vals[0] if single else vals
 
 
-def _finite(shape, name, value, dims=()):
+def _finite(shape, name, value, dims=(), size=None):
     """``value`` as a float, or as an array of shape ``dims``; a
-    ParameterError naming the field unless it is that many finite numbers."""
+    ParameterError naming the field unless it is that many finite numbers
+    and, given the shape's ``size``, none above OFFSET_BOUND * size in
+    magnitude (a placement, whose cell centres would round together)."""
     try:
         x = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
@@ -61,6 +63,10 @@ def _finite(shape, name, value, dims=()):
     if x.shape != dims or not np.all(np.isfinite(x)):
         what = f"a finite {dims[0]}-vector" if dims else "a finite number"
         raise ParameterError(f"{shape} {name} must be {what}, got {value!r}")
+    if size is not None and np.max(np.abs(x)) > OFFSET_BOUND * size:
+        raise ParameterError(
+            f"{shape} {name}: too far from the origin for the shape's size {size:g}; numbers "
+            f"must be at most {OFFSET_BOUND:g} times it in magnitude, got {value!r}")
     return x if dims else float(x)
 
 
@@ -278,7 +284,7 @@ class Disc(Domain):
     def __post_init__(self):
         if _finite("disc", "radius", self.radius) <= 0:
             raise ParameterError("disc radius must be positive")
-        _finite("disc", "center", self.center, (2,))
+        _finite("disc", "center", self.center, (2,), size=float(self.radius))
 
     def _c(self):
         return np.asarray(self.center, dtype=float)
@@ -547,7 +553,7 @@ class HalfDisc(Domain):
     def __post_init__(self):
         if _finite("half_disc", "radius", self.radius) <= 0:
             raise ParameterError("half-disc radius must be positive")
-        _finite("half_disc", "center", self.center, (2,))
+        _finite("half_disc", "center", self.center, (2,), size=float(self.radius))
         _finite("half_disc", "orientation", self.orientation)
 
     def _frame(self):
@@ -710,6 +716,8 @@ class ConvexPolygon(Domain):
             v = np.empty(0)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3 or not np.all(np.isfinite(v)):
             raise ParameterError("polygon vertices must be at least 3 finite planar points")
+        size = float(np.hypot(*np.ptp(v, axis=0)))  # the bbox diagonal, as in `diameter`
+        _finite(self.name, "vertices", v.tolist(), v.shape, size=size)
         scale = np.max(np.abs(v)) + 1.0
         n = len(v)
         for i in range(n):
@@ -936,6 +944,7 @@ class Rectangle(ConvexPolygon):
 
 
 SCALE_BOUND = 1e100  # a spec's numbers are at most this in magnitude, its sizes at least 1/this
+OFFSET_BOUND = 1e6  # a centre or vertex is at most this many sizes from the origin
 
 
 def make_domain(spec):

@@ -11,7 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 FMT = "{:.9g}"
-CSV_BLOCK_ROWS = 4096  # rows formatted per block by the CSV table writer
+CSV_BLOCK_ROWS = 4096  # rows formatted per block by the CSV and heatmap rect writers
+RECT = '<rect x="%.9g" y="%.9g" width="%.9g" height="%.9g" fill="%s" stroke="none"/>'
+GREY_FILLS = np.array(["#%02x%02x%02x" % (g, g, g) for g in range(256)], dtype=object)
 
 
 def _f(x):
@@ -112,11 +114,15 @@ def heatmap_svg(grid_x0, grid_y0, h, values, mask, domain=None, overlay=None, un
     length = np.diff(first, append=levels.size)
     run_level = levels.ravel()[first]
     keep = run_level >= 0
-    for k, n, L in zip(first[keep].tolist(), length[keep].tolist(), run_level[keep].tolist()):
-        j, i = divmod(k, nx)
-        grey = 255 - int(L * 255 / 32)
-        fill = f"#{grey:02x}{grey:02x}{grey:02x}"
-        canvas.rect((grid_x0 + i * h, grid_y0 + j * h), n * h, h, fill)
+    # one `SvgCanvas.rect` line per run, formatted CSV_BLOCK_ROWS runs at a time
+    j, i = np.divmod(first[keep], nx)
+    runs = np.empty((len(i), 5), dtype=object)
+    runs[:, :4] = np.column_stack([grid_x0 + i * h, grid_y0 + j * h, length[keep] * h,
+                                   np.full(len(i), h)])
+    runs[:, 4] = GREY_FILLS[255 - run_level[keep] * 255 // 32]
+    for a in range(0, len(runs), CSV_BLOCK_ROWS):
+        block = runs[a:a + CSV_BLOCK_ROWS]
+        canvas.elems.append("\n".join([RECT] * len(block)) % tuple(block.ravel().tolist()))
     if overlay is not None:
         for ln in overlay.lines:
             canvas.line(ln.start, ln.end, 0.3 * unit, color="#cc3311")

@@ -3,9 +3,11 @@
 For each catalog shape and curvature sign, the extremal convex potential is
 affine along a family of segments (its ruling lines).  A *chart* describes
 one region of that family in closed form: membership test, the coordinates
-(s, u) of a point (line index and position along its line), the line through
-any station, the transverse direction ``eta``, and the change-of-measure
-factor ``rho`` (affine along each line).
+(s, u) of a point (line index and position along its line), the lines
+through an array of stations, the transverse direction ``eta``, and the
+change-of-measure factor ``rho`` (affine along each line).  A chart builds
+its lines in one array pass over the stations (`Chart.lines_at`), lengths
+included.
 
 At negative curvature every shape has the same family: the rays of
 quickest exit, which leave each boundary point along the inward normal and
@@ -24,7 +26,6 @@ a point.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,6 +46,7 @@ class LineGeometry:
 
     rho(u) = rho0 + rho1 * u is the change-of-measure factor along the line,
     normalized to 1 at the index (start) point when the start is regular.
+    ``length`` is |end - start|, filled by the chart that builds the line.
     """
 
     s: float
@@ -55,10 +57,7 @@ class LineGeometry:
     end_kind: str
     rho0: float
     rho1: float
-
-    @functools.cached_property
-    def length(self):
-        return float(np.hypot(*(self.end - self.start)))
+    length: float
 
     def direction(self):
         return (self.end - self.start) / self.length
@@ -72,10 +71,21 @@ class LineGeometry:
         return self.rho0 + self.rho1 * np.asarray(u, dtype=float)
 
 
+def _lines(ss, start, end, eta, rho0, rho1, start_kind, end_kind):
+    """One `LineGeometry` per row of the (n, 2) arrays ``start``, ``end``
+    and ``eta``; rho and the kinds are one value or one per line.  The
+    lengths come from one hypot over the whole array."""
+    per_line = [np.broadcast_to(v, len(start)).tolist() for v in (
+        np.asarray(ss, dtype=float), rho0, rho1, start_kind, end_kind, np.hypot(*(end - start).T))]
+    return [LineGeometry(s, a, b, e, k0, k1, r0, r1, L)
+            for s, r0, r1, k0, k1, L, a, b, e in zip(*per_line, start, end, eta)]
+
+
 class Chart:
     """Base chart; subclasses fill in the closed-form geometry.  A chart
-    defines ``line_at`` or ``lines_at``, and ``coords`` and ``eta_at`` or
-    ``coords_eta``; each pair's other member follows."""
+    defines ``lines_at(ss)``, the lines at an array of stations built in
+    one array pass, and ``coords`` and ``eta_at`` or ``coords_eta``; the
+    pair's other member follows."""
 
     label = "O"
     data_kind = "bvp"  # or 'cauchy'
@@ -90,10 +100,6 @@ class Chart:
 
     def line_at(self, s):
         return self.lines_at([s])[0]
-
-    def lines_at(self, ss):
-        """The lines at stations ss."""
-        return [self.line_at(s) for s in ss]
 
     def s_range(self):
         """(s0, s1), the range of the line index."""
@@ -186,13 +192,10 @@ class ChordChart(Chart):
         rel_lo, rel_hi = self.shape.line_spans(x, self.d)
         return x + rel_lo[:, None] * self.d, x + rel_hi[:, None] * self.d
 
-    def line_at(self, s):
-        start, end = self.endpoints(s * self.m)
-        return LineGeometry(
-            s=float(s), start=start[0], end=end[0], eta=self._eta.copy(),
-            start_kind=self.start_kind, end_kind=self.end_kind,
-            rho0=1.0, rho1=0.0,
-        )
+    def lines_at(self, ss):
+        start, end = self.endpoints(np.multiply.outer(ss, self.m))
+        return _lines(ss, start, end, np.broadcast_to(self._eta, start.shape).copy(),
+                      1.0, 0.0, self.start_kind, self.end_kind)
 
     def s_range(self):
         return self.shape.extent(self.m)
@@ -235,28 +238,26 @@ class FanChart(Chart):
         ri = self.r_inner(th)
         return th, r - ri, np.maximum(self.r_outer(th) - ri, 0.0)
 
-    def _ray(self, x):
-        """The angle and unit direction of the ray through each point."""
-        th = self._local(x)[1]
-        return th, np.stack([np.cos(th), np.sin(th)], axis=1) @ self.frame.T
+    def _ray(self, th):
+        """The unit direction of the rays at angles th."""
+        return np.stack([np.cos(th), np.sin(th)], axis=1) @ self.frame.T
 
-    def endpoints(self, x):
-        """Start and end of the ray through each point."""
-        th, e_r = self._ray(x)
+    def _ends(self, th, e_r):
         return (self.center + self.r_inner(th)[:, None] * e_r,
                 self.center + self.r_outer(th)[:, None] * e_r)
 
-    def line_at(self, s):
-        ri, ro = float(self.r_inner(s)), float(self.r_outer(s))
-        e_r = self.frame @ np.array([np.cos(s), np.sin(s)])
-        return LineGeometry(
-            s=float(s), start=self.center + ri * e_r, end=self.center + ro * e_r,
-            eta=rot_minus90(e_r), start_kind="boundary", end_kind="boundary",
-            rho0=1.0, rho1=1.0 / ri,
-        )
+    def endpoints(self, x):
+        """Start and end of the ray through each point."""
+        th = self._local(x)[1]
+        return self._ends(th, self._ray(th))
+
+    def lines_at(self, ss):
+        e_r = self._ray(ss)
+        return _lines(ss, *self._ends(ss, e_r), rot_minus90(e_r), 1.0, 1.0 / self.r_inner(ss),
+                      "boundary", "boundary")
 
     def eta_at(self, x):
-        return rot_minus90(self._ray(x)[1])
+        return rot_minus90(self._ray(self._local(x)[1]))
 
 
 class ExitChart(Chart):
@@ -307,11 +308,8 @@ class ExitChart(Chart):
         rest = 1.0 - kappa * L
         focal = rest < 1e-9
         rho1 = np.where(focal, 1.0, kappa / np.where(focal, 1.0, rest))
-        return [LineGeometry(s=float(s), start=a, end=b, eta=e, rho0=0.0 if f else 1.0,
-                             rho1=float(r1), start_kind="focal_point" if f else "medial_axis",
-                             end_kind="boundary")
-                for s, a, b, e, f, r1 in zip(ss, y - L[:, None] * nu, y, rot_minus90(nu),
-                                             focal, rho1)]
+        return _lines(ss, y - L[:, None] * nu, y, rot_minus90(nu), np.where(focal, 0.0, 1.0),
+                      rho1, np.where(focal, "focal_point", "medial_axis"), "boundary")
 
 
 # ----------------------------------------------------------------------
@@ -338,26 +336,12 @@ class UDecomposition:
 def tangential_data(poly: ConvexPolygon):
     """(incenter, inradius, vertex list data) for a tangential polygon."""
     c, r = poly.incircle()
-    v = poly.vertices - c
-    n = len(v)
     data = []
-    for i in range(n):
-        prev = (i - 1) % n
-        a_i = v[i]
-        contacts = (r * poly.edge_normals[prev], r * poly.edge_normals[i])
+    for i, a_i in enumerate(poly.vertices - c):
         mag = np.hypot(*a_i)
-        ahat = a_i / mag
-        sin_half = r / mag
-        alpha = 2 * np.arcsin(np.clip(sin_half, -1, 1))
-        data.append(
-            {
-                "vertex": a_i,
-                "ahat": ahat,
-                "alpha": alpha,
-                "contacts": contacts,
-                "mag": mag,
-            }
-        )
+        data.append({"vertex": a_i, "ahat": a_i / mag, "mag": mag,
+                     "alpha": 2 * np.arcsin(np.clip(r / mag, -1, 1)),
+                     "contacts": (r * poly.edge_normals[i - 1], r * poly.edge_normals[i])})
     return np.asarray(c), float(r), data
 
 

@@ -61,7 +61,7 @@ def make_line(start, end, start_kind="boundary", end_kind="boundary", rho0=1.0, 
     eta = np.array([d[1], -d[0]])
     return LineGeometry(
         s=0.0, start=start, end=end, eta=eta, start_kind=start_kind,
-        end_kind=end_kind, rho0=rho0, rho1=rho1,
+        end_kind=end_kind, rho0=rho0, rho1=rho1, length=float(np.hypot(*(end - start))),
     )
 
 

@@ -70,6 +70,12 @@ def test_a_config_section_must_be_a_mapping(tmp_path, capsys, command, key):
     assert f"{key} must be a mapping" in capsys.readouterr().err
 
 
+def test_a_domain_far_from_the_origin_is_a_usage_error_naming_center(tmp_path, capsys):
+    cfg = {"domain": {"shape": "disc", "radius": 1.0, "center": [1e12, 0.0]}, "shell": NEG}
+    assert _run(tmp_path, "defect", cfg) == cli.EXIT_USAGE
+    assert "disc center: too far from the origin" in capsys.readouterr().err
+
+
 def test_b_values_must_be_a_list(tmp_path, capsys):
     cfg = {"domain": DISC, "shell": NEG, "b_values": 1e-8}
     assert _run(tmp_path, "sweep", cfg) == cli.EXIT_USAGE

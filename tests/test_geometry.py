@@ -12,6 +12,7 @@ from conftest import interior_points
 from shellwrinkle import cli
 from shellwrinkle.errors import DomainError, ParameterError, ShellWrinkleError
 from shellwrinkle.geometry import (
+    OFFSET_BOUND,
     ConvexPolygon,
     Disc,
     Ellipse,
@@ -628,6 +629,31 @@ class TestValidationAndConfig:
         # areas and grid steps of such shapes overflow or underflow
         with pytest.raises(ParameterError, match="out of scale"):
             make_domain(spec)
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: Disc(1.0, center=(1e50, 0.0)), "disc center"),
+        (lambda: make_domain({"shape": "disc", "radius": 1, "center": [1e12, 0]}), "disc center"),
+        (lambda: make_domain({"shape": "disc", "radius": 1e-3, "center": [0, -2e3]}),
+         "disc center"),
+        (lambda: HalfDisc(1e-3, center=(10.0, 1e4)), "half_disc center"),
+        (lambda: make_domain({"shape": "half_disc", "radius": 1, "center": [0, 1e16]}),
+         "half_disc center"),
+        (lambda: ConvexPolygon([(1e7, 0.0), (1e7 + 1.0, 0.0), (1e7, 1.0)]),
+         "convex_polygon vertices"),
+        (lambda: make_domain({"shape": "convex_polygon",
+                              "vertices": [[0, 1e9], [1, 1e9], [0, 1e9 + 1]]}),
+         "convex_polygon vertices"),
+    ])
+    def test_a_shape_far_from_the_origin_for_its_size_is_rejected(self, build, field):
+        # its grid's cell centres would round together: a unit disc centred
+        # at 1e12 covered 3.1393 of its area pi at 64^2, one at 1e16 0.125
+        with pytest.raises(ParameterError, match=f"{field}: too far from the origin"):
+            build()
+
+    def test_a_shape_placed_within_the_offset_bound_keeps_its_area(self):
+        for c in (1e3, 0.5 * OFFSET_BOUND):
+            dom = make_domain({"shape": "disc", "radius": 1, "center": [c, -c]})
+            assert MaskedGrid(dom, 64).weights.sum() == pytest.approx(np.pi, rel=1e-9)
 
     def test_cli_reports_missing_key(self, capsys):
         assert cli.main(["defect", "--shape", "disc"]) == cli.EXIT_USAGE

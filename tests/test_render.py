@@ -124,6 +124,22 @@ def test_heatmap_svg_matches_per_cell_runs(half_disc_neg):
     assert render.heatmap_svg(*args) == per_cell_heatmap_svg(*args)
 
 
+def test_heatmap_rect_blocks_give_the_same_bytes(monkeypatch):
+    # a small field with masked cells, written one `SvgCanvas.rect` per run
+    # by the reference; blocks of one run, blocks that end mid-field, one
+    # block one run short of the field, one exactly the field, one longer
+    rng = np.random.default_rng(11)
+    vals = np.repeat(rng.standard_normal((6, 17)), 3, axis=0)
+    mask = rng.random(vals.shape) > 0.3
+    args = (0.25, -2.0, 1.0 / 3.0, vals, mask)
+    expected = per_cell_heatmap_svg(*args)
+    n = expected.count("<rect")
+    assert n > 20 and (~mask).any()
+    for block_rows in (1, 7, n - 1, n, n + 1):
+        monkeypatch.setattr(render, "CSV_BLOCK_ROWS", block_rows)
+        assert render.heatmap_svg(*args) == expected, block_rows
+
+
 @pytest.mark.parametrize("shape, rows", [
     (["disc", "--radius", "1"], ["0,0,0,0"]),
     (["ellipse", "--a", "2", "--b-axis", "1"], ["-1.5,0,1.5,0"]),

@@ -1,5 +1,6 @@
-"""The point-to-chart locator, the values its consumers read at seams, and
-the unconstrained-set decomposition's input check."""
+"""The point-to-chart locator, the values its consumers read at seams, the
+unconstrained-set decomposition's input check, and lines built together
+against lines built one at a time."""
 
 import json
 
@@ -10,7 +11,8 @@ from conftest import CASE_IDS, CASES
 from shellwrinkle import airy, cli
 from shellwrinkle.errors import ParameterError
 from shellwrinkle.grids import MaskedGrid
-from shellwrinkle.rulings import UDecomposition, locate
+from shellwrinkle.geometry import ConvexPolygon, Disc, Ellipse
+from shellwrinkle.rulings import ChordChart, ExitChart, FanChart, UDecomposition, charts_for, locate
 from shellwrinkle.shell import ShellProfile
 
 POS = ShellProfile.constant(1.0)
@@ -101,3 +103,41 @@ def test_cli_reports_unknown_decomposition_kind(tmp_path, capsys):
     assert cli.main(["defect", "--config", str(path)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "mixure" in err
+
+
+
+@pytest.mark.parametrize("name, sign, angle, kind, shape, exact", [
+    ("ellipse", 1, 0.0, ChordChart, Ellipse, True),
+    ("disc", 1, 0.0, ChordChart, Disc, True),
+    ("disc", 1, np.pi / 4, ChordChart, Disc, False),
+    ("rect", 1, 0.0, ChordChart, ConvexPolygon, False),
+    ("triangle", 1, 0.0, ChordChart, ConvexPolygon, False),
+    ("half_disc_pos", 1, 0.0, FanChart, None, True),
+    ("half_disc_neg", -1, 0.0, ExitChart, None, True),
+    ("pentagon", -1, 0.0, ExitChart, None, True),
+])
+def test_lines_built_together_equal_lines_built_one_at_a_time(request, name, sign, angle, kind,
+                                                              shape, exact):
+    # a chord's span comes from a BLAS product (q @ d, x @ normals) whose
+    # rounding depends on the number of rows: off the axes its ends and
+    # length may move by a few eps of the size between one row and many
+    domain = request.getfixturevalue(name)
+    charts = charts_for(domain, sign, UDecomposition(angle=angle))
+    assert all(isinstance(c, kind) for c in charts)
+    assert shape is None or any(isinstance(c.shape, shape) for c in charts)
+    if kind is ExitChart:
+        assert len(charts) > 1  # a multi-piece shape
+    tol = 0.0 if exact else 4 * np.finfo(float).eps * domain.diameter()
+    for chart in charts:
+        ss = np.array([ln.s for ln in chart.stations(0.02)])
+        assert len(ss) > 3
+        for k, ln in enumerate(chart.lines_at(ss)):
+            alone = chart.lines_at([ss[k]])[0]
+            assert (ln.s, ln.rho0, ln.rho1, ln.start_kind, ln.end_kind) == (
+                alone.s, alone.rho0, alone.rho1, alone.start_kind, alone.end_kind)
+            np.testing.assert_array_equal(ln.eta, alone.eta)
+            for field in ("start", "end", "length"):
+                np.testing.assert_allclose(getattr(ln, field), getattr(alone, field),
+                                           rtol=0, atol=tol)
+            assert ln.length == np.hypot(*(ln.end - ln.start))
+            assert chart.line_at(ss[k]).length == alone.length

@@ -7,6 +7,7 @@ import pytest
 from conftest import CASE_IDS, CASES
 from shellwrinkle import airy
 from shellwrinkle.errors import ParameterError
+from shellwrinkle.geometry import ConvexPolygon, Ellipse
 from shellwrinkle.grids import MaskedGrid
 from shellwrinkle.rulings import locate, tangential_data
 from shellwrinkle.shell import ShellProfile
@@ -224,6 +225,23 @@ def test_negative_lines_are_exit_rays(request, name, shell):
             spread = abs((b.start - a.start) @ eta) / step
             ratio = np.mean([ln.rho0 / ln.rho_at(ln.length) for ln in (a, b)])
             assert abs(spread - ratio) <= 0.1 * step
+
+
+@pytest.mark.parametrize("name", ["ellipse", "rect"])
+def test_stable_lines_span_each_chart_in_one_call(request, monkeypatch, name):
+    # a chart builds all its chords from one line_spans call, not one per station
+    calls = []
+    for cls in (Ellipse, ConvexPolygon):
+        def counted(self, pts, d, spans=cls.line_spans):
+            calls.append(len(np.atleast_2d(pts)))
+            return spans(self, pts, d)
+        monkeypatch.setattr(cls, "line_spans", counted)
+    domain = request.getfixturevalue(name)
+    field = airy.solve_dual(domain, POS)
+    calls.clear()
+    family = stable_lines(domain, field, 0.01)
+    assert all(len(lines) > 10 for lines in family.lines_by_chart)
+    assert 0 < len(calls) <= len(family.charts)
 
 
 class TestLineRho:

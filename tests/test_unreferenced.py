@@ -37,6 +37,7 @@ ORACLES = {
     "grad_w": "whole-grid slope stencil, the reference for the row-block slopes",
     "hess_w": "whole-grid Hessian stencil, the reference for the row-block Hessian",
     "piecewise_herringbone": "glued herringbone lattice that the herringbone and energy tests build",
+    "rect": "one `<rect>` per call, the per-run reference for the heatmap's block writer",
 }
 
 # Definitions that only tests call today but that a planned reader needs.
