@@ -97,12 +97,8 @@ class AiryField:
     def grad_phi(self, x):
         pts, single = _pts(x)
         if self.sign < 0:
-            d = np.atleast_1d(self.domain.boundary_distance(pts))
-            y = np.atleast_2d(self.domain.nearest_boundary_point(pts))
-            g = pts - y
-            n = np.hypot(g[:, 0], g[:, 1])
-            n = np.where(n < 1e-300, 1.0, n)
-            grad = pts - d[:, None] * (g / n[:, None])
+            # grad (|x|^2 - d^2)/2 = x - d grad d, which is the foot point
+            grad = np.atleast_2d(self.domain.nearest_boundary_point(pts))
             return grad[0] if single else grad
         grad = self._grad_plus(pts)
         return grad[0] if single else grad

@@ -286,9 +286,7 @@ def _frozen_k_fill(chart, k, s, u, L):
     center).  The error is O(L^3 Lip K), so it is exact on constant-K
     shells.
     """
-    lines = chart.lines_at(s)
-    rho0 = np.array([ln.rho0 for ln in lines])
-    rho1 = np.array([ln.rho1 for ln in lines])
+    rho0, rho1 = chart.rho(s)
     u = np.clip(u, 0.0, L)
     if chart.data_kind == "bvp":
         rho_lam = k * u * (rho0 * (L - u) + rho1 * (L**2 - u**2) / 3)

@@ -1,15 +1,18 @@
 """Planar shape catalog with exact boundary distance, normals and medial axes.
 
 The catalog is closed: disc, ellipse, half-disc, convex polygon, and the
-rectangle, which is a convex polygon that keeps its half-widths.  The disc,
-the ellipse and the polygons also clip lines (`line_spans`, `extent`), which
-is what the chord charts of `rulings` are built on.
+rectangle, which is a convex polygon that keeps its half-widths.
 Every operation is a pure function of an immutable shape; all point-valued
 arguments accept single points ``(2,)`` or batches ``(n, 2)``.
 
-Each shape states its boundary once, as a curve (`_boundary_curve`) and an
-outward normal (`_outward_normal_at`); `Domain.boundary_sample` builds the
-boundary samples of every shape from these two, as one record array.
+A shape states each thing once: its `region()` (half-planes and at most one
+ellipse), its `extent` along a direction, its foot point
+(`nearest_boundary_point`), its boundary data (see `Domain`), its
+`medial_axis()`, `area()`, `perimeter()` and `spec()`.  `Domain` derives the
+rest from these: `contains` and `line_spans` from the region (the chord
+charts of `rulings` clip with them), `boundary_distance` from the foot
+point, `bbox` and `diameter` from the extent, and `boundary_sample`, one
+record array, from the boundary curve and outward normal.
 
 Conventions: boundaries are oriented counterclockwise and ``nu`` is the
 outward unit normal.
@@ -22,10 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ParameterError, UnsupportedShapeError
-from .grids import _clip
+from .grids import _clip, _conic_coords
 
 CORNER_DELTA_FACTOR = 1e-3  # check_admissible skips samples within 1e-3 diam of a corner
 _FOOT_MAX_STEPS = 100  # guard on the ellipse Newton iterations (foot ~12, arclength 2-4)
+SCALE_BOUND = 1e100  # a shape's numbers are at most this in magnitude, its sizes at least 1/this
+OFFSET_BOUND = 1e6  # a centre or vertex is at most this many sizes from the origin
 
 
 def rot90(v):
@@ -51,11 +56,18 @@ def _unsingle(vals, single):
     return vals[0] if single else vals
 
 
+def _out_of_scale(shape, name, value):
+    return ParameterError(
+        f"{shape} {name} is out of scale: numbers must be at most {SCALE_BOUND:g} and sizes "
+        f"at least {1.0 / SCALE_BOUND:g} in magnitude, got {value!r}")
+
+
 def _finite(shape, name, value, dims=(), size=None):
     """``value`` as a float, or as an array of shape ``dims``; a
-    ParameterError naming the field unless it is that many finite numbers
-    and, given the shape's ``size``, none above OFFSET_BOUND * size in
-    magnitude (a placement, whose cell centres would round together)."""
+    ParameterError naming the field unless it is that many finite numbers,
+    none above SCALE_BOUND in magnitude (where areas and grid steps would
+    overflow) and, given the shape's ``size``, none above OFFSET_BOUND * size
+    (a placement, whose cell centres would round together)."""
     try:
         x = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
@@ -63,11 +75,24 @@ def _finite(shape, name, value, dims=(), size=None):
     if x.shape != dims or not np.all(np.isfinite(x)):
         what = f"a finite {dims[0]}-vector" if dims else "a finite number"
         raise ParameterError(f"{shape} {name} must be {what}, got {value!r}")
+    if np.any(np.abs(x) > SCALE_BOUND):
+        raise _out_of_scale(shape, name, value)
     if size is not None and np.max(np.abs(x)) > OFFSET_BOUND * size:
         raise ParameterError(
             f"{shape} {name}: too far from the origin for the shape's size {size:g}; numbers "
             f"must be at most {OFFSET_BOUND:g} times it in magnitude, got {value!r}")
     return x if dims else float(x)
+
+
+def _size(shape, name, value):
+    """A size of the shape: a `_finite` number that is positive and at
+    least 1/SCALE_BOUND (where areas and grid steps would underflow)."""
+    x = _finite(shape, name, value)
+    if x <= 0:
+        raise ParameterError(f"{shape} {name} must be positive, got {value!r}")
+    if x < 1.0 / SCALE_BOUND:
+        raise _out_of_scale(shape, name, value)
+    return x
 
 
 def _cross(a, b):
@@ -187,8 +212,14 @@ class MedialAxis:
 
 
 class Domain:
-    """Base class for catalog shapes.  Subclasses implement the exact
-    closed-form queries; generic Lipschitz domains are rejected by design.
+    """Base class for catalog shapes; generic Lipschitz domains are rejected
+    by design.
+
+    A shape states, in closed form: `region()`, `extent(m)`,
+    `nearest_boundary_point(x)`, its boundary data, `medial_axis()`,
+    `area()`, `perimeter()` and `spec()`.  `Domain` derives `contains`,
+    `line_spans`, `boundary_distance`, `bbox`, `diameter` and
+    `boundary_sample` from them, so no shape states its inside twice.
 
     At K < 0 `rulings.ExitChart` reads a shape only through its boundary
     data: `_boundary_pieces()`, a (t0, t1, speed) per smooth piece between
@@ -201,22 +232,24 @@ class Domain:
 
     name = "domain"
 
-    # -- queries every shape provides ------------------------------------
-    def contains(self, x, tol=0.0):
+    # -- what every shape states ------------------------------------------
+    def region(self):
+        """The shape as an intersection of half-planes and at most one ellipse.
+
+        Returns ``(planes, conic)``.  ``planes`` is an (m, 3) array of rows
+        (n1, n2, c) with unit outward normal n: the shape lies in n.x <= c.
+        ``conic`` is None or ``(center, M)`` with det M > 0: the shape lies
+        in |M (x - center)| <= 1.
+        """
         raise NotImplementedError
 
-    def boundary_distance(self, x):
-        """Shortest distance to the boundary; raises DomainError outside."""
-        x, single = _as_points(x)
-        d = self._signed_inside_distance(x)
-        if np.any(d < -1e-12 * self.diameter()):
-            raise DomainError(f"point outside {self.name}")
-        return _unsingle(np.maximum(d, 0.0), single)
-
-    def _signed_inside_distance(self, x):
+    def extent(self, m):
+        """(min, max) of x . m over the shape, |m| = 1."""
         raise NotImplementedError
 
     def nearest_boundary_point(self, x):
+        """The foot of each point: its nearest point of the closed boundary
+        (one of them where there are several)."""
         raise NotImplementedError
 
     def _outward_normal_at(self, y):
@@ -246,33 +279,87 @@ class Domain:
         """(positions, arclengths, corner flags) of about n boundary points, CCW."""
         raise NotImplementedError
 
-    def bbox(self):
-        """((xmin, ymin), (xmax, ymax))"""
-        raise NotImplementedError
-
-    def diameter(self):
-        (x0, y0), (x1, y1) = self.bbox()
-        return float(np.hypot(x1 - x0, y1 - y0))
-
     def area(self):
         raise NotImplementedError
 
     def perimeter(self):
         raise NotImplementedError
 
-    def region(self):
-        """The shape as an intersection of half-planes and at most one ellipse.
-
-        Returns ``(planes, conic)``.  ``planes`` is an (m, 3) array of rows
-        (n1, n2, c) with unit outward normal n: the shape lies in n.x <= c.
-        ``conic`` is None or ``(center, M)`` with det M > 0: the shape lies
-        in |M (x - center)| <= 1.
-        """
-        raise NotImplementedError
-
-    # -- serialization -----------------------------------------------------
     def spec(self):
         raise NotImplementedError
+
+    # -- what `Domain` derives from it ----------------------------------------
+    def contains(self, x, tol=0.0):
+        """Whether each point lies in the shape grown by ``tol`` (shrunk for
+        tol < 0): each half-plane row of `region()`, then the conic, which
+        grows by 1 + tol / (its longest semi-axis).  So ``tol`` is a distance
+        on half-planes and discs, and on an ellipse a band within |tol| of
+        the boundary.  At tol = 0 these are the expressions of the
+        cell-corner test in `grids._cell_areas`."""
+        x, single = _as_points(x)
+        X, Y = x[:, 0], x[:, 1]
+        planes, conic = self.region()
+        ok = np.ones(len(x), dtype=bool)
+        for n1, n2, c in planes:
+            ok &= c - n1 * X - n2 * Y >= -tol
+        if conic is not None:
+            center, M = conic
+            u, v = _conic_coords(X, Y, center, M)
+            r = 1.0 + tol * np.linalg.svd(M, compute_uv=False)[-1]  # 1 / the longest semi-axis
+            ok &= u * u + v * v <= r * abs(r)
+        return _unsingle(ok, single)
+
+    def line_spans(self, pts, d):
+        """(t_lo, t_hi) where each line {p + t d}, |d| = 1, enters and leaves
+        the shape, cut by each row of `region()` elementwise, so that a span
+        does not depend on the lines clipped with it; a line that misses the
+        shape gets t_lo > t_hi."""
+        p = np.atleast_2d(pts)
+        X, Y = p[:, 0], p[:, 1]
+        d = np.asarray(d, dtype=float)
+        planes, conic = self.region()
+        lo, hi = np.full(len(p), -np.inf), np.full(len(p), np.inf)
+        for n1, n2, c in planes:
+            num, den = c - n1 * X - n2 * Y, n1 * d[0] + n2 * d[1]
+            if abs(den) < 1e-14:
+                # a point on a side parallel to d: the same slack that chord
+                # charts allow in contains
+                miss = num < -1e-12
+                lo, hi = np.where(miss, 1.0, lo), np.where(miss, 0.0, hi)
+            elif den > 0:
+                hi = np.minimum(hi, num / den)
+            else:
+                lo = np.maximum(lo, num / den)
+        if conic is not None:
+            center, M = conic
+            u, v = _conic_coords(X, Y, center, M)
+            e = M @ d
+            A, B = e @ e, u * e[0] + v * e[1]
+            disc = B * B - A * (u * u + v * v - 1.0)
+            ok = disc >= 0
+            r = np.sqrt(np.maximum(disc, 0.0))
+            lo = np.where(ok, np.maximum(lo, (-B - r) / A), 1.0)
+            hi = np.where(ok, np.minimum(hi, (-B + r) / A), 0.0)
+        return lo, hi
+
+    def boundary_distance(self, x):
+        """|x - nearest_boundary_point(x)|: 0 for a point outside within
+        1e-12 diam of the boundary, and a DomainError for one farther out."""
+        x, single = _as_points(x)
+        d = np.hypot(*(x - self.nearest_boundary_point(x)).T)
+        out = ~self.contains(x)
+        if np.any(d[out] > 1e-12 * self.diameter()):
+            raise DomainError(f"point outside {self.name}")
+        return _unsingle(np.where(out, 0.0, d), single)
+
+    def bbox(self):
+        """((xmin, ymin), (xmax, ymax)): `extent` along the two axes."""
+        (x0, x1), (y0, y1) = self.extent((1.0, 0.0)), self.extent((0.0, 1.0))
+        return (x0, y0), (x1, y1)
+
+    def diameter(self):
+        (x0, y0), (x1, y1) = self.bbox()
+        return float(np.hypot(x1 - x0, y1 - y0))
 
 
 @dataclass(frozen=True)
@@ -282,21 +369,10 @@ class Disc(Domain):
     name = "disc"
 
     def __post_init__(self):
-        if _finite("disc", "radius", self.radius) <= 0:
-            raise ParameterError("disc radius must be positive")
-        _finite("disc", "center", self.center, (2,), size=float(self.radius))
+        _finite("disc", "center", self.center, (2,), size=_size("disc", "radius", self.radius))
 
     def _c(self):
         return np.asarray(self.center, dtype=float)
-
-    def contains(self, x, tol=0.0):
-        x, single = _as_points(x)
-        r = np.hypot(*(x - self._c()).T)
-        return _unsingle(r <= self.radius + tol, single)
-
-    def _signed_inside_distance(self, x):
-        r = np.hypot(*(x - self._c()).T)
-        return self.radius - r
 
     def nearest_boundary_point(self, x):
         x, single = _as_points(x)
@@ -332,27 +408,11 @@ class Disc(Domain):
     def _curvature_at(self, y):
         return np.full(len(y), 1.0 / self.radius)
 
-    def bbox(self):
-        c = self._c()
-        r = self.radius
-        return ((c[0] - r, c[1] - r), (c[0] + r, c[1] + r))
-
     def area(self):
         return float(np.pi * self.radius**2)
 
     def region(self):
         return np.zeros((0, 3)), (self._c(), np.eye(2) / self.radius)
-
-    def line_spans(self, pts, d):
-        """(t_lo, t_hi) where each line {p + t d}, |d| = 1, crosses the
-        circle; a line that misses the disc gets t_lo > t_hi."""
-        q = np.atleast_2d(pts) - self._c()
-        b = q @ np.asarray(d, float)
-        c = np.sum(q * q, axis=1) - self.radius**2
-        disc = b * b - c
-        ok = disc >= 0
-        r = np.sqrt(np.maximum(disc, 0.0))
-        return np.where(ok, -b - r, 1.0), np.where(ok, -b + r, 0.0)
 
     def extent(self, m):
         """(min, max) of x . m over the disc, |m| = 1."""
@@ -376,13 +436,8 @@ class Ellipse(Domain):
     name = "ellipse"
 
     def __post_init__(self):
-        if not (0 < _finite("ellipse", "b", self.b) < _finite("ellipse", "a", self.a)):
+        if not _size("ellipse", "b", self.b) < _size("ellipse", "a", self.a):
             raise ParameterError("ellipse requires 0 < b < a")
-
-    def contains(self, x, tol=0.0):
-        x, single = _as_points(x)
-        q = (x[:, 0] / self.a) ** 2 + (x[:, 1] / self.b) ** 2
-        return _unsingle(q <= 1.0 + tol, single)
 
     def _foot_parameter(self, p):
         """delta = t + b^2 for the foot of each point p (p1, p2 >= 0).
@@ -443,13 +498,6 @@ class Ellipse(Domain):
         sgn = np.where(np.abs(x) < 1e-300, 1.0, np.sign(np.where(x == 0.0, 1.0, x)))
         return _unsingle(y * sgn, single)
 
-    def _signed_inside_distance(self, x):
-        y = self.nearest_boundary_point(x)
-        y = np.atleast_2d(y)
-        d = np.hypot(*(x - y).T)
-        inside = (x[:, 0] / self.a) ** 2 + (x[:, 1] / self.b) ** 2 <= 1.0
-        return np.where(inside, d, -d)
-
     def medial_segment_halflength(self):
         return self.a - self.b**2 / self.a
 
@@ -507,27 +555,11 @@ class Ellipse(Domain):
         g = np.hypot(y[:, 0] / self.a**2, y[:, 1] / self.b**2)
         return 1.0 / ((self.a * self.b * g) ** 2 * g)
 
-    def bbox(self):
-        return ((-self.a, -self.b), (self.a, self.b))
-
     def area(self):
         return float(np.pi * self.a * self.b)
 
     def region(self):
         return np.zeros((0, 3)), (np.zeros(2), np.diag([1.0 / self.a, 1.0 / self.b]))
-
-    def line_spans(self, pts, d):
-        """(t_lo, t_hi) where each line {p + t d} crosses the ellipse; a line
-        that misses it gets t_lo > t_hi."""
-        q = np.atleast_2d(pts) / np.array([self.a, self.b])
-        e = np.asarray(d, float) / np.array([self.a, self.b])
-        A = e @ e
-        B = q @ e
-        C = np.sum(q * q, axis=1) - 1.0
-        disc = B * B - A * C
-        ok = disc >= 0
-        r = np.sqrt(np.maximum(disc, 0.0))
-        return np.where(ok, (-B - r) / A, 1.0), np.where(ok, (-B + r) / A, 0.0)
 
     def extent(self, m):
         """(min, max) of x . m over the ellipse, |m| = 1."""
@@ -551,9 +583,8 @@ class HalfDisc(Domain):
     name = "half_disc"
 
     def __post_init__(self):
-        if _finite("half_disc", "radius", self.radius) <= 0:
-            raise ParameterError("half-disc radius must be positive")
-        _finite("half_disc", "center", self.center, (2,), size=float(self.radius))
+        _finite("half_disc", "center", self.center, (2,),
+                size=_size("half_disc", "radius", self.radius))
         _finite("half_disc", "orientation", self.orientation)
 
     def _frame(self):
@@ -561,39 +592,21 @@ class HalfDisc(Domain):
         return np.asarray(self.center, dtype=float), u, -rot90(u)
 
     def to_local(self, x):
-        """Map to the canonical frame: center at origin, flat side on v=0,
-        bulge toward v>0.  Returns (t, v) with t along the flat side."""
+        """Map (..., 2) points to the canonical frame: center at origin, flat
+        side on v=0, bulge toward v>0.  Returns (t, v) with t along the flat
+        side."""
         c, u, w = self._frame()
-        x, single = _as_points(x)
-        d = x - c
-        loc = np.stack([d @ w, d @ u], axis=1)
-        return _unsingle(loc, single)
+        d = np.asarray(x, dtype=float) - c
+        return _pair(d @ w, d @ u)
 
     def from_local(self, loc):
         c, u, w = self._frame()
-        loc, single = _as_points(loc)
-        return _unsingle(c + loc[:, :1] * w + loc[:, 1:] * u, single)
-
-    def contains(self, x, tol=0.0):
-        single = np.asarray(x, dtype=float).ndim == 1
-        loc = np.atleast_2d(self.to_local(x))
-        r = np.hypot(loc[:, 0], loc[:, 1])
-        ok = (r <= self.radius + tol) & (loc[:, 1] >= -tol)
-        return ok[0] if single else ok
-
-    def _signed_inside_distance(self, x):
-        loc = np.atleast_2d(self.to_local(x))
-        r = np.hypot(loc[:, 0], loc[:, 1])
-        d_arc = self.radius - r
-        d_flat = loc[:, 1]
-        inside = (d_arc >= 0) & (d_flat >= 0)
-        d = np.minimum(d_arc, d_flat)
-        # outside: distance is not needed exactly, only its sign
-        return np.where(inside, d, -np.abs(d))
+        loc = np.asarray(loc, dtype=float)
+        return c + loc[..., :1] * w + loc[..., 1:] * u
 
     def nearest_boundary_point(self, x):
         x, single = _as_points(x)
-        loc = np.atleast_2d(self.to_local(x))
+        loc = self.to_local(x)
         r = np.hypot(loc[:, 0], loc[:, 1])
         d_arc = self.radius - r
         d_flat = loc[:, 1]
@@ -609,7 +622,7 @@ class HalfDisc(Domain):
         below = d_flat < 0
         y[below, 0] = np.clip(loc[below, 0], -self.radius, self.radius)
         y[below, 1] = 0.0
-        return _unsingle(np.atleast_2d(self.from_local(y)), single)
+        return _unsingle(self.from_local(y), single)
 
     def _on_arc(self, loc):
         """Whether boundary points, in local coordinates, lie on the arc
@@ -618,7 +631,7 @@ class HalfDisc(Domain):
         return np.abs(np.hypot(loc[:, 0], loc[:, 1]) - self.radius) < np.abs(loc[:, 1])
 
     def _outward_normal_at(self, y):
-        loc = np.atleast_2d(self.to_local(y))
+        loc = self.to_local(y)
         radial = loc / np.maximum(np.hypot(loc[:, 0], loc[:, 1]), 1e-300)[:, None]
         nu_loc = np.where(self._on_arc(loc)[:, None], radial, (0.0, -1.0))
         c, u, w = self._frame()
@@ -634,13 +647,13 @@ class HalfDisc(Domain):
         return self.from_local(np.where((t <= np.pi)[:, None], arc, _pair(t - np.pi - R, 0.0)))
 
     def _boundary_parameter(self, y):
-        loc = np.atleast_2d(self.to_local(y))
+        loc = self.to_local(y)
         R = self.radius
         return np.where(self._on_arc(loc), np.clip(np.arctan2(loc[:, 1], loc[:, 0]), 0.0, np.pi),
                         np.pi + R + np.clip(loc[:, 0], -R, R))
 
     def _curvature_at(self, y):
-        return np.where(self._on_arc(np.atleast_2d(self.to_local(y))), 1.0 / self.radius, 0.0)
+        return np.where(self._on_arc(self.to_local(y)), 1.0 / self.radius, 0.0)
 
     def medial_axis(self):
         c, u, w = self._frame()
@@ -663,19 +676,14 @@ class HalfDisc(Domain):
         arc = np.concatenate([flat, 2 * R + R * th])
         return self.from_local(loc), arc, np.isin(np.arange(n), (0, k))
 
-    def bbox(self):
+    def extent(self, m):
+        """(min, max) of x . m over the half-disc, |m| = 1."""
         c, u, w = self._frame()
-
-        def reach(e):
-            # support function: the arc attains R along e when e.u >= 0,
-            # otherwise a corner c +- R w is extreme
-            e = np.asarray(e, dtype=float)
-            return self.radius if e @ u >= 0 else self.radius * abs(e @ w)
-
-        return (
-            (c[0] - reach([-1, 0]), c[1] - reach([0, -1])),
-            (c[0] + reach([1, 0]), c[1] + reach([0, 1])),
-        )
+        m = np.asarray(m, dtype=float)
+        # the support function: the arc reaches R along e when e.u >= 0,
+        # otherwise a corner c +- R w is extreme
+        lo, hi = (self.radius if e @ u >= 0 else self.radius * abs(e @ w) for e in (-m, m))
+        return c @ m - lo, c @ m + hi
 
     def area(self):
         return float(0.5 * np.pi * self.radius**2)
@@ -719,18 +727,13 @@ class ConvexPolygon(Domain):
         size = float(np.hypot(*np.ptp(v, axis=0)))  # the bbox diagonal, as in `diameter`
         _finite(self.name, "vertices", v.tolist(), v.shape, size=size)
         scale = np.max(np.abs(v)) + 1.0
-        n = len(v)
-        for i in range(n):
-            e1 = v[(i + 1) % n] - v[i]
-            e2 = v[(i + 2) % n] - v[(i + 1) % n]
-            cross = e1[0] * e2[1] - e1[1] * e2[0]
-            if np.hypot(*e1) < 1e-12 * scale:
-                raise ParameterError("repeated polygon vertices")
-            if not cross > 1e-12 * scale**2:  # a cross product that overflows to NaN fails too
-                raise ParameterError("polygon must be strictly convex with CCW vertices")
-        self.vertices = v
         d = np.roll(v, -1, axis=0) - v
         self.edge_lengths = np.hypot(d[:, 0], d[:, 1])
+        if np.any(self.edge_lengths < 1e-12 * scale):
+            raise ParameterError("repeated polygon vertices")
+        if not np.all(_cross(d, np.roll(d, -1, axis=0)) > 1e-12 * scale**2):
+            raise ParameterError("polygon must be strictly convex with CCW vertices")
+        self.vertices = v
         self.edge_tangents = d / self.edge_lengths[:, None]
         self.edge_normals = -rot90(self.edge_tangents)  # outward for CCW
         self.edge_offsets = np.sum(self.edge_normals * v, axis=1)  # x.nu = c on edge
@@ -743,14 +746,6 @@ class ConvexPolygon(Domain):
         """(n_pts, n_sides) array of inward distances c_i - x.nu_i."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return self.edge_offsets[None, :] - x @ self.edge_normals.T
-
-    def contains(self, x, tol=0.0):
-        x, single = _as_points(x)
-        ok = np.all(self.side_distances(x) >= -tol, axis=1)
-        return _unsingle(ok, single)
-
-    def _signed_inside_distance(self, x):
-        return self.side_distances(x).min(axis=1)
 
     def nearest_boundary_point(self, x):
         """Inside, the foot on the nearest side's line; outside, the nearest
@@ -880,10 +875,6 @@ class ConvexPolygon(Domain):
         arc = self._side_starts[side] + frac * L[side]
         return pos, arc, j == 0
 
-    def bbox(self):
-        v = self.vertices
-        return ((v[:, 0].min(), v[:, 1].min()), (v[:, 0].max(), v[:, 1].max()))
-
     def area(self):
         v = self.vertices
         x, y = v[:, 0], v[:, 1]
@@ -891,26 +882,6 @@ class ConvexPolygon(Domain):
 
     def region(self):
         return np.column_stack([self.edge_normals, self.edge_offsets]), None
-
-    def line_spans(self, pts, d):
-        """(t_lo, t_hi) where each line {p + t d} enters and leaves the
-        polygon; a line that misses it gets t_lo > t_hi."""
-        num = self.side_distances(pts)
-        den = self.edge_normals @ np.asarray(d, float)
-        t_lo = np.full(len(num), -np.inf)
-        t_hi = np.full(len(num), np.inf)
-        for j, dn in enumerate(den):
-            if abs(dn) < 1e-14:
-                # a point on a side parallel to d: the same slack that chord
-                # charts allow in contains
-                bad = num[:, j] < -1e-12
-                t_lo = np.where(bad, 1.0, t_lo)
-                t_hi = np.where(bad, 0.0, t_hi)
-            elif dn > 0:
-                t_hi = np.minimum(t_hi, num[:, j] / dn)
-            else:
-                t_lo = np.maximum(t_lo, num[:, j] / dn)
-        return t_lo, t_hi
 
     def extent(self, m):
         """(min, max) of x . m over the polygon."""
@@ -931,7 +902,7 @@ class Rectangle(ConvexPolygon):
     name = "rectangle"
 
     def __init__(self, a, b):
-        if not (0 < _finite("rectangle", "b", b) < _finite("rectangle", "a", a)):
+        if not _size("rectangle", "b", b) < _size("rectangle", "a", a):
             raise ParameterError("rectangle requires 0 < b < a")
         self.a, self.b = a, b
         super().__init__(((-a, -b), (a, -b), (a, b), (-a, b)))
@@ -943,16 +914,10 @@ class Rectangle(ConvexPolygon):
         return {"shape": "rectangle", "a": self.a, "b": self.b}
 
 
-SCALE_BOUND = 1e100  # a spec's numbers are at most this in magnitude, its sizes at least 1/this
-OFFSET_BOUND = 1e6  # a centre or vertex is at most this many sizes from the origin
-
-
 def make_domain(spec):
     """Build a catalog shape from a JSON-compatible description; a missing
-    key, a non-finite or non-numeric value, or one out of scale (a number
-    above SCALE_BOUND in magnitude, a size below 1/SCALE_BOUND, where areas
-    and grid steps would overflow or underflow) raises a ParameterError
-    naming it."""
+    key, or a value the constructors' gate (`_finite`) rejects, raises a
+    ParameterError naming it."""
     if not isinstance(spec, dict) or "shape" not in spec:
         raise ParameterError("domain spec must be a mapping with a 'shape' key")
     kind = spec["shape"]
@@ -962,30 +927,19 @@ def make_domain(spec):
             raise ParameterError(f"{kind} needs {key!r}")
         return spec[key]
 
-    def in_scale(key, x, size=False):
-        m = np.abs(x)
-        if np.any(m > SCALE_BOUND) or (size and np.any(m < 1.0 / SCALE_BOUND)):
-            raise ParameterError(
-                f"{kind} {key} is out of scale: numbers must be at most {SCALE_BOUND:g} and "
-                f"sizes at least {1.0 / SCALE_BOUND:g} in magnitude, "
-                f"got {np.asarray(x).tolist()!r}")
-
-    def num(key, default=None, dims=(), size=False):
+    def num(key, default=None, dims=()):
         x = _finite(kind, key, need(key) if default is None else spec.get(key, default), dims)
-        in_scale(key, x, size)
         return tuple(x.tolist()) if dims else x
 
     if kind == "disc":
-        return Disc(radius=num("radius", size=True), center=num("center", (0.0, 0.0), (2,)))
+        return Disc(radius=num("radius"), center=num("center", (0.0, 0.0), (2,)))
     if kind == "ellipse":
-        return Ellipse(a=num("a", size=True), b=num("b", size=True))
+        return Ellipse(a=num("a"), b=num("b"))
     if kind == "rectangle":
-        return Rectangle(a=num("a", size=True), b=num("b", size=True))
+        return Rectangle(a=num("a"), b=num("b"))
     if kind == "half_disc":
-        return HalfDisc(radius=num("radius", size=True), center=num("center", (0.0, 0.0), (2,)),
+        return HalfDisc(radius=num("radius"), center=num("center", (0.0, 0.0), (2,)),
                         orientation=num("orientation", np.pi / 2))
     if kind == "convex_polygon":
-        poly = ConvexPolygon(need("vertices"))
-        in_scale("vertices", poly.vertices)
-        return poly
+        return ConvexPolygon(need("vertices"))
     raise UnsupportedShapeError(f"unknown shape {kind!r}")

@@ -113,11 +113,13 @@ def _cell_areas(domain, xn, yn, h):
         out |= all_corners(s <= 0.0)
     if conic is not None:
         center, M = conic
-        full &= all_corners(_conic_radius2(xn_, yn_, center, M) <= 1.0)
+        u, v = _conic_coords(xn_, yn_, center, M)
+        full &= all_corners(u * u + v * v <= 1.0)
         # the cell's image is a parallelogram within `reach` of its center's
         reach = 0.5 * h * max(np.hypot(*(M @ [1.0, 1.0])), np.hypot(*(M @ [1.0, -1.0])))
         xc, yc = 0.5 * (xn[:-1] + xn[1:]), 0.5 * (yn[:-1] + yn[1:])
-        out |= _conic_radius2(xc[:, None], yc[None, :], center, M) >= (1.0 + reach) ** 2
+        u, v = _conic_coords(xc[:, None], yc[None, :], center, M)
+        out |= u * u + v * v >= (1.0 + reach) ** 2
     weights = np.where(full, h * h, 0.0)
     ix, iy = np.nonzero(~full & ~out)
     if len(ix):
@@ -136,10 +138,13 @@ def _cell_areas(domain, xn, yn, h):
     return weights, full
 
 
-def _conic_radius2(X, Y, center, M):
+def _conic_coords(X, Y, center, M):
+    """(u, v) = M (x - center) at the points (X, Y), elementwise: the one
+    expression `_cell_areas` and `Domain.contains` read a conic through, so
+    that neither depends on how many points it is given."""
     u = M[0, 0] * (X - center[0]) + M[0, 1] * (Y - center[1])
     v = M[1, 0] * (X - center[0]) + M[1, 1] * (Y - center[1])
-    return u * u + v * v
+    return u, v
 
 
 def _clip(polys, normal, offset):

@@ -84,8 +84,9 @@ def _lines(ss, start, end, eta, rho0, rho1, start_kind, end_kind):
 class Chart:
     """Base chart; subclasses fill in the closed-form geometry.  A chart
     defines ``lines_at(ss)``, the lines at an array of stations built in
-    one array pass, and ``coords`` and ``eta_at`` or ``coords_eta``; the
-    pair's other member follows."""
+    one array pass; ``rho(ss)``, the (rho0, rho1) of those lines, each one
+    value or one per station, which ``lines_at`` reads too; and ``coords``
+    and ``eta_at`` or ``coords_eta``, the pair's other member following."""
 
     label = "O"
     data_kind = "bvp"  # or 'cauchy'
@@ -159,9 +160,9 @@ def locate(charts, pts):
 class ChordChart(Chart):
     """Parallel chords of a convex shape in a fixed direction.
 
-    ``shape`` is a `Disc`, `Ellipse` or `ConvexPolygon`: the chart reads its
-    ``contains``, ``line_spans`` and ``extent``.  ``direction`` is the line
-    direction; the index coordinate is the signed offset s = x . m with
+    ``shape`` is a convex `Domain`: the chart reads its ``contains``,
+    ``line_spans`` and ``extent``.  ``direction`` is the line direction;
+    the index coordinate is the signed offset s = x . m with
     m = rot90(direction).  Start = the end with smaller t so that
     eta = rot_minus90(direction) points consistently.  An unconstrained
     chart carries its affine roof ``(c, g)``: phi = c + g . x on it.
@@ -195,7 +196,10 @@ class ChordChart(Chart):
     def lines_at(self, ss):
         start, end = self.endpoints(np.multiply.outer(ss, self.m))
         return _lines(ss, start, end, np.broadcast_to(self._eta, start.shape).copy(),
-                      1.0, 0.0, self.start_kind, self.end_kind)
+                      *self.rho(ss), self.start_kind, self.end_kind)
+
+    def rho(self, ss):
+        return 1.0, 0.0
 
     def s_range(self):
         return self.shape.extent(self.m)
@@ -253,8 +257,11 @@ class FanChart(Chart):
 
     def lines_at(self, ss):
         e_r = self._ray(ss)
-        return _lines(ss, *self._ends(ss, e_r), rot_minus90(e_r), 1.0, 1.0 / self.r_inner(ss),
+        return _lines(ss, *self._ends(ss, e_r), rot_minus90(e_r), *self.rho(ss),
                       "boundary", "boundary")
+
+    def rho(self, ss):
+        return 1.0, 1.0 / self.r_inner(ss)
 
     def eta_at(self, x):
         return rot_minus90(self._ray(self._local(x)[1]))
@@ -302,14 +309,23 @@ class ExitChart(Chart):
         _, nu, L = self._rays(t)
         return t, L - depth, L, rot_minus90(nu)
 
-    def lines_at(self, ss):
-        y, nu, L = self._rays(np.asarray(ss, dtype=float))
+    def _rho(self, y, L):
+        """(rho0, rho1) of the rays with feet y and lengths L; rho0 = 0 on
+        a ray from its focal point."""
         kappa = self.domain._curvature_at(y)
         rest = 1.0 - kappa * L
         focal = rest < 1e-9
-        rho1 = np.where(focal, 1.0, kappa / np.where(focal, 1.0, rest))
-        return _lines(ss, y - L[:, None] * nu, y, rot_minus90(nu), np.where(focal, 0.0, 1.0),
-                      rho1, np.where(focal, "focal_point", "medial_axis"), "boundary")
+        return np.where(focal, 0.0, 1.0), np.where(focal, 1.0, kappa / np.where(focal, 1.0, rest))
+
+    def rho(self, ss):
+        y, _, L = self._rays(np.asarray(ss, dtype=float))
+        return self._rho(y, L)
+
+    def lines_at(self, ss):
+        y, nu, L = self._rays(np.asarray(ss, dtype=float))
+        rho0, rho1 = self._rho(y, L)
+        return _lines(ss, y - L[:, None] * nu, y, rot_minus90(nu), rho0, rho1,
+                      np.where(rho0 == 0.0, "focal_point", "medial_axis"), "boundary")
 
 
 # ----------------------------------------------------------------------

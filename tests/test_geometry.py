@@ -15,12 +15,13 @@ from shellwrinkle.geometry import (
     OFFSET_BOUND,
     ConvexPolygon,
     Disc,
+    Domain,
     Ellipse,
     HalfDisc,
     Rectangle,
     make_domain,
 )
-from shellwrinkle.grids import MaskedGrid
+from shellwrinkle.grids import MaskedGrid, _cell_areas
 
 
 def brute_distance(domain, x, n=100_000):
@@ -353,7 +354,7 @@ class TestSideRegions:
         assert np.allclose(node, centre, atol=1e-9) and degree == 5
 
 
-CLIP_SHAPES = {
+SAMPLE_SHAPES = {
     "disc": Disc(1.0),
     "offset_disc": Disc(0.8, (0.4, -0.3)),
     "ellipse": Ellipse(2.0, 1.0),
@@ -363,10 +364,6 @@ CLIP_SHAPES = {
         np.stack([np.cos(0.3 + 2 * np.pi * np.arange(5) / 5),
                   np.sin(0.3 + 2 * np.pi * np.arange(5) / 5)], axis=1)
     ),
-}
-
-SAMPLE_SHAPES = {
-    **CLIP_SHAPES,
     "pentagon": ConvexPolygon([(1.5, -0.8), (1.8, 0.9), (-0.2, 1.1), (-1.6, 0.2), (-1.0, -1.0)]),
     "half_disc": HalfDisc(1.0),
     "turned_half_disc": HalfDisc(1.0, (0.2, 0.1), 0.7),
@@ -468,12 +465,12 @@ class TestBoundarySample:
         assert all(np.isnan(bp.nu).all() for bp in corners)
 
 
-@pytest.mark.parametrize("name", list(CLIP_SHAPES))
+@pytest.mark.parametrize("name", list(SAMPLE_SHAPES))
 class TestLineClipping:
     """`line_spans` and `extent`, which the chord charts clip with."""
 
     def test_span_ends_lie_on_the_boundary(self, name):
-        dom = CLIP_SHAPES[name]
+        dom = SAMPLE_SHAPES[name]
         rng = np.random.default_rng(5)
         (x0, y0), (x1, y1) = dom.bbox()
         base = rng.uniform([x0 - 0.5, y0 - 0.5], [x1 + 0.5, y1 + 0.5], size=(400, 2))
@@ -499,7 +496,7 @@ class TestLineClipping:
         assert hits > 500
 
     def test_extent_matches_boundary_samples(self, name):
-        dom = CLIP_SHAPES[name]
+        dom = SAMPLE_SHAPES[name]
         bnd = np.array([bp.position for bp in dom.boundary_sample(4096)])
         spacing = np.hypot(*np.diff(np.vstack([bnd, bnd[:1]]), axis=0).T).max()
         for ang in np.linspace(0.0, np.pi, 7):
@@ -508,6 +505,80 @@ class TestLineClipping:
             vals = bnd @ m
             assert lo <= vals.min() + 1e-12 and vals.min() - lo <= spacing
             assert hi >= vals.max() - 1e-12 and hi - vals.max() <= spacing
+
+
+def _corners_inside(inside):
+    """Cells whose four corners are flagged in the (nx + 1, ny + 1) node array."""
+    return inside[:-1, :-1] & inside[1:, :-1] & inside[1:, 1:] & inside[:-1, 1:]
+
+
+@pytest.mark.parametrize("name", list(SAMPLE_SHAPES))
+class TestOneRegion:
+    """`contains`, `line_spans`, `boundary_distance` and `bbox` are stated
+    once, in `Domain`, from a shape's `region()`, foot point and `extent`."""
+
+    def test_cells_wholly_inside_are_the_cells_whose_corners_are_contained(self, name):
+        # `_cell_areas` and `contains` read the same expressions, so a cell
+        # is wholly inside exactly when `contains` takes its four corners
+        dom = SAMPLE_SHAPES[name]
+        for res in (32, 96):
+            grid = MaskedGrid(dom, res)
+            xn = grid.x0 + np.arange(grid.nx + 1) * grid.h
+            yn = grid.y0 + np.arange(grid.ny + 1) * grid.h
+            _, full = _cell_areas(dom, xn, yn, grid.h)
+            X, Y = np.meshgrid(xn, yn, indexing="ij")
+            inside = dom.contains(np.stack([X.ravel(), Y.ravel()], axis=1)).reshape(X.shape)
+            assert full.any()
+            np.testing.assert_array_equal(full, _corners_inside(inside))
+
+    def test_tol_grows_the_shape_by_a_distance(self, name):
+        # exact on half-planes and discs; an ellipse's band lies within tol
+        dom = SAMPLE_SHAPES[name]
+        s = dom.boundary_sample(64)
+        pos, nu = s.position[~s.corner], s.nu[~s.corner]
+        t = 1e-6 * dom.diameter()
+        if isinstance(dom, Ellipse):
+            assert not np.any(dom.contains(pos + 2 * t * nu, tol=t))
+            assert np.all(dom.contains(pos - 2 * t * nu, tol=-t))
+            assert np.all(dom.contains(pos + 0.5 * t * dom.b / dom.a * nu, tol=t))
+            return
+        assert np.all(dom.contains(pos + 0.5 * t * nu, tol=t))
+        assert not np.any(dom.contains(pos + 2 * t * nu, tol=t))
+        assert np.all(dom.contains(pos - 2 * t * nu, tol=-t))
+        assert not np.any(dom.contains(pos - 0.5 * t * nu, tol=-t))
+
+    def test_boundary_distance_is_the_distance_to_the_foot(self, name):
+        dom = SAMPLE_SHAPES[name]
+        s = dom.boundary_sample(64)
+        pos, nu = s.position[~s.corner], s.nu[~s.corner]
+        np.testing.assert_array_equal(dom.boundary_distance(pos + 1e-14 * nu), 0.0)
+        with pytest.raises(DomainError):
+            dom.boundary_distance(pos + 1e-9 * dom.diameter() * nu)
+        x = interior_points(dom, 200)
+        np.testing.assert_array_equal(
+            dom.boundary_distance(x), np.hypot(*(x - dom.nearest_boundary_point(x)).T))
+
+    def test_bbox_is_the_extent_along_the_axes(self, name):
+        dom = SAMPLE_SHAPES[name]
+        (x0, y0), (x1, y1) = dom.bbox()
+        assert (x0, x1) == dom.extent((1.0, 0.0)) and (y0, y1) == dom.extent((0.0, 1.0))
+        pos = dom.boundary_sample(4096).position
+        np.testing.assert_allclose([x0, y0, x1, y1], [*pos.min(axis=0), *pos.max(axis=0)],
+                                   rtol=0, atol=1e-6 * dom.diameter())
+
+
+def test_no_shape_restates_what_domain_derives():
+    derived = ("contains", "line_spans", "boundary_distance", "bbox")
+    shapes, todo = [], [Domain]
+    while todo:
+        cls = todo.pop()
+        shapes.append(cls)
+        todo.extend(cls.__subclasses__())
+    assert {ConvexPolygon, Disc, Ellipse, HalfDisc, Rectangle} <= set(shapes)
+    for cls in shapes:
+        assert "_signed_inside_distance" not in vars(cls), cls
+        if cls is not Domain:
+            assert not set(derived) & set(vars(cls)), cls
 
 
 NAN, INF = float("nan"), float("inf")
@@ -554,8 +625,9 @@ class TestValidationAndConfig:
 
     def test_polygon_whose_cross_products_overflow_is_rejected(self):
         # (1e200, 1e200) then (2e200, 1e200) turns clockwise, but the cross
-        # product is inf - inf = NaN
-        with pytest.raises(ParameterError, match="strictly convex"), np.errstate(all="ignore"):
+        # product would be inf - inf = NaN; the scale gate rejects the
+        # vertices before it is formed
+        with pytest.raises(ParameterError, match="convex_polygon vertices is out of scale"):
             ConvexPolygon([(0.0, 0.0), (1e200, 1e200), (3e200, 2e200)])
 
     def test_make_domain_rejects_unknown(self):
@@ -631,6 +703,18 @@ class TestValidationAndConfig:
             make_domain(spec)
 
     @pytest.mark.parametrize("build, field", [
+        (lambda: Disc(1e308), "disc radius"),
+        (lambda: Disc(1e-200), "disc radius"),
+        (lambda: Ellipse(1e200, 1.0), "ellipse a"),
+        (lambda: HalfDisc(1.0, orientation=1e200), "half_disc orientation"),
+        (lambda: Rectangle(2.0, 1e-101), "rectangle b"),
+    ])
+    def test_a_constructor_rejects_a_number_out_of_scale(self, build, field):
+        # the gate every constructor and `make_domain` share
+        with pytest.raises(ParameterError, match=f"{field} is out of scale"):
+            build()
+
+    @pytest.mark.parametrize("build, field", [
         (lambda: Disc(1.0, center=(1e50, 0.0)), "disc center"),
         (lambda: make_domain({"shape": "disc", "radius": 1, "center": [1e12, 0]}), "disc center"),
         (lambda: make_domain({"shape": "disc", "radius": 1e-3, "center": [0, -2e3]}),
@@ -680,7 +764,11 @@ def test_half_disc_contains_consistent(rho, ang):
     c, u, w = hd._frame()
     p = c + rho * (np.cos(ang) * w + np.sin(ang) * u)
     loc = hd.to_local(p)
-    assert hd.contains(p) == bool((np.hypot(*loc) <= 1.0) and loc[1] >= 0)
+    # on the flat side (ang = 0 or pi) the local v and the half-plane test
+    # round apart; the point is inside by 1e-12 there
+    on_flat = abs(loc[1]) <= 1e-12
+    inside = on_flat or bool((np.hypot(*loc) <= 1.0) and loc[1] >= 0)
+    assert hd.contains(p, tol=1e-12 if on_flat else 0.0) == inside
 
 
 _FUZZ_BAD = st.one_of(
