@@ -98,7 +98,7 @@ class AiryField:
         pts, single = _pts(x)
         if self.sign < 0:
             # grad (|x|^2 - d^2)/2 = x - d grad d, which is the foot point
-            grad = np.atleast_2d(self.domain.nearest_boundary_point(pts))
+            grad = self.domain._inside_foot(pts)[0]
             return grad[0] if single else grad
         grad = self._grad_plus(pts)
         return grad[0] if single else grad

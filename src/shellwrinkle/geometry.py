@@ -6,13 +6,14 @@ Every operation is a pure function of an immutable shape; all point-valued
 arguments accept single points ``(2,)`` or batches ``(n, 2)``.
 
 A shape states each thing once: its `region()` (half-planes and at most one
-ellipse), its `extent` along a direction, its foot point
-(`nearest_boundary_point`), its boundary data (see `Domain`), its
+ellipse), its `extent` along a direction, its foot point with the distance
+it is built from (`_foot`), its boundary data (see `Domain`), its
 `medial_axis()`, `area()`, `perimeter()` and `spec()`.  `Domain` derives the
 rest from these: `contains` and `line_spans` from the region (the chord
-charts of `rulings` clip with them), `boundary_distance` from the foot
-point, `bbox` and `diameter` from the extent, and `boundary_sample`, one
-record array, from the boundary curve and outward normal.
+charts of `rulings` clip with them), `nearest_boundary_point` and
+`boundary_distance` from the foot, `bbox` and `diameter` from the extent,
+and `boundary_sample`, one record array, from the boundary curve and
+outward normal.
 
 Conventions: boundaries are oriented counterclockwise and ``nu`` is the
 outward unit normal.
@@ -56,12 +57,6 @@ def _unsingle(vals, single):
     return vals[0] if single else vals
 
 
-def _out_of_scale(shape, name, value):
-    return ParameterError(
-        f"{shape} {name} is out of scale: numbers must be at most {SCALE_BOUND:g} and sizes "
-        f"at least {1.0 / SCALE_BOUND:g} in magnitude, got {value!r}")
-
-
 def _finite(shape, name, value, dims=(), size=None):
     """``value`` as a float, or as an array of shape ``dims``; a
     ParameterError naming the field unless it is that many finite numbers,
@@ -76,7 +71,8 @@ def _finite(shape, name, value, dims=(), size=None):
         what = f"a finite {dims[0]}-vector" if dims else "a finite number"
         raise ParameterError(f"{shape} {name} must be {what}, got {value!r}")
     if np.any(np.abs(x) > SCALE_BOUND):
-        raise _out_of_scale(shape, name, value)
+        raise ParameterError(f"{shape} {name} is out of scale: numbers must be at most "
+                             f"{SCALE_BOUND:g} in magnitude, got {value!r}")
     if size is not None and np.max(np.abs(x)) > OFFSET_BOUND * size:
         raise ParameterError(
             f"{shape} {name}: too far from the origin for the shape's size {size:g}; numbers "
@@ -91,7 +87,8 @@ def _size(shape, name, value):
     if x <= 0:
         raise ParameterError(f"{shape} {name} must be positive, got {value!r}")
     if x < 1.0 / SCALE_BOUND:
-        raise _out_of_scale(shape, name, value)
+        raise ParameterError(f"{shape} {name} is out of scale: sizes must be at least "
+                             f"{1.0 / SCALE_BOUND:g}, got {value!r}")
     return x
 
 
@@ -215,10 +212,10 @@ class Domain:
     """Base class for catalog shapes; generic Lipschitz domains are rejected
     by design.
 
-    A shape states, in closed form: `region()`, `extent(m)`,
-    `nearest_boundary_point(x)`, its boundary data, `medial_axis()`,
-    `area()`, `perimeter()` and `spec()`.  `Domain` derives `contains`,
-    `line_spans`, `boundary_distance`, `bbox`, `diameter` and
+    A shape states, in closed form: `region()`, `extent(m)`, `_foot(x)`,
+    its boundary data, `medial_axis()`, `area()`, `perimeter()` and
+    `spec()`.  `Domain` derives `contains`, `line_spans`,
+    `nearest_boundary_point`, `boundary_distance`, `bbox`, `diameter` and
     `boundary_sample` from them, so no shape states its inside twice.
 
     At K < 0 `rulings.ExitChart` reads a shape only through its boundary
@@ -247,9 +244,11 @@ class Domain:
         """(min, max) of x . m over the shape, |m| = 1."""
         raise NotImplementedError
 
-    def nearest_boundary_point(self, x):
-        """The foot of each point: its nearest point of the closed boundary
-        (one of them where there are several)."""
+    def _foot(self, x):
+        """(y, d) for (n, 2) points: each one's foot y, its nearest point of
+        the closed boundary (one of them where there are several), and d,
+        the distance the foot is built from, negative outside (where only
+        |d| <= |x - y| holds)."""
         raise NotImplementedError
 
     def _outward_normal_at(self, y):
@@ -305,8 +304,11 @@ class Domain:
         if conic is not None:
             center, M = conic
             u, v = _conic_coords(X, Y, center, M)
-            r = 1.0 + tol * np.linalg.svd(M, compute_uv=False)[-1]  # 1 / the longest semi-axis
-            ok &= u * u + v * v <= r * abs(r)
+            # 1 / the longest semi-axis is M's least singular value, |det M| / the greatest
+            (p, q), (r, s) = M
+            grow = 1.0 + 2 * tol * abs(p * s - q * r) / (np.hypot(p + s, r - q)
+                                                          + np.hypot(p - s, r + q))
+            ok &= u * u + v * v <= grow * abs(grow)
         return _unsingle(ok, single)
 
     def line_spans(self, pts, d):
@@ -342,15 +344,24 @@ class Domain:
             hi = np.where(ok, np.minimum(hi, (-B + r) / A), 0.0)
         return lo, hi
 
-    def boundary_distance(self, x):
-        """|x - nearest_boundary_point(x)|: 0 for a point outside within
-        1e-12 diam of the boundary, and a DomainError for one farther out."""
+    def nearest_boundary_point(self, x):
+        """The foot of each point: its nearest point of the closed boundary."""
         x, single = _as_points(x)
-        d = np.hypot(*(x - self.nearest_boundary_point(x)).T)
-        out = ~self.contains(x)
-        if np.any(d[out] > 1e-12 * self.diameter()):
+        return _unsingle(self._foot(x)[0], single)
+
+    def boundary_distance(self, x):
+        """The distance to the boundary, |x - foot| as `_foot` builds it: 0
+        for a point outside within 1e-12 diam, a DomainError farther out."""
+        x, single = _as_points(x)
+        return _unsingle(self._inside_foot(x)[1], single)
+
+    def _inside_foot(self, x):
+        """`_foot` of (n, 2) points, with d = 0 for a point outside within
+        1e-12 diam of the boundary; a DomainError for one farther out."""
+        y, d = self._foot(x)
+        if np.any(d < -1e-12 * self.diameter()):
             raise DomainError(f"point outside {self.name}")
-        return _unsingle(np.where(out, 0.0, d), single)
+        return y, np.maximum(d, 0.0)
 
     def bbox(self):
         """((xmin, ymin), (xmax, ymax)): `extent` along the two axes."""
@@ -374,14 +385,13 @@ class Disc(Domain):
     def _c(self):
         return np.asarray(self.center, dtype=float)
 
-    def nearest_boundary_point(self, x):
-        x, single = _as_points(x)
+    def _foot(self, x):
         v = x - self._c()
         r = np.hypot(v[:, 0], v[:, 1])
         safe = np.where(r < 1e-300, 1.0, r)
         y = self._c() + self.radius * v / safe[:, None]
         y[r < 1e-300] = self._c() + np.array([self.radius, 0.0])
-        return _unsingle(y, single)
+        return y, self.radius - r
 
     def _outward_normal_at(self, y):
         v = y - self._c()
@@ -471,8 +481,7 @@ class Ellipse(Domain):
             delta = nxt
         return delta
 
-    def nearest_boundary_point(self, x):
-        x, single = _as_points(x)
+    def _foot(self, x):
         a, b = self.a, self.b
         y = np.empty_like(x)
         p = np.abs(x)
@@ -496,7 +505,9 @@ class Ellipse(Domain):
             y[on_major] = yy
         # restore quadrant signs (points exactly on an axis keep the + side)
         sgn = np.where(np.abs(x) < 1e-300, 1.0, np.sign(np.where(x == 0.0, 1.0, x)))
-        return _unsingle(y * sgn, single)
+        y *= sgn
+        d = np.hypot(*(x - y).T)
+        return y, np.where(self.contains(x), d, -d)
 
     def medial_segment_halflength(self):
         return self.a - self.b**2 / self.a
@@ -594,18 +605,18 @@ class HalfDisc(Domain):
     def to_local(self, x):
         """Map (..., 2) points to the canonical frame: center at origin, flat
         side on v=0, bulge toward v>0.  Returns (t, v) with t along the flat
-        side."""
+        side; v = (x - c).u is rounded as `contains` rounds the flat row of
+        `region()`, so that the two agree on which side a point lies."""
         c, u, w = self._frame()
-        d = np.asarray(x, dtype=float) - c
-        return _pair(d @ w, d @ u)
+        x = np.asarray(x, dtype=float)
+        return _pair((x - c) @ w, x[..., 0] * u[0] - u @ c + x[..., 1] * u[1])
 
     def from_local(self, loc):
         c, u, w = self._frame()
         loc = np.asarray(loc, dtype=float)
         return c + loc[..., :1] * w + loc[..., 1:] * u
 
-    def nearest_boundary_point(self, x):
-        x, single = _as_points(x)
+    def _foot(self, x):
         loc = self.to_local(x)
         r = np.hypot(loc[:, 0], loc[:, 1])
         d_arc = self.radius - r
@@ -622,7 +633,7 @@ class HalfDisc(Domain):
         below = d_flat < 0
         y[below, 0] = np.clip(loc[below, 0], -self.radius, self.radius)
         y[below, 1] = 0.0
-        return _unsingle(self.from_local(y), single)
+        return self.from_local(y), np.minimum(d_arc, d_flat)
 
     def _on_arc(self, loc):
         """Whether boundary points, in local coordinates, lie on the arc
@@ -747,10 +758,9 @@ class ConvexPolygon(Domain):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return self.edge_offsets[None, :] - x @ self.edge_normals.T
 
-    def nearest_boundary_point(self, x):
+    def _foot(self, x):
         """Inside, the foot on the nearest side's line; outside, the nearest
         point of the closed sides (a vertex when the foot misses its side)."""
-        x, single = _as_points(x)
         sd = self.side_distances(x)
         i = np.argmin(sd, axis=1)
         d = sd[np.arange(len(x)), i]
@@ -765,7 +775,7 @@ class ConvexPolygon(Domain):
                             np.roll(self.vertices, -1, axis=0), feet)
             j = np.argmin(np.sum((feet - xo[:, None, :]) ** 2, axis=-1), axis=1)
             y[out] = feet[np.arange(len(xo)), j]
-        return _unsingle(y, single)
+        return y, d
 
     def nearest_side(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -309,21 +309,18 @@ class ExitChart(Chart):
         _, nu, L = self._rays(t)
         return t, L - depth, L, rot_minus90(nu)
 
-    def _rho(self, y, L):
-        """(rho0, rho1) of the rays with feet y and lengths L; rho0 = 0 on
-        a ray from its focal point."""
+    def rho(self, ss, rays=None):
+        """(rho0, rho1) of the lines at ss, from their `_rays` where given;
+        rho0 = 0 on a ray from its focal point."""
+        y, _, L = rays or self._rays(np.asarray(ss, dtype=float))
         kappa = self.domain._curvature_at(y)
         rest = 1.0 - kappa * L
         focal = rest < 1e-9
         return np.where(focal, 0.0, 1.0), np.where(focal, 1.0, kappa / np.where(focal, 1.0, rest))
 
-    def rho(self, ss):
-        y, _, L = self._rays(np.asarray(ss, dtype=float))
-        return self._rho(y, L)
-
     def lines_at(self, ss):
-        y, nu, L = self._rays(np.asarray(ss, dtype=float))
-        rho0, rho1 = self._rho(y, L)
+        y, nu, L = rays = self._rays(np.asarray(ss, dtype=float))
+        rho0, rho1 = self.rho(ss, rays)
         return _lines(ss, y - L[:, None] * nu, y, rot_minus90(nu), rho0, rho1,
                       np.where(rho0 == 0.0, "focal_point", "medial_axis"), "boundary")
 

@@ -73,6 +73,19 @@ class TestPhiMinus:
         with pytest.raises(DomainError):
             airy.phi_minus(disc, (1.5, 0.0))
 
+    def test_gradient_is_the_foot_and_raises_outside(self, ellipse, half_disc_neg, pentagon):
+        # grad phi = x - d grad d is the foot point inside; outside beyond
+        # 1e-12 diam the gradient, like the value, is undefined
+        for dom in (ellipse, half_disc_neg, pentagon):
+            af = airy.solve_dual(dom, NEG)
+            x = interior_points(dom, 100)
+            np.testing.assert_array_equal(af.grad_phi(x), dom.nearest_boundary_point(x))
+            s = dom.boundary_sample(16)
+            out = s.position[~s.corner] + 1e-9 * dom.diameter() * s.nu[~s.corner]
+            for p in (out, out[0]):
+                with pytest.raises(DomainError):
+                    af.grad_phi(p)
+
 
 class TestPhiPlus:
     def test_ellipse_value(self, ellipse):
