@@ -30,6 +30,7 @@ from .herringbone import (
     DisplacementField,
     _BLOCK_ROWS,
     _eroded,
+    _map_blocks,
     optimal_params,
 )
 from .shell import ShellProfile
@@ -109,55 +110,64 @@ def _second_diffs(fx, fy, keep: slice, h, out, tmp):
     return out
 
 
-def _stencil_rows(field: DisplacementField, shell: ShellProfile, hessian: bool):
-    """Walk the field in blocks of ``_BLOCK_ROWS`` grid rows.
+def _stencil_block(field: DisplacementField, shell: ShellProfile, hessian: bool, r0: int,
+                   scratch: dict, out: Optional[np.ndarray] = None):
+    """The stencils on the block of ``_BLOCK_ROWS`` grid rows from row r0.
 
-    Yields (r0, r1, e, hw, gp, m) per block of rows r0:r1: e(u) + grad w (x)
+    Returns (r1, e, hw, gp, m) for the block's rows r0:r1: e(u) + grad w (x)
     grad w / 2 - grad p (x) grad p / 2 and hess w - hess p (None unless
     ``hessian``) as planes (11, 12, 22), the profile gradient gp (None
     without ``grad_p``: it is zero, and so are its terms) and the eroded
-    domain mask, from the rows within 2.  Each block differences only its
+    domain mask, from the rows within 2.  The block differences only its
     own rows, and the slopes of w and p one row beyond, where the Hessian
-    reads them, with the whole-grid stencils' values bit for bit.  e and hw
-    are scratch planes allocated once per call; the caller may overwrite them.
+    reads them, with the whole-grid stencils' values bit for bit.
+
+    e is written into rows r0:r1 of ``out``, whole-grid planes (3, nx, ny),
+    when it is given.  Otherwise e, like hw and the work planes, lives in
+    ``scratch``: the first block a worker of ``_map_blocks`` runs allocates
+    them there, and its later blocks reuse them, so the caller may overwrite
+    e and hw but not keep them past the block.
     """
     nx, ny = field.shape
     h, curved = field.h, shell.grad_p is not None
-    e, tmp = np.empty((3, _BLOCK_ROWS, ny)), np.empty((_BLOCK_ROWS, ny))
-    hw = np.empty((3, _BLOCK_ROWS, ny)) if hessian else None
-    hp = np.empty((3, _BLOCK_ROWS, ny)) if hessian and curved else None
-    wxb, wyb = np.empty((2, _BLOCK_ROWS + 2, ny))
+    r1 = min(r0 + _BLOCK_ROWS, nx)
+    if not scratch:
+        scratch["tmp"] = np.empty((_BLOCK_ROWS, ny))
+        scratch["wxy"] = np.empty((2, _BLOCK_ROWS + 2, ny))
+        scratch["e"] = np.empty((3, _BLOCK_ROWS, ny)) if out is None else None
+        scratch["hw"] = np.empty((3, _BLOCK_ROWS, ny)) if hessian else None
+        scratch["hp"] = np.empty((3, _BLOCK_ROWS, ny)) if hessian and curved else None
+    # the grid's edge formulas read its first or last three rows
+    lo, hi = (max(min(r0 - 1, nx - 3), 0), min(max(r1 + 1, 3), nx)) if hessian else (r0, r1)
+    k = slice(r0 - lo, r1 - lo)
+    wxb, wyb = scratch["wxy"][:, :hi - lo]
+    wx = _diff_rows(field.w, lo, hi, h, wxb)
+    wy = _diff_cols(field.w[lo:hi], h, wyb)
+    g = None
+    if curved:
+        g = shell.gradient(_centres(field, slice(lo, hi))).reshape(hi - lo, ny, 2)
+    e = scratch["e"][:, :r1 - r0] if out is None else out[:, r0:r1]
+    t = scratch["tmp"][:r1 - r0]
     u1, u2 = field.u[..., 0], field.u[..., 1]
-    for r0 in range(0, nx, _BLOCK_ROWS):
-        r1 = min(r0 + _BLOCK_ROWS, nx)
-        # the grid's edge formulas read its first or last three rows
-        lo, hi = (max(min(r0 - 1, nx - 3), 0), min(max(r1 + 1, 3), nx)) if hessian else (r0, r1)
-        k = slice(r0 - lo, r1 - lo)
-        wx = _diff_rows(field.w, lo, hi, h, wxb[:hi - lo])
-        wy = _diff_cols(field.w[lo:hi], h, wyb[:hi - lo])
-        g = None
-        if curved:
-            g = shell.gradient(_centres(field, slice(lo, hi))).reshape(hi - lo, ny, 2)
-        eb, t = e[:, :r1 - r0], tmp[:r1 - r0]
-        _diff_rows(u1, r0, r1, h, eb[0])
-        eb[0] += np.multiply(np.square(wx[k], out=t), 0.5, out=t)
-        _diff_cols(u1[r0:r1], h, eb[1])
-        eb[1] += _diff_rows(u2, r0, r1, h, t)
-        eb[1] *= 0.5
-        eb[1] += np.multiply(np.multiply(wx[k], 0.5, out=t), wy[k], out=t)
-        _diff_cols(u2[r0:r1], h, eb[2])
-        eb[2] += np.multiply(np.square(wy[k], out=t), 0.5, out=t)
-        if curved:
-            eb[0] -= 0.5 * g[k][..., 0] ** 2
-            eb[1] -= 0.5 * g[k][..., 0] * g[k][..., 1]
-            eb[2] -= 0.5 * g[k][..., 1] ** 2
-        hb = _second_diffs(wx, wy, k, h, hw[:, :r1 - r0], t) if hessian else None
-        if hessian and curved:
-            # reference profile curvature by differencing its gradient samples
-            hb -= _second_diffs(g[..., 0], g[..., 1], k, h, hp[:, :r1 - r0], t)
-        m0 = max(r0 - 2, 0)
-        m = _eroded(field.domain_mask[m0:r1 + 2])[r0 - m0:r1 - m0]
-        yield r0, r1, eb, hb, (g[k] if curved else None), m
+    _diff_rows(u1, r0, r1, h, e[0])
+    e[0] += np.multiply(np.square(wx[k], out=t), 0.5, out=t)
+    _diff_cols(u1[r0:r1], h, e[1])
+    e[1] += _diff_rows(u2, r0, r1, h, t)
+    e[1] *= 0.5
+    e[1] += np.multiply(np.multiply(wx[k], 0.5, out=t), wy[k], out=t)
+    _diff_cols(u2[r0:r1], h, e[2])
+    e[2] += np.multiply(np.square(wy[k], out=t), 0.5, out=t)
+    if curved:
+        e[0] -= 0.5 * g[k][..., 0] ** 2
+        e[1] -= 0.5 * g[k][..., 0] * g[k][..., 1]
+        e[2] -= 0.5 * g[k][..., 1] ** 2
+    hw = _second_diffs(wx, wy, k, h, scratch["hw"][:, :r1 - r0], t) if hessian else None
+    if hessian and curved:
+        # reference profile curvature by differencing its gradient samples
+        hw -= _second_diffs(g[..., 0], g[..., 1], k, h, scratch["hp"][:, :r1 - r0], t)
+    m0 = max(r0 - 2, 0)
+    m = _eroded(field.domain_mask[m0:r1 + 2])[r0 - m0:r1 - m0]
+    return r1, e, hw, (g[k] if curved else None), m
 
 
 def _centres(field: DisplacementField, rows: slice):
@@ -176,7 +186,9 @@ def _check_profile(shell: ShellProfile):
 
 def strain(field: DisplacementField, shell: ShellProfile) -> StrainField:
     """Geometrically linear strain by centered differences, block by block
-    (see ``_stencil_rows``), so no whole-grid derivative array is built.
+    (see ``_stencil_block``), so no whole-grid derivative array is built.
+    The blocks are dealt over one thread per CPU (``_map_blocks``), and each
+    writes its ε and mask into its own output rows.
 
     ε is stored as planes (3, nx, ny) and returned as their (nx, ny, 3) view
     (11, 12, 22).  It and the eroded mask equal the whole-grid stencils'
@@ -185,8 +197,12 @@ def strain(field: DisplacementField, shell: ShellProfile) -> StrainField:
     _check_profile(shell)
     planes = np.empty((3,) + field.shape)
     mask = np.empty(field.shape, dtype=bool)
-    for r0, r1, e, _, _, m in _stencil_rows(field, shell, hessian=False):
-        planes[:, r0:r1], mask[r0:r1] = e, m
+
+    def block(r0, scratch):
+        r1, _, _, _, m = _stencil_block(field, shell, False, r0, scratch, out=planes)
+        mask[r0:r1] = m
+
+    _map_blocks(block, range(0, field.shape[0], _BLOCK_ROWS))
     return StrainField(eps=np.moveaxis(planes, 0, -1), mask=mask, h=field.h)
 
 
@@ -261,20 +277,22 @@ def energy(field: DisplacementField, shell: ShellProfile, params: EnergyParams,
     the pattern is built to annihilate); otherwise it uses the shell profile.
     The surface term (gamma > 0) needs ``domain`` for its boundary flux.
 
-    The stencils run block by block (see ``_stencil_rows``), and each sum,
-    the covered count of ``renormalize`` included, is added up block by
-    block: no whole-grid array is built, and only the summation order
-    differs from whole-grid sums.  A constant target is subtracted as three
-    scalars, a varying one evaluated on each block's cell centres.
+    The stencils run block by block (see ``_stencil_block``), dealt over
+    one thread per CPU (``_map_blocks``).  Each block returns its sums, the
+    covered count of ``renormalize`` included, and they are added up in
+    block order: no whole-grid array is built, the result does not depend
+    on the number of workers, and only the summation order differs from
+    whole-grid sums.  A constant target is subtracted as three scalars, a
+    varying one evaluated on each block's cell centres.
     """
     if field.params is not None and field.h > field.params.l_wr / 16 + 1e-15:
         raise ResolutionError("grid does not resolve the finest field scale")
     if params.gamma > 0 and domain is None:
         raise ParameterError("the surface term (gamma > 0) needs the domain")
     _check_profile(shell)
-    stretching = bending = substrate = slope = 0.0
-    covered = 0
-    for r0, r1, e, hw, gp, m in _stencil_rows(field, shell, hessian=True):
+
+    def block(r0, scratch):
+        r1, e, hw, gp, m = _stencil_block(field, shell, True, r0, scratch)
         if target is not None:
             mu = target.constant
             if mu is None:
@@ -284,12 +302,21 @@ def energy(field: DisplacementField, shell: ShellProfile, params: EnergyParams,
             e[2] -= 0.5 * mu[..., 1, 1]
         if region is not None:
             m &= region[r0:r1]
-        covered += int(np.count_nonzero(m))
-        stretching += np.sum(_frob2(e)[m])
-        bending += np.sum(_frob2(hw)[m])
-        substrate += np.sum(field.w[r0:r1][m] ** 2)
+        slope = 0.0
         if params.gamma > 0 and gp is not None:
-            slope += np.sum(np.sum(gp**2, axis=-1)[field.domain_mask[r0:r1]])
+            slope = np.sum(np.sum(gp**2, axis=-1)[field.domain_mask[r0:r1]])
+        return (int(np.count_nonzero(m)), np.sum(_frob2(e)[m]), np.sum(_frob2(hw)[m]),
+                np.sum(field.w[r0:r1][m] ** 2), slope)
+
+    stretching = bending = substrate = slope = 0.0
+    covered = 0
+    # added up in block order, whichever worker ran the block
+    for sums in _map_blocks(block, range(0, field.shape[0], _BLOCK_ROWS)):
+        covered += sums[0]
+        stretching += sums[1]
+        bending += sums[2]
+        substrate += sums[3]
+        slope += sums[4]
     area_factor = 1.0
     if renormalize and covered > 0:
         area_factor = float(field.domain_mask.sum()) / covered

@@ -754,9 +754,14 @@ class ConvexPolygon(Domain):
         return f"ConvexPolygon({self.vertices.tolist()})"
 
     def side_distances(self, x):
-        """(n_pts, n_sides) array of inward distances c_i - x.nu_i."""
+        """(n_pts, n_sides) array of inward distances c_i - x.nu_i: each
+        side's slack c - n1 x1 - n2 x2, elementwise as `contains` reads it,
+        so a point's distances do not depend on the points batched with it."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self.edge_offsets[None, :] - x @ self.edge_normals.T
+        sd = np.empty((len(x), len(self.edge_offsets)))
+        for i, (n1, n2, c) in enumerate(self.region()[0]):
+            sd[:, i] = c - n1 * x[:, 0] - n2 * x[:, 1]
+        return sd
 
     def _foot(self, x):
         """Inside, the foot on the nearest side's line; outside, the nearest

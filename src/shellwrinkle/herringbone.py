@@ -14,6 +14,10 @@ All fields have closed-form derivatives; grids are sampled from those.
 
 from __future__ import annotations
 
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -24,6 +28,49 @@ from .geometry import Domain, Rectangle
 
 GRID_PER_WAVELENGTH = 32  # default h = l_wr / 32
 _BLOCK_ROWS = 16  # grid rows per block when sampling and differencing fields
+_WORKERS = len(os.sched_getaffinity(0))  # threads that share a call's row blocks
+_pool_thread = threading.local()  # .marked is set on the pool's own threads
+
+
+def _mark_pool_thread():
+    _pool_thread.marked = True
+
+
+@functools.cache
+def _pool(workers):
+    """The process-wide pool of ``workers`` threads, made on first use."""
+    return ThreadPoolExecutor(workers, thread_name_prefix="row-blocks",
+                              initializer=_mark_pool_thread)
+
+
+def _map_blocks(fn, items):
+    """[fn(item, scratch) for item in items], spread over the row-block pool.
+
+    With W = min(``_WORKERS``, number of items) workers, worker k runs items
+    k, k + W, k + 2W, ... one after another and hands each the same scratch
+    dict, which lives only for this call: a block keeps there the buffers
+    the worker's next blocks reuse.  The results come back in item order.
+    With one worker, or when called from a pool thread (a block that maps
+    blocks of its own), the items run inline in the calling thread.  A block's
+    exception ends its worker's share and reaches the caller once every
+    worker has stopped (the lowest-numbered worker's, if several raise).
+    """
+    items = list(items)
+    workers = min(_WORKERS, len(items))
+    if workers <= 1 or getattr(_pool_thread, "marked", False):
+        return _run_share(fn, items)
+    pool = _pool(_WORKERS)
+    shares = [pool.submit(_run_share, fn, items[k::workers]) for k in range(workers)]
+    wait(shares)
+    out = [None] * len(items)
+    for k, share in enumerate(shares):
+        out[k::workers] = share.result()
+    return out
+
+
+def _run_share(fn, items):
+    scratch = {}
+    return [fn(item, scratch) for item in items]
 
 
 # ----------------------------------------------------------------------
@@ -504,24 +551,34 @@ def _square_bounds(square):
 def _sample_rows(evaluator, lo, h, nx, ny):
     """Sample v, w and bulk on the cell-centered grid through
     ``evaluator._values_into`` (no derivative field), in blocks of
-    ``_BLOCK_ROWS`` rows whose points fill one reused buffer.  Each block is
-    written straight into v's planes (2, nx, ny), returned as (nx, ny, 2)."""
+    ``_BLOCK_ROWS`` rows spread over ``_map_blocks``; each worker's blocks
+    fill one reused point buffer.  Each block is written straight into its
+    own rows of v's planes (2, nx, ny), returned as (nx, ny, 2)."""
     v = np.empty((2, nx, ny))
     w = np.empty((nx, ny))
     bulk = np.empty((nx, ny), dtype=bool)
-    pts = np.empty((_BLOCK_ROWS, ny, 2))
-    pts[..., 1] = lo[1] + (np.arange(ny) + 0.5) * h
-    for r0 in range(0, nx, _BLOCK_ROWS):
+
+    def sample(r0, scratch):
+        if not scratch:
+            scratch["pts"] = np.empty((_BLOCK_ROWS, ny, 2))
+            scratch["pts"][..., 1] = lo[1] + (np.arange(ny) + 0.5) * h
         r1 = min(r0 + _BLOCK_ROWS, nx)
-        block = pts[: r1 - r0]
+        block = scratch["pts"][: r1 - r0]
         block[..., 0] = (lo[0] + (np.arange(r0, r1) + 0.5) * h)[:, None]
         evaluator._values_into(block.reshape(-1, 2), v[:, r0:r1].reshape(2, -1),
                                w[r0:r1].reshape(-1), bulk[r0:r1].reshape(-1))
+
+    _map_blocks(sample, range(0, nx, _BLOCK_ROWS))
     return np.moveaxis(v, 0, -1), w, bulk
 
 
 def herringbone(square, mu, params: HerringboneParams, h=None) -> DisplacementField:
-    """Single herringbone adapted to a constant target on a square."""
+    """Single herringbone adapted to a constant target on a square.
+
+    The grid is sampled in blocks of ``_BLOCK_ROWS`` rows, dealt over one
+    thread per CPU (``_map_blocks``); each block writes only its own rows,
+    so the samples do not depend on the number of workers.
+    """
     target = mu if isinstance(mu, TargetDefect) else TargetDefect(mu)
     if target.constant is None:
         raise ParameterError("single-square construction needs a constant target")
@@ -559,25 +616,21 @@ class PiecewiseHerringboneField(_Sampled):
         self.cells = {}
         offs = (np.arange(avg_samples) + 0.5) / avg_samples
         ox, oy = np.meshgrid(offs, offs, indexing="ij")
-        for i in range(i0, i1):
-            for j in range(j0, j1):
-                qx, qy = i * self.l_avg, j * self.l_avg
-                sub = np.stack(
-                    [qx + ox.ravel() * self.l_avg, qy + oy.ravel() * self.l_avg],
-                    axis=1,
-                )
-                ins = np.atleast_1d(domain.contains(sub))
-                if not np.any(ins):
-                    continue
-                mats = mu.matrix_at(sub[ins])
-                m_avg = mats.mean(axis=0)
-                if m_avg[0, 0] + m_avg[1, 1] <= 1e-14:
-                    continue  # vanishing target: zero field on this square
-                self.cells[(i, j)] = {
-                    "origin": np.array([qx, qy]),
-                    "field": HerringboneField(m_avg, params, single=False),
-                    "mu": m_avg,
-                }
+        # every square's avg_samples^2 samples, square (i, j) after square
+        # (i, j - 1), tested by one contains call
+        ii, jj = np.meshgrid(np.arange(i0, i1), np.arange(j0, j1), indexing="ij")
+        qx, qy = ii.reshape(-1, 1) * self.l_avg, jj.reshape(-1, 1) * self.l_avg
+        sub = np.stack([qx + ox.ravel() * self.l_avg, qy + oy.ravel() * self.l_avg], axis=-1)
+        ins = domain.contains(sub.reshape(-1, 2)).reshape(len(sub), -1)
+        for q in np.flatnonzero(ins.any(axis=1)):
+            m_avg = mu.matrix_at(sub[q][ins[q]]).mean(axis=0)
+            if m_avg[0, 0] + m_avg[1, 1] <= 1e-14:
+                continue  # vanishing target: zero field on this square
+            self.cells[(int(ii.flat[q]), int(jj.flat[q]))] = {
+                "origin": np.array([qx[q, 0], qy[q, 0]]),
+                "field": HerringboneField(m_avg, params, single=False),
+                "mu": m_avg,
+            }
 
     def _edge_cutoff(self, x, origin):
         """Separable edge cutoff on the square at ``origin``: the ramp

@@ -1,8 +1,9 @@
 """Acceptance criteria that run at tier-1 speed (about 10 s together).
 
-Criteria 6 (3.0-3.3 s and 683 MB `ru_maxrss` on a 3200^2 grid, alone in a
-fresh process on a 2-CPU box with one BLAS thread) and 7 (about 1.4 s) run
-only in `shellwrinkle verify`, which runs the whole suite.
+Criteria 6 (1.6-2.3 s and 710 MB `ru_maxrss` on a 3200^2 grid, alone in a
+fresh process on a 2-CPU box with one BLAS thread, its row blocks on both
+CPUs) and 7 (about 1.4 s) run only in `shellwrinkle verify`, which runs the
+whole suite.
 """
 
 import pytest

@@ -10,6 +10,7 @@ import pytest
 
 from shellwrinkle import cli
 from shellwrinkle import energy as energy_module
+from shellwrinkle import herringbone as herringbone_module
 from shellwrinkle.energy import (
     AnalyticScalarField,
     EnergyParams,
@@ -435,21 +436,37 @@ _BLOCK_CASES = {
 
 class TestRowBlocks:
     """strain and energy difference the grid in blocks of rows, each block
-    only on its own rows, with the values of the whole-grid stencils."""
+    only on its own rows, with the values of the whole-grid stencils; the
+    blocks (and herringbone's sampled rows) are dealt over ``workers``
+    threads with the one-worker values bit for bit.  3 workers divide none
+    of the cases' block counts evenly, nor criterion 6's 200."""
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("name", list(_BLOCK_CASES))
-    def test_blocks_equal_whole_grid_stencils(self, name):
-        self._check_against_whole_grid(*_BLOCK_CASES[name]())
+    def test_blocks_equal_whole_grid_stencils(self, monkeypatch, name, workers):
+        self._check_workers(monkeypatch, workers, _BLOCK_CASES[name])
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("layout", ["interleaved", "planar"])
-    def test_one_row_blocks(self, monkeypatch, layout):
+    def test_one_row_blocks(self, monkeypatch, layout, workers):
         # every block is one row, so one starts at row 1, whose neighbour
         # row 0 takes the one-sided formula
         monkeypatch.setattr(energy_module, "_BLOCK_ROWS", 1)
-        self._check_against_whole_grid(*_rows_case(7, layout))
+        self._check_workers(monkeypatch, workers, partial(_rows_case, 7, layout))
+
+    @classmethod
+    def _check_workers(cls, monkeypatch, workers, build):
+        outputs = []
+        for n in (1, workers):
+            monkeypatch.setattr(herringbone_module, "_WORKERS", n)
+            outputs.append(cls._check_against_whole_grid(*build()))
+        for one, many in zip(*outputs):
+            assert np.array_equal(many, one)
 
     @staticmethod
     def _check_against_whole_grid(fld, shell, ep, kw):
+        """Check strain and energy against the whole-grid stencils; returns
+        the field's u, w and bulk, ε and its mask, and the four terms."""
         eps_ref, terms_ref = _whole_grid_reference(fld, shell, ep, **kw)
         st = strain(fld, shell)
         assert np.array_equal(st.eps, eps_ref)
@@ -458,6 +475,7 @@ class TestRowBlocks:
         terms = (br.stretching, br.bending, br.substrate, br.surface)
         assert terms == pytest.approx(terms_ref, rel=1e-12, abs=0.0)
         assert br.bending > 0 and br.substrate > 0
+        return fld.u, fld.w, fld.bulk_mask, st.eps, st.mask, terms
 
     def test_fields_are_component_planes(self):
         # u and eps are views of C-contiguous planes (2 or 3, nx, ny)
@@ -470,9 +488,11 @@ class TestRowBlocks:
         assert eps.shape == fld.shape + (3,)
         assert np.moveaxis(eps, -1, 0).flags.c_contiguous
 
-    def test_strain_memory_above_output_bounded_as_rows_grow(self):
+    def test_strain_memory_above_output_bounded_as_rows_grow(self, monkeypatch):
         # 8x the rows at fixed ny: beyond the returned eps and mask, strain
-        # holds scratch planes of one block, and no whole-grid array
+        # holds scratch planes of one block per worker, and no whole-grid
+        # array; two workers, so that the cap means the same on any machine
+        monkeypatch.setattr(herringbone_module, "_WORKERS", 2)
         h, ny = 1.0 / 256, 512
         plane = _BLOCK_ROWS * ny * 8
         above = []

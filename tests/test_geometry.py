@@ -183,6 +183,19 @@ def test_polygon_foot_of_outside_point_is_on_a_closed_side(pentagon):
     assert np.all(np.abs(np.hypot(*(x - y).T) - ref) < 1e-3)
 
 
+def test_polygon_feet_do_not_depend_on_the_batch(pentagon):
+    # the side distances are elementwise, as in contains: a point's foot
+    # and distance are the same whether it comes alone or with 4,999 others
+    x = interior_points(pentagon, 5000, seed=5)
+    out = np.random.default_rng(6).uniform(-3.0, 3.0, size=(1000, 2))
+    alone = np.array([pentagon.nearest_boundary_point(p) for p in np.vstack([x, out])])
+    assert np.array_equal(pentagon.nearest_boundary_point(np.vstack([x, out])), alone)
+    alone = np.array([pentagon.boundary_distance(p) for p in x])
+    assert np.array_equal(pentagon.boundary_distance(x), alone)
+    slack = [c - n1 * x[:, 0] - n2 * x[:, 1] for n1, n2, c in pentagon.region()[0]]
+    assert np.array_equal(pentagon.side_distances(x), np.stack(slack, axis=1))
+
+
 def test_half_disc_foot_of_outside_point_is_on_the_boundary():
     # beyond a corner, below the flat side's line, the nearest boundary point
     # is the corner itself

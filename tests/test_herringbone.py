@@ -1,13 +1,21 @@
 """Herringbone fields: profiles, bulk exactness, pointwise bounds, wall
 fractions, cell-average convergence, and parameter optimization."""
 
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shellwrinkle.errors import ParameterError, RegimeError
-from shellwrinkle.geometry import Disc, Rectangle
+from shellwrinkle import herringbone as herringbone_module
+from shellwrinkle.characteristics import defect_field
+from shellwrinkle.energy import EnergyParams, _grid_target, energy
+from shellwrinkle.errors import DataError, ParameterError, RegimeError
+from shellwrinkle.geometry import Disc, Domain, Ellipse, Rectangle
 from shellwrinkle.herringbone import (
     HerringboneField,
     HerringboneParams,
@@ -22,6 +30,7 @@ from shellwrinkle.herringbone import (
     profile_W,
     smoothstep,
 )
+from shellwrinkle.shell import ShellProfile
 
 ID_PARAMS = optimal_params(1e-8, 1.0, TargetDefect(np.eye(2)))
 
@@ -315,6 +324,42 @@ class TestPiecewise:
             assert np.array_equal(vals[key], ev[key]), key
         assert ev["bulk"].any() and not ev["bulk"].all()
 
+    @pytest.mark.parametrize("b", [1e-6, 1e-8, 1e-10])
+    def test_cells_from_one_contains_call_on_the_sweep_ellipse(self, monkeypatch, b):
+        # the sweep's target on its ellipse (at 64^2): one contains call on
+        # every square's samples keeps the cells of one call per square
+        dom = Ellipse(2.0, 1.0)
+        df = defect_field(dom, ShellProfile.constant(1.0), 64)
+        target = _grid_target(df)
+        params = optimal_params(b, 1.0, target, df.grid.masked_points())
+        calls = []
+
+        def counted(self, x, tol=0.0):
+            calls.append(len(np.atleast_2d(x)))
+            return Domain.contains(self, x, tol)
+
+        monkeypatch.setattr(Ellipse, "contains", counted)
+        cells = PiecewiseHerringboneField(dom, target, params).cells
+        monkeypatch.undo()
+        assert len(calls) == 2  # the bounds' samples, then the squares'
+        offs = (np.arange(12) + 0.5) / 12
+        ox, oy = np.meshgrid(offs, offs, indexing="ij")
+        (x0, y0), (x1, y1) = dom.bbox()
+        ref = {}
+        for i in range(int(np.floor(x0 / params.l_avg)), int(np.ceil(x1 / params.l_avg))):
+            for j in range(int(np.floor(y0 / params.l_avg)), int(np.ceil(y1 / params.l_avg))):
+                qx, qy = i * params.l_avg, j * params.l_avg
+                sub = np.stack([qx + ox.ravel() * params.l_avg,
+                                qy + oy.ravel() * params.l_avg], axis=1)
+                ins = dom.contains(sub)
+                if ins.any():
+                    ref[(i, j)] = (np.array([qx, qy]), target.matrix_at(sub[ins]).mean(axis=0))
+        assert len(ref) > 10
+        assert list(cells) == [key for key, (_, mu) in ref.items() if np.trace(mu) > 1e-14]
+        for key, cell in cells.items():
+            assert np.array_equal(cell["origin"], ref[key][0])
+            assert np.array_equal(cell["mu"], ref[key][1])
+
     def test_grid_assembly(self):
         dom = Rectangle(0.3, 0.2)
         fld = piecewise_herringbone(dom, np.eye(2), ID_PARAMS)
@@ -347,3 +392,75 @@ def test_smoothstep_is_c2():
     ds = np.gradient(s, u)
     assert abs(ds[np.argmin(np.abs(u))]) < 1e-3  # flat at 0
     assert abs(ds[np.argmin(np.abs(u - 1))]) < 1e-3  # flat at 1
+
+
+class TestMapBlocks:
+    """The row-block pool of ``_map_blocks``: worker k of W runs items k,
+    k + W, ... with its own scratch dict, results come back in item order,
+    a block's exception reaches the caller, and a block that maps blocks
+    runs them inline."""
+
+    def test_shares_and_scratch_with_more_workers_than_cpus(self, monkeypatch):
+        workers = len(os.sched_getaffinity(0)) + 1
+        monkeypatch.setattr(herringbone_module, "_WORKERS", workers)
+        started = threading.Barrier(workers)
+
+        def block(item, scratch):
+            if not scratch:
+                started.wait(timeout=60)  # every worker runs at once
+            # a scratch shared between workers would lose or repeat counts
+            scratch["n"] = scratch.get("n", 0) + 1
+            time.sleep(1e-4)
+            return item, threading.get_ident(), scratch["n"]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = herringbone_module._map_blocks(block, range(5 * workers + 2))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [item for item, _, _ in out] == list(range(5 * workers + 2))
+        for k in range(workers):
+            share = out[k::workers]
+            assert [n for _, _, n in share] == list(range(1, len(share) + 1))
+            assert len({ident for _, ident, _ in share}) == 1
+
+    def test_block_exception_reaches_caller_and_pool_serves_next_call(self, monkeypatch):
+        monkeypatch.setattr(herringbone_module, "_WORKERS", 2)
+        h = ID_PARAMS.l_wr / 32
+        fld = herringbone(((0.0, 0.0), 64 * h), np.eye(2), ID_PARAMS, h=h)  # 4 blocks
+        threads = []
+
+        def undefined_past_row_48(x):
+            if np.any(x[:, 0] > 48 * h):
+                threads.append(threading.current_thread().name)
+                raise DataError("target undefined past row 48")
+            return np.broadcast_to(np.eye(2).ravel(), (len(x), 4))
+
+        flat, ep = ShellProfile(curvature=0.0, sign="zero"), EnergyParams(b=1e-8, k=1.0)
+        with pytest.raises(DataError, match="^target undefined past row 48$"):
+            energy(fld, flat, ep, target=TargetDefect(undefined_past_row_48))
+        assert threads and all(name.startswith("row-blocks") for name in threads)
+        br = energy(fld, flat, ep, target=TargetDefect(np.eye(2)))
+        monkeypatch.setattr(herringbone_module, "_WORKERS", 1)
+        assert br == energy(fld, flat, ep, target=TargetDefect(np.eye(2)))
+
+    def test_nested_map_runs_inline(self, monkeypatch):
+        # both pool threads run outer blocks; inner blocks submitted to the
+        # pool would wait for them forever
+        monkeypatch.setattr(herringbone_module, "_WORKERS", 2)
+
+        def outer(item, scratch):
+            inner = herringbone_module._map_blocks(
+                lambda j, _: threading.get_ident(), range(3))
+            return threading.get_ident(), inner
+
+        result = []
+        caller = threading.Thread(
+            target=lambda: result.append(herringbone_module._map_blocks(outer, range(4))))
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert len(result[0]) == 4
+        for ident, inner in result[0]:
+            assert ident != caller.ident and inner == [ident] * 3
