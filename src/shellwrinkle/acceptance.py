@@ -580,13 +580,12 @@ def criterion_9():
             axis_samples.extend(arc.points(65)[1:-1])
         if not axis.segments and not axis.arcs:
             axis_samples.extend(np.asarray(v, dtype=float) for v, _ in axis.vertices)
-        for p in axis_samples:
-            if not dom.contains(p, tol=-1e-9 * dom.diameter()):
-                continue
-            d = float(np.atleast_1d(dom.boundary_distance(np.asarray(p)[None]))[0])
+        axis_pts = np.asarray(axis_samples).reshape(-1, 2)
+        inner = axis_pts[dom.contains(axis_pts, tol=-1e-9 * dom.diameter())]
+        for p, d in zip(inner, dom.boundary_distance(inner)):
             if d < 1e-3 * dom.diameter():
                 continue
-            hits = foot_hits(np.asarray(p), d)
+            hits = foot_hits(p, d)
             if len(hits) >= 2:
                 spread = np.max(np.hypot(*(hits - hits.mean(axis=0)).T))
                 if spread < 1e-3 * dom.diameter():
@@ -594,7 +593,6 @@ def criterion_9():
             else:
                 mult_ok = False
         # off-axis points have a single nearest foot
-        axis_pts = np.asarray(axis_samples) if axis_samples else np.zeros((0, 2))
         off = pts[:2000]
         if len(axis_pts):
             d_axis = np.min(

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError, ResolutionError
 from .geometry import CORNER_DELTA_FACTOR, Domain, rot90
 from .grids import MaskedGrid
-from .rulings import UDecomposition, charts_for, locate
+from .rulings import POINT_BLOCK, UDecomposition, charts_for, locate
 from .shell import ShellProfile
 
 
@@ -41,12 +41,19 @@ def phi_minus(domain: Domain, x):
     return float(vals[0]) if single else vals
 
 
+def _ruling_ends(pts, u, L, eta):
+    """Each point's ruling ends y1 = x - u d, y2 = x + (L - u) d, d = rot90(eta)."""
+    d = rot90(eta)
+    return pts - u[:, None] * d, pts + (L - u)[:, None] * d
+
+
 @dataclass
 class AiryField:
     """An extremal dual potential: its values and gradient, per chart.
 
     sign: +1 for the largest extension, -1 for the smallest.
-    charts: ruling charts (shared with the stable-line machinery).
+    charts: ruling charts (shared with the stable-line machinery).  At +1
+    values and gradient are read off the chart coordinates `locate` returns.
     The smallest extension's singular set is ``domain.medial_axis()``.
     """
 
@@ -56,20 +63,19 @@ class AiryField:
     decomposition: UDecomposition = field(default_factory=UDecomposition)
 
     def _by_chart(self, pts):
-        """(chart, indices into pts) for each chart that holds some point."""
-        which = locate(self.charts, pts)
-        for i, chart in enumerate(self.charts):
-            idx = np.flatnonzero(which == i)
-            if len(idx):
-                yield chart, idx
+        """(chart, indices into pts, their (s, u, L, eta)) per chart held,
+        POINT_BLOCK points at a time, so the temporaries stay small."""
+        for a in range(0, len(pts), POINT_BLOCK):
+            which, *coords = locate(self.charts, pts[a:a + POINT_BLOCK])
+            for i, chart in enumerate(self.charts):
+                idx = np.flatnonzero(which == i)
+                if len(idx):
+                    yield chart, a + idx, [c[idx] for c in coords]
 
     # -- potential values ------------------------------------------------
     def phi(self, x):
         pts, single = _pts(x)
-        if self.sign < 0:
-            vals = phi_minus(self.domain, pts)
-            return float(np.atleast_1d(vals)[0]) if single else vals
-        vals = self._phi_plus(pts)
+        vals = phi_minus(self.domain, pts) if self.sign < 0 else self._phi_plus(pts)
         return float(vals[0]) if single else vals
 
     def _phi_plus(self, pts):
@@ -77,49 +83,44 @@ class AiryField:
         if not np.all(inside):
             raise DomainError("point outside domain")
         vals = np.full(len(pts), np.nan)
-        for chart, idx in self._by_chart(pts):
+        for chart, idx, coords in self._by_chart(pts):
             if chart.label == "O":
-                vals[idx] = self._interp_along_rulings(chart, pts[idx])
+                vals[idx] = self._interp_along_rulings(pts[idx], *coords)
             else:
                 c, g = chart.roof
                 vals[idx] = c + pts[idx] @ g
         return vals
 
     @staticmethod
-    def _interp_along_rulings(chart, pts):
+    def _interp_along_rulings(pts, s, u, L, eta):
         """phi at pts = convex interpolation of |y|^2/2 along the ruling."""
-        s, u, L = chart.coords(pts)
-        y1, y2 = chart.endpoints(pts)
+        y1, y2 = _ruling_ends(pts, u, L, eta)
         theta = np.clip(u / np.maximum(L, 1e-300), 0.0, 1.0)
         return (1 - theta) * 0.5 * np.sum(y1 * y1, axis=1) + theta * 0.5 * np.sum(y2 * y2, axis=1)
 
     # -- gradient ----------------------------------------------------------
     def grad_phi(self, x):
         pts, single = _pts(x)
-        if self.sign < 0:
-            # grad (|x|^2 - d^2)/2 = x - d grad d, which is the foot point
-            grad = self.domain._inside_foot(pts)[0]
-            return grad[0] if single else grad
-        grad = self._grad_plus(pts)
+        # at -1, grad (|x|^2 - d^2)/2 = x - d grad d, which is the foot point
+        grad = self.domain._inside_foot(pts)[0] if self.sign < 0 else self._grad_plus(pts)
         return grad[0] if single else grad
 
     def _grad_plus(self, pts):
         out = np.full_like(pts, np.nan)
-        for chart, idx in self._by_chart(pts):
+        for chart, idx, coords in self._by_chart(pts):
             if chart.label == "O":
-                out[idx] = self._grad_along_rulings(chart, pts[idx])
+                out[idx] = self._grad_along_rulings(pts[idx], *coords)
             else:
                 out[idx] = chart.roof[1]
         return out
 
-    def _grad_along_rulings(self, chart, pts):
+    def _grad_along_rulings(self, pts, s, u, L, eta):
         """grad phi is constant along each ruling; recover it from the
         boundary trace.  At the ruling's endpoints y1, y2 on the boundary,
         the tangential derivative of phi equals y . tau, and the derivative
         along the ruling equals the affine slope.  Two directions -> solve."""
-        y1, y2 = chart.endpoints(pts)
-        L = np.hypot(*(y2 - y1).T)
-        ldir = (y2 - y1) / L[:, None]
+        y1, y2 = _ruling_ends(pts, u, L, eta)
+        ldir = rot90(eta)
         slope = (0.5 * np.sum(y2 * y2, axis=1) - 0.5 * np.sum(y1 * y1, axis=1)) / L
         # tangent of the domain boundary at y2 (smooth points of the catalog)
         nu = self.domain._outward_normal_at(np.atleast_2d(y2))

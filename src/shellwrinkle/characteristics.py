@@ -35,13 +35,12 @@ from .airy import AiryField, solve_dual
 from .errors import DataError, ParameterError, ResolutionError
 from .geometry import Domain
 from .grids import MaskedGrid
-from .rulings import LineGeometry, UDecomposition, locate
+from .rulings import POINT_BLOCK, LineGeometry, UDecomposition, locate
 from .shell import ShellProfile
 from .stablelines import stable_lines
 
 DEFAULT_SAMPLES_PER_LINE = 2000
 CAUCHY_SIGN_TOL = 1e-8
-POINT_BLOCK = 1 << 15  # points interpolated per block by _rasterize_chart
 LINE_WINDOW = 256  # lines held at once by _rasterize_chart; at least 2
 
 
@@ -199,11 +198,11 @@ class DefectField:
         return float(np.min(self.lam[self.grid.mask]))
 
 
-def _rasterize_chart(lines, K, data_kind, s, u, L):
-    """Solve a chart's lines and return lam at points with chart
-    coordinates (s, u, L), a mask of points farther than 1.5 station steps
-    from any solved line, and the number of lines whose solve reported a
-    sign violation.
+def _rasterize_chart(lines, K, data_kind, idx, s, u, L):
+    """Solve a chart's lines and return lam at its points ``idx``, whose
+    chart coordinates are (s, u, L)[idx], a mask of points farther than 1.5
+    station steps from any solved line, and the number of lines whose solve
+    reported a sign violation.
 
     ``lines`` are sorted by station.  They are solved LINE_WINDOW at a time
     into one reused (LINE_WINDOW, n_t) window, and each point is
@@ -218,16 +217,16 @@ def _rasterize_chart(lines, K, data_kind, s, u, L):
     """
     n = len(lines)
     if n == 0:
-        return np.zeros(len(s)), np.ones(len(s), dtype=bool), 0
+        return np.zeros(len(idx)), np.ones(len(idx), dtype=bool), 0
     stations = np.array([ln.s for ln in lines])
     step = np.median(np.diff(stations)) if n > 1 else None
     # point i lies between stations j[i] - 1 and j[i]; it waits for the
     # window that holds line min(j[i], n - 1)
-    j = np.searchsorted(stations, s)
+    j = np.searchsorted(stations, s[idx])
     order = np.argsort(j, kind="stable")
     j_sorted = j[order]
-    lam = np.empty(len(s))
-    far = np.zeros(len(s), dtype=bool)
+    lam = np.empty(len(idx))
+    far = np.zeros(len(idx), dtype=bool)
     window = np.empty((min(LINE_WINDOW, n), DEFAULT_SAMPLES_PER_LINE))
     lo = hi = start = violations = 0  # the window holds lines lo .. hi - 1
     while hi < n:
@@ -241,7 +240,8 @@ def _rasterize_chart(lines, K, data_kind, s, u, L):
         stop = len(order) if hi == n else int(np.searchsorted(j_sorted, hi))
         for a in range(start, stop, POINT_BLOCK):
             p = order[a:min(a + POINT_BLOCK, stop)]
-            lam[p], far[p] = _interpolate_lines(stations, window, lo, step, j[p], s[p], u[p], L[p])
+            q = idx[p]
+            lam[p], far[p] = _interpolate_lines(stations, window, lo, step, j[p], s[q], u[q], L[q])
         start = stop
     return lam, far, violations
 
@@ -320,24 +320,18 @@ def defect_field(domain: Domain, shell: ShellProfile, resolution=256,
 
     pts = grid.eval_points()
     lam_m = np.zeros(len(pts))
-    eta_m = np.full((len(pts), 2), np.nan)
-    which = locate(family.charts, pts)
+    which, s, u, L, eta_m = locate(family.charts, pts)
     interface_flag = False
     sign_violations = 0
     for ci, (chart, lines) in enumerate(zip(family.charts, family.lines_by_chart)):
         if any(ln.start_kind == "interface" or ln.end_kind == "interface" for ln in lines):
             interface_flag = True
         idx = np.flatnonzero(which == ci)
-        # chart coordinates POINT_BLOCK cells at a time, so the foot-point
-        # temporaries stay small
-        s, u, L = np.empty((3, len(idx)))
-        for a in range(0, len(idx), POINT_BLOCK):
-            blk = slice(a, a + POINT_BLOCK)
-            s[blk], u[blk], L[blk], eta_m[idx[blk]] = chart.coords_eta(pts[idx[blk]])
-        lam, far, bad = _rasterize_chart(lines, shell.curvature, chart.data_kind, s, u, L)
+        lam, far, bad = _rasterize_chart(lines, shell.curvature, chart.data_kind, idx, s, u, L)
         sign_violations += bad
         if np.any(far):
-            lam[far] = _frozen_k_fill(chart, shell.k(pts[idx[far]]), s[far], u[far], L[far])
+            f = idx[far]
+            lam[far] = _frozen_k_fill(chart, shell.k(pts[f]), s[f], u[f], L[f])
         lam_m[idx] = lam
 
     lam = np.zeros((grid.nx, grid.ny))

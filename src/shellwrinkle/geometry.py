@@ -218,7 +218,7 @@ class Domain:
     `nearest_boundary_point`, `boundary_distance`, `bbox`, `diameter` and
     `boundary_sample` from them, so no shape states its inside twice.
 
-    At K < 0 `rulings.ExitChart` reads a shape only through its boundary
+    At K < 0 `rulings.ExitRays` and `ExitChart` read a shape only through its boundary
     data: `_boundary_pieces()`, a (t0, t1, speed) per smooth piece between
     corners, with t the shape's own parameter (an angle on a circle or an
     ellipse, the position along a flat side) and speed the largest |dy/dt|;

@@ -735,22 +735,25 @@ def _domain_samples(domain, n=33):
 
 def piecewise_herringbone(domain: Domain, mu, params: HerringboneParams,
                           h=None) -> DisplacementField:
-    """Glued lattice of herringbones over the domain, sampled on a grid."""
+    """Glued lattice of herringbones over the domain, sampled on a grid; the
+    cell centres are tested ``_BLOCK_ROWS`` rows at a time, on this thread."""
     target = mu if isinstance(mu, TargetDefect) else TargetDefect(mu)
     assembly = PiecewiseHerringboneField(domain, target, params)
     (x0, y0), (x1, y1) = domain.bbox()
     h, nx, ny = _grid_for((x0, y0), (x1, y1), params.l_wr, h)
     u, w, bulk = _sample_rows(assembly, (x0, y0), h, nx, ny)
-    xs = x0 + (np.arange(nx) + 0.5) * h
-    ys = y0 + (np.arange(ny) + 0.5) * h
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    inside = np.atleast_1d(domain.contains(pts)).reshape(nx, ny)
-    u[~inside] = 0.0
-    w[~inside] = 0.0
+    inside = np.empty((nx, ny), dtype=bool)
+    pts = np.empty((_BLOCK_ROWS, ny, 2))
+    pts[..., 1] = y0 + (np.arange(ny) + 0.5) * h
+    for r0 in range(0, nx, _BLOCK_ROWS):
+        rows = slice(r0, min(r0 + _BLOCK_ROWS, nx))
+        block = pts[: rows.stop - r0]
+        block[..., 0] = (x0 + (np.arange(r0, rows.stop) + 0.5) * h)[:, None]
+        inside[rows] = ins = domain.contains(block.reshape(-1, 2)).reshape(len(block), ny)
+        u[rows][~ins], w[rows][~ins] = 0.0, 0.0
+        bulk[rows] &= ins
     return DisplacementField(
         origin=(x0, y0), h=h, u=u, w=w,
-        domain_mask=inside,
-        bulk_mask=bulk & inside,
+        domain_mask=inside, bulk_mask=bulk,
         params=params, analytic=assembly,
     )

@@ -2,26 +2,27 @@
 
 For each catalog shape and curvature sign, the extremal convex potential is
 affine along a family of segments (its ruling lines).  A *chart* describes
-one region of that family in closed form: membership test, the coordinates
-(s, u) of a point (line index and position along its line), the lines
-through an array of stations, the transverse direction ``eta``, and the
-change-of-measure factor ``rho`` (affine along each line).  A chart builds
-its lines in one array pass over the stations (`Chart.lines_at`), lengths
-included.
+one region of that family in closed form: the coordinates (s, u, L, eta) of
+a point (line index, position along its line, line length and transverse
+direction), from which membership follows; the lines through an array of
+stations; and the change-of-measure factor ``rho`` (affine along each
+line).  A chart builds its lines in one array pass over the stations
+(`Chart.lines_at`), lengths included.
 
 At negative curvature every shape has the same family: the rays of
 quickest exit, which leave each boundary point along the inward normal and
-end on the medial axis.  `ExitChart` builds them for any shape from its
-boundary data (see `geometry.Domain`), one chart per smooth boundary piece.
+end on the medial axis.  `ExitRays` builds them for any shape from its
+boundary data (see `geometry.Domain`), and one `ExitChart` per smooth
+boundary piece reads them.
 At positive curvature the charts are chords in a fixed direction
 (`ChordChart`) of a convex piece of the shape (the whole shape, or the
 rectangle's and a tangential polygon's regions), and the half-disc's fan of
 rays (`FanChart`).
 
 Charts are consumed by the dual-potential evaluator (values by convex
-interpolation along rulings), by the stable-line builder, and by the
+interpolation along rulings), by the partition and by the
 characteristic-ODE rasterizer.  Each of them asks `locate` which chart holds
-a point.
+a point, and reads the point's coordinates from the same call.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ import numpy as np
 
 from .errors import ParameterError, UnsupportedShapeError
 from .geometry import ConvexPolygon, Disc, Ellipse, HalfDisc, Rectangle, _pair, rot90
+
+POINT_BLOCK = 1 << 15  # points per block of `locate`, and of the rasterizer's interpolation
 
 
 def rot_minus90(v):
@@ -82,22 +85,30 @@ def _lines(ss, start, end, eta, rho0, rho1, start_kind, end_kind):
 
 
 class Chart:
-    """Base chart; subclasses fill in the closed-form geometry.  A chart
-    defines ``lines_at(ss)``, the lines at an array of stations built in
-    one array pass; ``rho(ss)``, the (rho0, rho1) of those lines, each one
-    value or one per station, which ``lines_at`` reads too; and ``coords``
-    and ``eta_at`` or ``coords_eta``, the pair's other member following."""
+    """Base chart.  A chart states ``coords_eta(x)``, from which membership
+    follows (`_miss`); ``lines_at(ss)``, the lines at an array of stations
+    built in one array pass; and ``rho(ss)``, the (rho0, rho1) of those
+    lines, each one value or one per station, which ``lines_at`` reads too."""
 
     label = "O"
     data_kind = "bvp"  # or 'cauchy'
     speed = 1.0  # stations are spacing / speed apart: about the largest |d end / ds|
 
-    def contains(self, x):
+    def coords_eta(self, x):
+        """(s, u, L, eta): line index, distance from start, length, and eta."""
         raise NotImplementedError
 
     def coords(self, x):
         """(s, u, L): line index, distance from start, line length."""
         return self.coords_eta(x)[:3]
+
+    def contains(self, x):
+        """Whether each point's s lies in `s_range` and its u on its line."""
+        return _miss(self, *self.coords(x)) == 0
+
+    def coords_source(self):
+        """The object whose ``coords_eta`` this chart's is."""
+        return self
 
     def line_at(self, s):
         return self.lines_at([s])[0]
@@ -105,13 +116,6 @@ class Chart:
     def s_range(self):
         """(s0, s1), the range of the line index."""
         return self.t0, self.t1
-
-    def eta_at(self, x):
-        return self.coords_eta(x)[3]
-
-    def coords_eta(self, x):
-        """``coords(x)`` and ``eta_at(x)`` as one (s, u, L, eta) tuple."""
-        return (*self.coords(x), self.eta_at(x))
 
     def stations(self, spacing, min_length=0.0):
         """Interior lattice of stations at the given step: s0 + step, ...,
@@ -126,46 +130,64 @@ class Chart:
         return [ln for ln in self.lines_at(ss) if ln.length > min_length]
 
 
-def locate(charts, pts):
-    """Index into ``charts`` of the chart that holds each point, or -1.
+def _miss(chart, s, u, L):
+    """max(-u, u - L, 0) where s lies in ``chart.s_range()``, else inf: how
+    far each point misses the chart.  The chart holds the points it misses by 0."""
+    s0, s1 = chart.s_range()
+    miss = np.maximum(np.maximum(-u, u - L), 0.0)
+    return np.where((s >= s0) & (s <= s1), miss, np.inf)
 
-    A point belongs to the first chart, in list order, whose ``contains``
-    accepts it.  A point that no chart contains (a seam, or a boundary
-    projection that rounds just outside) goes to the chart whose station
-    range holds its s and whose line it misses least, the miss being
-    max(-u, u - L, 0); ties go to the lower index.  A point that no chart's
-    station range holds is uncovered (-1).
+
+def locate(charts, pts):
+    """(which, s, u, L, eta): the index into ``charts`` of the chart that
+    holds each point, or -1, and the point's ``coords_eta`` on that chart.
+
+    Charts are tried in list order on the points not yet settled, POINT_BLOCK
+    points at a time; neighbouring charts with one `Chart.coords_source`
+    share one computation.  A point settles at the first chart it misses by
+    0 (`_miss`); any other point (a seam, or a boundary projection that
+    rounds just outside) keeps the least miss, the lower index on ties.  A
+    point that no chart's station range holds is -1, with NaN coordinates.
     """
     pts = np.atleast_2d(pts)
     which = np.full(len(pts), -1)
-    for i, chart in enumerate(charts):
-        todo = np.flatnonzero(which < 0)
-        if len(todo) == 0:
-            return which
-        which[todo[np.asarray(chart.contains(pts[todo]))]] = i
-    rest = np.flatnonzero(which < 0)
-    best = np.full(len(rest), np.inf)
-    for i, chart in enumerate(charts):
-        if len(rest) == 0:
-            break
-        s, u, L = chart.coords(pts[rest])
-        s0, s1 = chart.s_range()
-        miss = np.maximum(np.maximum(-u, u - L), 0.0)
-        better = (s >= s0) & (s <= s1) & (miss < best)
-        which[rest[better]] = i
-        best[better] = miss[better]
-    return which
+    s, u, L = np.full((3, len(pts)), np.nan)
+    eta = np.full(pts.shape, np.nan)
+    cols = [s, u, L, eta[:, 0], eta[:, 1]]  # 1-D, where indexing is cheap
+    for a in range(0, len(pts), POINT_BLOCK):
+        x = pts[a:a + POINT_BLOCK]
+        got_which, got = which[a:a + POINT_BLOCK], [c[a:a + POINT_BLOCK] for c in cols]
+        best = np.full(len(x), np.inf)
+        todo, source = np.arange(len(x)), None
+        for i, chart in enumerate(charts):
+            if len(todo) == 0:
+                break
+            if chart.coords_source() is source:  # the last chart's, on the points left
+                c = [ck[rest] for ck in c]
+            else:
+                source = chart.coords_source()
+                *c, e = chart.coords_eta(x if len(todo) == len(x) else x[todo])
+                c += [e[:, 0], e[:, 1]]
+            miss = _miss(chart, *c[:3])
+            better = miss < best[todo]
+            hit = todo[better]
+            got_which[hit], best[hit] = i, miss[better]
+            for g, ck in zip(got, c):
+                g[hit] = ck[better]
+            rest = miss != 0
+            todo = todo[rest]
+    return which, s, u, L, eta
 
 
 class ChordChart(Chart):
     """Parallel chords of a convex shape in a fixed direction.
 
-    ``shape`` is a convex `Domain`: the chart reads its ``contains``,
-    ``line_spans`` and ``extent``.  ``direction`` is the line direction;
-    the index coordinate is the signed offset s = x . m with
-    m = rot90(direction).  Start = the end with smaller t so that
-    eta = rot_minus90(direction) points consistently.  An unconstrained
-    chart carries its affine roof ``(c, g)``: phi = c + g . x on it.
+    ``shape`` is a convex `Domain`: the chart reads its ``line_spans`` and
+    ``extent``.  ``direction`` is the line direction; the index coordinate
+    is the signed offset s = x . m with m = rot90(direction).  Start = the
+    end with smaller t so that eta = rot_minus90(direction) points
+    consistently.  An unconstrained chart carries its affine roof
+    ``(c, g)``: phi = c + g . x on it.
     """
 
     def __init__(self, shape, direction, label="O", kinds=("boundary", "boundary"), roof=None):
@@ -178,24 +200,16 @@ class ChordChart(Chart):
         self.start_kind, self.end_kind = kinds
         self._eta = rot_minus90(self.d)
 
-    def contains(self, x):
-        return self.shape.contains(np.atleast_2d(x), tol=1e-12)
-
-    def coords(self, x):
-        x = np.atleast_2d(x)
-        s = x @ self.m
-        rel_lo, rel_hi = self.shape.line_spans(x, self.d)
-        return s, -rel_lo, np.maximum(rel_hi - rel_lo, 0.0)
-
-    def endpoints(self, x):
-        """Start and end of the ruling through each point."""
+    def coords_eta(self, x):
         x = np.atleast_2d(x)
         rel_lo, rel_hi = self.shape.line_spans(x, self.d)
-        return x + rel_lo[:, None] * self.d, x + rel_hi[:, None] * self.d
+        return x @ self.m, -rel_lo, np.maximum(rel_hi - rel_lo, 0.0), np.tile(self._eta, (len(x), 1))
 
     def lines_at(self, ss):
-        start, end = self.endpoints(np.multiply.outer(ss, self.m))
-        return _lines(ss, start, end, np.broadcast_to(self._eta, start.shape).copy(),
+        x = np.multiply.outer(ss, self.m)
+        rel_lo, rel_hi = self.shape.line_spans(x, self.d)
+        start, end = x + rel_lo[:, None] * self.d, x + rel_hi[:, None] * self.d
+        return _lines(ss, start, end, np.tile(self._eta, (len(x), 1)),
                       *self.rho(ss), self.start_kind, self.end_kind)
 
     def rho(self, ss):
@@ -203,10 +217,6 @@ class ChordChart(Chart):
 
     def s_range(self):
         return self.shape.extent(self.m)
-
-    def eta_at(self, x):
-        x = np.atleast_2d(x)
-        return np.broadcast_to(self._eta, x.shape).copy()
 
 
 class FanChart(Chart):
@@ -225,101 +235,80 @@ class FanChart(Chart):
         self.r_outer = r_outer
         self.speed = float(r_outer(0.5 * (self.t0 + self.t1)))
 
-    def _local(self, x):
+    def coords_eta(self, x):
         v = (np.atleast_2d(x) - self.center) @ self.frame
-        return np.hypot(v[:, 0], v[:, 1]), np.arctan2(v[:, 1], v[:, 0])
-
-    def contains(self, x, tol=1e-9):
-        r, th = self._local(x)
-        ok = (th >= self.t0 - tol) & (th <= self.t1 + tol)
-        ri = self.r_inner(np.clip(th, self.t0, self.t1))
-        ro = self.r_outer(np.clip(th, self.t0, self.t1))
-        scale = 1.0 + np.abs(ro)
-        return ok & (r >= ri - tol * scale) & (r <= ro + tol * scale)
-
-    def coords(self, x):
-        r, th = self._local(x)
+        r, th = np.hypot(v[:, 0], v[:, 1]), np.arctan2(v[:, 1], v[:, 0])
         ri = self.r_inner(th)
-        return th, r - ri, np.maximum(self.r_outer(th) - ri, 0.0)
+        return th, r - ri, np.maximum(self.r_outer(th) - ri, 0.0), rot_minus90(self._ray(th))
 
     def _ray(self, th):
         """The unit direction of the rays at angles th."""
         return np.stack([np.cos(th), np.sin(th)], axis=1) @ self.frame.T
 
-    def _ends(self, th, e_r):
-        return (self.center + self.r_inner(th)[:, None] * e_r,
-                self.center + self.r_outer(th)[:, None] * e_r)
-
-    def endpoints(self, x):
-        """Start and end of the ray through each point."""
-        th = self._local(x)[1]
-        return self._ends(th, self._ray(th))
-
     def lines_at(self, ss):
         e_r = self._ray(ss)
-        return _lines(ss, *self._ends(ss, e_r), rot_minus90(e_r), *self.rho(ss),
-                      "boundary", "boundary")
+        start = self.center + self.r_inner(ss)[:, None] * e_r
+        end = self.center + self.r_outer(ss)[:, None] * e_r
+        return _lines(ss, start, end, rot_minus90(e_r), *self.rho(ss), "boundary", "boundary")
 
     def rho(self, ss):
         return 1.0, 1.0 / self.r_inner(ss)
 
-    def eta_at(self, x):
-        return rot_minus90(self._ray(self._local(x)[1]))
+
+class ExitRays:
+    """The quickest-exit rays of one domain, shared by its `ExitChart`s: the
+    ray at t runs from y - L nu to y = ``domain._boundary_at(t)``, nu the
+    outward normal and L its ``exit_length`` to the medial axis, built once
+    here.  A point lies on its foot's ray: one foot gives its coordinates."""
+
+    def __init__(self, domain):
+        self.domain = domain
+        self.axis = domain.medial_axis()
+
+    def at(self, t):
+        """Foot y, outward normal nu and length L of the rays at t."""
+        y = self.domain._boundary_at(t)
+        nu = self.domain._outward_normal_at(y)
+        return y, nu, self.axis.exit_length(y, nu)
+
+    def coords_eta(self, x):
+        x = np.atleast_2d(x)
+        foot = self.domain.nearest_boundary_point(x)
+        t = self.domain._boundary_parameter(foot)
+        _, nu, L = self.at(t)
+        return t, L - np.hypot(*(x - foot).T), L, rot_minus90(nu)
 
 
 class ExitChart(Chart):
     """Quickest-exit rays of one smooth boundary piece, t in (t0, t1).
 
-    The line at t runs from y - L nu to y = ``domain._boundary_at(t)``, with
-    nu the outward normal at y and L = ``exit_length(y, nu)`` the distance
-    to the medial axis; eta = rot_minus90(nu).  rho = 1 + u kappa / (1 -
-    kappa L); where 1 - kappa L ~ 0 the ray starts at its centre of
-    curvature (the disc's) and rho = u.  A point lies on its foot's line.
+    It reads the domain's shared `ExitRays` at t in the piece; eta =
+    rot_minus90(nu).  rho = 1 + u kappa / (1 - kappa L); where 1 - kappa L
+    ~ 0 the ray starts at its centre of curvature (the disc's) and rho = u.
     """
 
     data_kind = "cauchy"
 
-    def __init__(self, domain, t0, t1, speed):
-        self.domain, self.t0, self.t1, self.speed = domain, t0, t1, speed
-        self._axis = domain.medial_axis()
-        self._one_piece = len(domain._boundary_pieces()) == 1
-
-    def _rays(self, t):
-        """Foot y, outward normal nu and length L of the lines at t."""
-        y = self.domain._boundary_at(t)
-        nu = self.domain._outward_normal_at(y)
-        return y, nu, self._axis.exit_length(y, nu)
-
-    def contains(self, x):
-        x = np.atleast_2d(x)
-        if self._one_piece:
-            return self.domain.contains(x)
-        t = self.domain._boundary_parameter(self.domain.nearest_boundary_point(x))
-        return self.domain.contains(x) & (t >= self.t0) & (t <= self.t1)
-
-    def _foot(self, x):
-        """Each point's foot parameter t and its depth |x - foot|; the foot
-        points die here, before `coords_eta` builds the rays."""
-        foot = self.domain.nearest_boundary_point(x)
-        return self.domain._boundary_parameter(foot), np.hypot(*(x - foot).T)
+    def __init__(self, rays, t0, t1, speed):
+        self.rays, self.t0, self.t1, self.speed = rays, t0, t1, speed
 
     def coords_eta(self, x):
-        x = np.atleast_2d(x)
-        t, depth = self._foot(x)
-        _, nu, L = self._rays(t)
-        return t, L - depth, L, rot_minus90(nu)
+        return self.rays.coords_eta(x)
+
+    def coords_source(self):
+        return self.rays
 
     def rho(self, ss, rays=None):
-        """(rho0, rho1) of the lines at ss, from their `_rays` where given;
-        rho0 = 0 on a ray from its focal point."""
-        y, _, L = rays or self._rays(np.asarray(ss, dtype=float))
-        kappa = self.domain._curvature_at(y)
+        """(rho0, rho1) of the lines at ss, from their rays (y, nu, L) where
+        given; rho0 = 0 on a ray from its focal point."""
+        y, _, L = rays or self.rays.at(np.asarray(ss, dtype=float))
+        kappa = self.rays.domain._curvature_at(y)
         rest = 1.0 - kappa * L
         focal = rest < 1e-9
         return np.where(focal, 0.0, 1.0), np.where(focal, 1.0, kappa / np.where(focal, 1.0, rest))
 
     def lines_at(self, ss):
-        y, nu, L = rays = self._rays(np.asarray(ss, dtype=float))
+        y, nu, L = rays = self.rays.at(np.asarray(ss, dtype=float))
         rho0, rho1 = self.rho(ss, rays)
         return _lines(ss, y - L[:, None] * nu, y, rot_minus90(nu), rho0, rho1,
                       np.where(rho0 == 0.0, "focal_point", "medial_axis"), "boundary")
@@ -417,13 +406,9 @@ def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
                              r_outer=lambda th: 2 * R * np.sin(th))]
         if isinstance(domain, Rectangle):
             regs = rectangle_regions(domain)
-            charts = [
-                ChordChart(regs["band"], (0.0, 1.0), label="O"),
-                ChordChart(regs["ne"], (1.0, -1.0), label="O"),
-                ChordChart(regs["sw"], (1.0, -1.0), label="O"),
-                ChordChart(regs["se"], (1.0, 1.0), label="O"),
-                ChordChart(regs["nw"], (1.0, 1.0), label="O"),
-            ]
+            charts = [ChordChart(regs[k], d) for k, d in (
+                ("band", (0.0, 1.0)), ("ne", (1.0, -1.0)), ("sw", (1.0, -1.0)),
+                ("se", (1.0, 1.0)), ("nw", (1.0, 1.0)))]
             for key in ("t_left", "t_right"):
                 tri = regs[key]
                 charts.append(_u_chart(tri, _vertex_roof(tri), decomposition,
@@ -451,4 +436,5 @@ def charts_for(domain, sign, decomposition: Optional[UDecomposition] = None):
             return charts
         raise UnsupportedShapeError(f"no positive-curvature charts for {domain.name}")
 
-    return [ExitChart(domain, *piece) for piece in domain._boundary_pieces()]
+    rays = ExitRays(domain)
+    return [ExitChart(rays, *piece) for piece in domain._boundary_pieces()]

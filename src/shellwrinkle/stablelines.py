@@ -45,7 +45,9 @@ class Partition:
         labeled SIGMA.
         """
         pts = grid.eval_points()
-        lab = self._chart_labels()[locate(self.airy.charts, pts)]
+        # a label per chart, then OUTSIDE for the locator's -1
+        labels = [ORDERED if c.label == "O" else UNCONSTRAINED for c in self.airy.charts]
+        lab = np.array(labels + [OUTSIDE])[locate(self.airy.charts, pts)[0]]
         if self.airy.sign < 0:
             lab[self._sigma_distance(pts) <= 0.5 * grid.h] = SIGMA
         out = np.full((grid.nx, grid.ny), OUTSIDE, dtype=int)
@@ -61,11 +63,6 @@ class Partition:
             for p0, p1 in pairs:
                 best = np.minimum(best, _dist_to_segment(pts, p0, p1))
         return best
-
-    def _chart_labels(self):
-        """Region label per chart, then OUTSIDE for the locator's -1."""
-        labels = [ORDERED if c.label == "O" else UNCONSTRAINED for c in self.airy.charts]
-        return np.array(labels + [OUTSIDE])
 
 
 def _dist_to_segment(pts, p0, p1):

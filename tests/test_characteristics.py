@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import CASE_IDS, CASES
-from shellwrinkle import airy
+from shellwrinkle import airy, rulings
 from shellwrinkle import characteristics as chars
 from shellwrinkle.errors import DataError, ResolutionError
 from shellwrinkle.geometry import Disc, Ellipse, HalfDisc, Rectangle
@@ -68,13 +68,13 @@ def make_line(start, end, start_kind="boundary", end_kind="boundary", rho0=1.0, 
 def whole_table_field(domain, shell, resolution):
     """Reference (lam, eta) for `defect_field`: every chart's lines solved,
     with the K `defect_field` passes, into one (n_lines, n) table, every
-    point interpolated from it at once, and each chart's coords and eta
-    taken by separate calls over all its points."""
+    point interpolated from it at once, and each chart's coordinates taken
+    by one `coords_eta` call over all its points."""
     grid = MaskedGrid(domain, resolution)
     family = stable_lines(domain, airy.solve_dual(domain, shell), grid.h / 2.0,
                           min_length=10.0 * grid.h)
     pts = grid.eval_points()
-    which = locate(family.charts, pts)
+    which = locate(family.charts, pts)[0]
     lam_m = np.zeros(len(pts))
     eta_m = np.full((len(pts), 2), np.nan)
     for ci, (chart, lines) in enumerate(zip(family.charts, family.lines_by_chart)):
@@ -82,8 +82,7 @@ def whole_table_field(domain, shell, resolution):
         if len(idx) == 0:
             continue
         x = pts[idx]
-        s, u, L = chart.coords(x)
-        eta_m[idx] = chart.eta_at(x)
+        s, u, L, eta_m[idx] = chart.coords_eta(x)
         lam = np.zeros(len(s))
         far = np.ones(len(s), dtype=bool)
         if lines:
@@ -417,7 +416,9 @@ class TestDefectField:
         assert np.array_equal(df.eta, eta_ref, equal_nan=True)
 
     def test_point_blocks_give_the_same_field(self, half_disc_neg, monkeypatch):
+        # the locator's blocks and the rasterizer's
         whole = chars.defect_field(half_disc_neg, NEG, 64)
+        monkeypatch.setattr(rulings, "POINT_BLOCK", 97)
         monkeypatch.setattr(chars, "POINT_BLOCK", 97)
         blocked = chars.defect_field(half_disc_neg, NEG, 64)
         assert np.array_equal(whole.lam, blocked.lam)

@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from shellwrinkle import herringbone as herringbone_module
 from shellwrinkle.characteristics import defect_field
 from shellwrinkle.energy import EnergyParams, _grid_target, energy
 from shellwrinkle.errors import DataError, ParameterError, RegimeError
-from shellwrinkle.geometry import Disc, Domain, Ellipse, Rectangle
+from shellwrinkle.geometry import ConvexPolygon, Disc, Domain, Ellipse, Rectangle
 from shellwrinkle.herringbone import (
     HerringboneField,
+    _BLOCK_ROWS,
     HerringboneParams,
     PiecewiseHerringboneField,
     TargetDefect,
@@ -366,6 +368,42 @@ class TestPiecewise:
         assert fld.domain_mask.all()
         assert 0.1 < fld.bulk_mask.mean() < 0.9
         assert np.isfinite(fld.w).all()
+
+    def test_cell_mask_is_the_domain_on_the_cell_centres(self):
+        dom = Disc(0.08, center=(0.01, -0.02))
+        fld = piecewise_herringbone(dom, np.eye(2), ID_PARAMS)
+        (x0, y0), h = fld.origin, fld.h
+        nx, ny = fld.shape
+        X, Y = np.meshgrid(x0 + (np.arange(nx) + 0.5) * h, y0 + (np.arange(ny) + 0.5) * h,
+                           indexing="ij")
+        inside = dom.contains(np.stack([X.ravel(), Y.ravel()], axis=1)).reshape(nx, ny)
+        assert inside.any() and not inside.all()
+        assert np.array_equal(fld.domain_mask, inside)
+        assert not fld.u[~inside].any() and not fld.w[~inside].any()
+        assert not fld.bulk_mask[~inside].any()
+
+    def test_memory_above_output_bounded_as_rows_grow(self, monkeypatch):
+        # 8x the rows at fixed ny (a hexagon 0.16 tall, h = l_wr/32): beyond
+        # the returned fields and masks, the cell-centre test holds one
+        # block of rows, not the whole grid's points; two workers, so that
+        # the cap means the same on any machine
+        monkeypatch.setattr(herringbone_module, "_WORKERS", 2)
+        plane = _BLOCK_ROWS * 512 * 8
+        above = []
+        for a in (0.04, 0.32):
+            dom = ConvexPolygon([(-a, 0.0), (0.02 - a, -0.08), (a - 0.02, -0.08), (a, 0.0),
+                                 (a - 0.02, 0.08), (0.02 - a, 0.08)])
+            tracemalloc.start()
+            try:
+                fld = piecewise_herringbone(dom, np.eye(2), ID_PARAMS)
+                out = sum(f.nbytes for f in (fld.u, fld.w, fld.domain_mask, fld.bulk_mask))
+                above.append(tracemalloc.get_traced_memory()[1] - out)
+            finally:
+                tracemalloc.stop()
+            assert fld.shape[1] == 512
+        assert fld.shape[0] == 2048
+        assert above[1] < 2.0 * above[0], above
+        assert max(above) < 64 * plane, (above, plane)
 
     def test_pointwise_bound_scalings(self):
         # sup|w| ~ (b/k)^(1/4) and sup|grad w| = O(1) across two scales

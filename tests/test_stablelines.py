@@ -82,7 +82,7 @@ class TestPartition:
         af = airy.solve_dual(triangle, POS)
         c, _, _ = tangential_data(triangle)
         # the incenter is inside the contact polygon
-        assert af.charts[locate(af.charts, c)[0]].label == "U"
+        assert af.charts[locate(af.charts, c)[0][0]].label == "U"
 
     def test_consistency_error(self, ellipse, disc):
         af = airy.solve_dual(ellipse, POS)
@@ -192,7 +192,7 @@ def test_phi_hessian_is_rank_one_along_every_line(request, name, shell):
                 assert spread < 1e-3, f"line s={ln.s}: zeta rho spread {spread:.2e}"
             else:
                 assert np.all(np.abs(along) < 1e-6) and np.all(np.abs(across) < 1e-6)
-            eta_x = chart.eta_at(x)
+            eta_x = chart.coords_eta(x)[3]
             assert np.allclose(np.abs(eta_x @ eta), 1.0, rtol=0, atol=1e-12)
             assert np.all(np.abs(eta_x @ d) < 1e-12)
 
@@ -250,7 +250,7 @@ class TestLineRho:
     def test_ellipse_eta(self, ellipse):
         af = airy.solve_dual(ellipse, POS)
         (chart,) = af.charts
-        s, u, _ = chart.coords(np.array([[1.0, 0.3]]))
+        s, u, _, _ = chart.coords_eta(np.array([[1.0, 0.3]]))
         ln = chart.line_at(s[0])
         assert np.allclose(ln.eta, (1, 0), atol=1e-12)
         assert ln.rho_at(u[0]) == 1.0
@@ -260,7 +260,7 @@ class TestLineRho:
         (chart,) = af.charts
         # the ray through (0, 0.5): eta is the polar frame's -e_theta and
         # rho = r, zero at the focal point
-        s, u, _ = chart.coords(np.array([[0.0, 0.5]]))
+        s, u, _, _ = chart.coords_eta(np.array([[0.0, 0.5]]))
         ln = chart.line_at(s[0])
         assert np.allclose(ln.eta, (1.0, 0.0), atol=1e-12)
         assert ln.rho_at(u[0]) == pytest.approx(0.5, abs=1e-12)
@@ -270,5 +270,5 @@ class TestLineRho:
         af = airy.solve_dual(half_disc_pos, POS)
         (chart,) = af.charts
         # ray at theta = pi/2 runs from r=1 to r=2; index point at r=1
-        s, u, _ = chart.coords(np.array([[0.0, 1.5]]))
+        s, u, _, _ = chart.coords_eta(np.array([[0.0, 1.5]]))
         assert chart.line_at(s[0]).rho_at(u[0]) == pytest.approx(1.5, abs=1e-12)
