@@ -16,16 +16,19 @@ It reproduces the closed forms for any shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .geometry import CORNER_DELTA_FACTOR, Domain, rot90
+from .geometry import CORNER_DELTA_FACTOR, Domain, _cross, rot90
 from .grids import MaskedGrid
 from .rulings import POINT_BLOCK, UDecomposition, charts_for, locate
 from .shell import ShellProfile
+
+ROOF_BLOCK = 64  # query points per block of convex_roof's triangle search
 
 
 def _pts(x):
@@ -222,20 +225,50 @@ def check_admissible(airy: AiryField, domain: Domain, tol=1e-8,
     )
 
 
+def _convex_delaunay(q, tol):
+    """The (t, 3) Delaunay triangles (i, k, j), i < k < j, of points q in
+    counterclockwise convex position.  The triangle on a chord (i, j), from
+    the side (0, n-1) on, takes the vertex i < k < j of largest angle at k,
+    whose circle through i and j holds no other (inscribed-angle theorem);
+    (i, k) and (k, j) are the next chords.  A vertex within tol of the chord
+    is no apex, so a polygon side's samples get no triangle.  cot(angle) =
+    dot / cross of y_i - y_k and y_j - y_k, linear in (y_k, |y_k|^2)."""
+    rows = np.column_stack([q, np.sum(q * q, axis=1), np.ones(len(q))])
+    xy = q.tolist()
+    tris, chords = [], [(0, len(q) - 1)]
+    while chords:
+        i, j = chords.pop()
+        if j - i < 2:
+            continue
+        (xi, yi), (xj, yj) = xy[i], xy[j]
+        ex, ey = xj - xi, yj - yi
+        c = [[-xi - xj, ey], [-yi - yj, -ex], [1.0, 0.0], [xi * xj + yi * yj, ex * yi - ey * xi]]
+        dot, cross = (rows[i + 1:j] @ np.array(c)).T
+        lim = tol * math.hypot(ex, ey)
+        cot = np.where(cross > lim, dot, np.inf) / np.maximum(cross, lim)
+        m = int(np.argmin(cot))
+        if cot[m] == np.inf:
+            continue
+        tris.append((i, i + 1 + m, j))
+        chords += [(i, i + 1 + m), (i + 1 + m, j)]
+    return np.array(tris, dtype=np.intp).reshape(-1, 3)
+
+
 def convex_roof(domain: Domain, x, n_boundary=512):
     """Generic largest-extension verifier: the minimum over convex
     combinations of boundary samples y_i equal to x of sum w_i |y_i|^2/2.
 
     That minimum is the lower convex hull of the lifted samples
     (y_i, |y_i|^2/2), whose projection is the samples' Delaunay
-    triangulation; the value at x is the barycentric interpolation of
-    |y|^2/2 on the triangle containing x.  Cocircular samples (the disc)
-    lift to coplanar points, where every triangulation gives the same value.
-    A point outside the domain, or outside the polygon of the samples,
-    raises DomainError.
+    triangulation (Edelsbrunner & Seidel 1986), built by `_convex_delaunay`.
+    Each point takes the triangle it lies least far outside, by elementwise
+    edge tests on the triangles that span its x, ROOF_BLOCK points at a
+    time, and the value is the barycentric interpolation of |y|^2/2 there,
+    whatever points come with it.  Cocircular samples (the disc) lift to
+    coplanar points, where every triangulation gives the same value.  A
+    point outside the domain, or over 1e-12 diam outside the polygon of the
+    samples, raises DomainError.
     """
-    from scipy.spatial import Delaunay
-
     if n_boundary < 16:
         raise ResolutionError("generic verifier needs at least 16 boundary samples")
     Y = domain.boundary_sample(n_boundary).position
@@ -243,12 +276,30 @@ def convex_roof(domain: Domain, x, n_boundary=512):
     pts, single = _pts(x)
     if not np.all(domain.contains(pts, tol=1e-12)):
         raise DomainError("point outside domain")
-    tri = Delaunay(Y)
-    simplex = tri.find_simplex(pts)
-    if np.any(simplex < 0):
-        raise DomainError("point outside the polygon of the boundary samples")
-    affine = tri.transform[simplex]  # (n, 3, 2): inverse map and origin
-    bary = np.einsum("nij,nj->ni", affine[:, :2], pts - affine[:, 2])
-    bary = np.column_stack([bary, 1.0 - bary.sum(axis=1)])
-    out = np.sum(bary * lift[tri.simplices[simplex]], axis=1)
+    tol = 1e-12 * domain.diameter()
+    origin = Y.mean(axis=0)  # work near the samples, where distances keep their digits
+    q, p = Y - origin, pts - origin
+    tri = _convex_delaunay(q, tol)
+    corner = q[tri.T]  # (3, t, 2): each triangle's corners, counterclockwise
+    edge = np.roll(corner, -1, axis=0) - corner
+    unit = edge / np.hypot(edge[..., 0], edge[..., 1])[..., None]
+    # each edge's outward unit normal and offset, (9, t)
+    lines = np.concatenate([unit[..., 1], -unit[..., 0], _cross(corner, unit)])
+    x_lo, x_hi = corner[..., 0].min(axis=0) - tol, corner[..., 0].max(axis=0) + tol
+    order = np.argsort(p[:, 0], kind="stable")
+    best = np.empty(len(p), dtype=np.intp)
+    for a in range(0, len(p), ROOF_BLOCK):
+        blk = order[a:a + ROOF_BLOCK]
+        X, Z = p[blk, :1], p[blk, 1:]
+        near = np.flatnonzero((x_lo <= X[-1]) & (x_hi >= X[0]))
+        gx, gy, go = lines[:, near].reshape(3, 3, -1)
+        depth = gx[0] * X + gy[0] * Z - go[0]
+        for e in (1, 2):
+            np.maximum(depth, gx[e] * X + gy[e] * Z - go[e], out=depth)
+        if np.min(depth, axis=1, initial=np.inf).max() > tol:
+            raise DomainError("point outside the polygon of the boundary samples")
+        best[blk] = near[np.argmin(depth, axis=1)]
+    A, B, C = (corner[m, best] - p for m in range(3))
+    w = _cross(B, C), _cross(C, A), _cross(A, B)
+    out = sum(wm * lift[tri[best, m]] for m, wm in enumerate(w)) / (w[0] + w[1] + w[2])
     return float(out[0]) if single else out

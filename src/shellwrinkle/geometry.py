@@ -21,6 +21,7 @@ outward unit normal.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,6 +105,54 @@ def _pair(u, v):
     out[..., 0] = u
     out[..., 1] = v
     return out
+
+
+def _carlson(x, y, z):
+    """Carlson's R_F(x, y, z) and R_D(x, y, z), elementwise, by duplication
+    (DLMF 19.36.1-2; Carlson, Numer. Algorithms 10, 1995) until every
+    element's arguments are within 1e-3 of their mean (series error < 1e-18)."""
+    v = np.array(np.broadcast_arrays(x, y, z), dtype=float)  # (3, ...)
+    tail = np.zeros(v.shape[1:])  # 3 sum_k 4^-k / (sqrt(z_k) (z_k + lam_k)), of R_D
+    scale = 1.0  # 4^-k
+    while np.any(np.abs(v - v.mean(axis=0)) > 1e-3 * v.mean(axis=0)):
+        r = np.sqrt(v)
+        lam = r[0] * (r[1] + r[2]) + r[1] * r[2]
+        tail += 3.0 * scale / (r[2] * (v[2] + lam))
+        v = 0.25 * (v + lam)
+        scale *= 0.25
+    mu = v.mean(axis=0)
+    X, Y = 1.0 - v[0] / mu, 1.0 - v[1] / mu
+    e2, e3 = X * Y - (X + Y) ** 2, -X * Y * (X + Y)
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(mu)
+    mu = (v[0] + v[1] + 3.0 * v[2]) / 5.0
+    X, Y = 1.0 - v[0] / mu, 1.0 - v[1] / mu
+    XY, Z = X * Y, -(X + Y) / 3.0
+    e2, e3 = XY - 6.0 * Z * Z, (3.0 * XY - 8.0 * Z * Z) * Z
+    e4, e5 = 3.0 * (XY - Z * Z) * Z * Z, XY * Z**3
+    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+              - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+    return rf, tail + scale * series / (mu * np.sqrt(mu))
+
+
+@functools.lru_cache(maxsize=64)
+def _ellipe(m1):
+    """E(m) of the second kind from m1 = 1 - m in (0, 1]: 2 R_G(0, m1, 1) =
+    m1 (R_F(0, 1, m1) + (m/3) R_D(0, 1, m1)) (DLMF 19.25.1, 19.21.10), whose
+    positive terms, unlike R_F(0, m1, 1) - (m/3) R_D(0, m1, 1), do not
+    cancel as m nears 1."""
+    rf, rd = _carlson(0.0, 1.0, m1)
+    return float(m1 * (rf + (1.0 - m1) / 3.0 * rd))
+
+
+def _ellipeinc(phi, m1):
+    """E(phi | m) of the second kind for any real phi, from m1 = 1 - m: on
+    |phi| <= pi/2, s R_F(c^2, c^2 + m1 s^2, 1) - (m/3) s^3 R_D(same) with s,
+    c = sin, cos phi (DLMF 19.25.5), and E(phi + k pi) = E(phi) + 2 k E(m)."""
+    k = np.round(np.asarray(phi, dtype=float) / np.pi)
+    r = phi - k * np.pi
+    s, c = np.sin(r), np.cos(r)
+    rf, rd = _carlson(c * c, c * c + m1 * s * s, 1.0)
+    return s * rf - (1.0 - m1) / 3.0 * s**3 * rd + 2.0 * k * _ellipe(m1)
 
 
 # A boundary sample: position, outward normal, arclength and corner flag.
@@ -439,7 +488,8 @@ class Disc(Domain):
 @dataclass(frozen=True)
 class Ellipse(Domain):
     """Axis-aligned ellipse x1^2/a^2 + x2^2/b^2 < 1 centered at the origin,
-    with 0 < b < a."""
+    with 0 < b < a.  Its perimeter and arclength are E(m) and E(phi | m) with
+    m = 1 - b^2/a^2 (`_ellipe`, `_ellipeinc`), given m1 = b^2/a^2 (`_m1`)."""
 
     a: float
     b: float
@@ -524,19 +574,20 @@ class Ellipse(Domain):
             vertices=[((-m, 0.0), 1), ((m, 0.0), 1)],
         )
 
-    def perimeter(self):
-        from scipy.special import ellipe
+    def _m1(self):
+        """(b/a)^2 itself, as 1 - m rounds to 0 once b/a < 1e-8, where R_F(0, 0,
+        1) is infinite; floored at 1e-300, where E no longer moves and R_D
+        would overflow."""
+        return max((self.b / self.a) ** 2, 1e-300)
 
-        m = 1.0 - (self.b / self.a) ** 2
-        return float(4.0 * self.a * ellipe(m))
+    def perimeter(self):
+        return float(4.0 * self.a * _ellipe(self._m1()))
 
     def _arclength(self, phi):
         """Arclength from (a, 0) to (a cos phi, b sin phi), counterclockwise:
         a (E(m) - E(pi/2 - phi | m)) with m = 1 - b^2/a^2."""
-        from scipy.special import ellipe, ellipeinc
-
-        m = 1.0 - (self.b / self.a) ** 2
-        return self.a * (ellipe(m) - ellipeinc(0.5 * np.pi - phi, m))
+        m1 = self._m1()
+        return self.a * (_ellipe(m1) - _ellipeinc(0.5 * np.pi - phi, m1))
 
     def _boundary_curve(self, n):
         # phi solves s(phi) = target by Newton from the inverse interpolation
@@ -735,6 +786,7 @@ class ConvexPolygon(Domain):
             v = np.empty(0)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3 or not np.all(np.isfinite(v)):
             raise ParameterError("polygon vertices must be at least 3 finite planar points")
+        _finite(self.name, "vertices", v.tolist(), v.shape)  # in scale, so ptp cannot overflow
         size = float(np.hypot(*np.ptp(v, axis=0)))  # the bbox diagonal, as in `diameter`
         _finite(self.name, "vertices", v.tolist(), v.shape, size=size)
         scale = np.max(np.abs(v)) + 1.0
@@ -856,24 +908,15 @@ class ConvexPolygon(Domain):
         return MedialAxis(segments=segments, vertices=[(p, deg) for p, deg in nodes])
 
     def incircle(self):
-        """(incenter, inradius) of the maximal inscribed circle (Chebyshev)."""
-        from scipy.optimize import linprog
-
-        n = len(self.vertices)
-        # maximize t  s.t.  x.nu_i + t <= c_i
-        res = linprog(
-            c=[0.0, 0.0, -1.0],
-            A_ub=np.hstack([self.edge_normals, np.ones((n, 1))]),
-            b_ub=self.edge_offsets,
-            bounds=[(None, None), (None, None), (0, None)],
-            method="highs",
-        )
-        if not res.success:
-            raise UnsupportedShapeError("could not compute incircle")
-        return np.array(res.x[:2]), float(res.x[2])
+        """(centre, radius) of the circle touching every side: the
+        least-squares solution of nu_i . c + r = c_i, exact on a tangential
+        polygon; on any other only a fit, which `is_tangential` rejects."""
+        rows = np.column_stack([self.edge_normals, np.ones(len(self.vertices))])
+        sol = np.linalg.lstsq(rows, self.edge_offsets, rcond=None)[0]
+        return sol[:2], float(sol[2])
 
     def is_tangential(self, tol=1e-9):
-        """True if the incircle touches every side."""
+        """True if the circle of `incircle` touches every side."""
         c, r = self.incircle()
         sd = self.side_distances(c)[0]
         return bool(np.all(np.abs(sd - r) <= tol * (1 + r)))

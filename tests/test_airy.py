@@ -54,6 +54,35 @@ def convex_roof_bruteforce(domain: Domain, x, n_boundary=24):
     return float(best)
 
 
+def convex_roof_qhull(domain: Domain, x, n_boundary):
+    """convex_roof through scipy's qhull Delaunay triangulation of the
+    samples: the reference for the chord triangulation.  NaN where qhull
+    finds no triangle, as at some samples on a long polygon side."""
+    from scipy.spatial import Delaunay
+
+    Y = domain.boundary_sample(n_boundary).position
+    tri = Delaunay(Y)
+    simplex = tri.find_simplex(x)
+    affine = tri.transform[simplex]
+    bary = np.einsum("nij,nj->ni", affine[:, :2], x - affine[:, 2])
+    bary = np.column_stack([bary, 1.0 - bary.sum(axis=1)])
+    out = np.sum(bary * (0.5 * np.sum(Y * Y, axis=1))[tri.simplices[simplex]], axis=1)
+    return np.where(simplex >= 0, out, np.nan)
+
+
+def roof_queries(domain, n_boundary, count, seed):
+    """Points inside the polygon of the samples: every sample, points on
+    chords between samples, and convex combinations of three samples."""
+    rng = np.random.default_rng(seed)
+    Y = domain.boundary_sample(n_boundary).position
+    pick = rng.integers(len(Y), size=(count, 3))
+    t = rng.uniform(size=(count, 1))
+    on_chords = t * Y[pick[:, 0]] + (1 - t) * Y[pick[:, 1]]
+    w = rng.dirichlet(np.ones(3), size=count)
+    inside = np.einsum("nk,nkd->nd", w, Y[pick])
+    return np.vstack([Y, on_chords, inside])
+
+
 class TestPhiMinus:
     def test_disc_example(self, disc):
         # half the squared radius minus half the squared distance: at r=0.5
@@ -242,6 +271,55 @@ class TestConvexRoof:
             closed = airy.phi_plus(dom, pts)
             assert np.max(np.abs(roof - closed)) < 1e-3
 
+    @pytest.mark.parametrize("name", ["ellipse", "disc", "rect", "triangle", "half_disc_pos"])
+    @pytest.mark.parametrize("n_boundary", [16, 24, 512, 2048])
+    def test_matches_qhull_delaunay(self, name, n_boundary, request):
+        dom = request.getfixturevalue(name)
+        pts = roof_queries(dom, n_boundary, 200, seed=n_boundary)
+        roof = airy.convex_roof(dom, pts, n_boundary)
+        ref = convex_roof_qhull(dom, pts, n_boundary)
+        found = np.isfinite(ref)
+        assert np.max(np.abs(roof[found] - ref[found])) <= 1e-13
+        # qhull misses only points on a polygon side, where the roof
+        # interpolates the lift between the two samples around the point
+        Y = dom.boundary_sample(n_boundary).position
+        lift, d = 0.5 * np.sum(Y * Y, axis=1), np.roll(Y, -1, axis=0) - Y
+        for x, value in zip(pts[~found], roof[~found]):
+            t = np.clip(np.sum((x - Y) * d, axis=1) / np.sum(d * d, axis=1), 0.0, 1.0)
+            k = np.argmin(np.hypot(*(Y + t[:, None] * d - x).T))
+            assert np.hypot(*(Y[k] + t[k] * d[k] - x)) <= 1e-15
+            assert value == pytest.approx((1 - t[k]) * lift[k] + t[k] * np.roll(lift, -1)[k],
+                                          abs=1e-13)
+
+    def test_triangles_tile_the_sample_polygon(self, ellipse, rect, half_disc_pos, triangle):
+        # the chord triangles cover the polygon once: their areas add up to
+        # its area, and a polygon side's samples get no sliver triangle
+        for dom in (ellipse, rect, half_disc_pos, triangle):
+            Y = dom.boundary_sample(512).position
+            q = Y - Y.mean(axis=0)
+            tri = airy._convex_delaunay(q, 1e-12 * dom.diameter())
+            a, b, c = (q[tri[:, m]] for m in range(3))
+            area = 0.5 * ((b - a)[:, 0] * (c - a)[:, 1] - (b - a)[:, 1] * (c - a)[:, 0])
+            polygon = 0.5 * np.sum(q[:, 0] * np.roll(q[:, 1], -1) - q[:, 1] * np.roll(q[:, 0], -1))
+            assert np.all(area > 1e-12 * dom.diameter() ** 2)
+            assert area.sum() == pytest.approx(polygon, rel=1e-12)
+
+    def test_a_chain_along_its_chord_gets_no_triangle(self):
+        side = np.column_stack([np.linspace(0.0, 1.0, 6), np.zeros(6)])
+        assert airy._convex_delaunay(side, 1e-12).shape == (0, 3)
+        # a repeated sample adds no zero-area triangle either
+        square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        tri = airy._convex_delaunay(square, 1e-12)
+        assert len(tri) == 2 and all(len({tuple(v) for v in square[t]}) == 3 for t in tri)
+
+    @pytest.mark.parametrize("name", ["ellipse", "disc", "rect", "triangle", "half_disc_pos"])
+    def test_a_point_alone_gets_its_value_in_a_batch(self, name, request):
+        dom = request.getfixturevalue(name)
+        pts = roof_queries(dom, 512, 400, seed=3)
+        alone = roof_queries(dom, 512, 10, seed=4)[-30:]  # 10 samples, on chords and inside
+        batch = airy.convex_roof(dom, np.vstack([pts, alone]), 512)[len(pts):]
+        assert np.array_equal(batch, [airy.convex_roof(dom, p, 512) for p in alone])
+
     def test_needs_16_samples(self, disc):
         with pytest.raises(ResolutionError):
             airy.convex_roof(disc, (0.0, 0.0), 8)
@@ -261,6 +339,14 @@ class TestConvexRoof:
         assert disc.contains(p)
         with pytest.raises(DomainError):
             airy.convex_roof(disc, p, 16)
+
+    def test_depth_outside_the_sample_polygon_is_measured_against_1e_12_diam(self, disc):
+        y0, y1 = disc.boundary_sample(16).position[:2]
+        mid = 0.5 * (y0 + y1)
+        out = mid / np.hypot(*mid)
+        assert airy.convex_roof(disc, mid + 1e-14 * out, 16) == pytest.approx(0.5, abs=1e-15)
+        with pytest.raises(DomainError):
+            airy.convex_roof(disc, mid + 1e-9 * out, 16)
 
     def test_outside_domain_raises(self, ellipse):
         with pytest.raises(DomainError):

@@ -460,13 +460,24 @@ class TestMemory:
         table = len(lines) * chars.DEFAULT_SAMPLES_PER_LINE * 8
         assert peak < table, (peak, table)
 
+    @staticmethod
+    def _scipy_modules_after(body, arg):
+        """The scipy modules loaded once ``body`` has run in a fresh process
+        with ``arg`` as sys.argv[1]."""
+        code = "import json, sys\n" + body + (
+            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code, arg], env=env,
+                             capture_output=True, text=True, timeout=300, check=True)
+        return json.loads(out.stdout.splitlines()[-1])
+
     def test_negative_curvature_imports_no_scipy(self, request):
         # importing scipy.special alone adds about 26 MB of resident memory;
         # the K < 0 pipeline, in a fresh process, must not load any of scipy
         specs = [request.getfixturevalue(name).spec() for name, shell in CASES
                  if shell.sign == "negative"]
-        code = (
-            "import json, sys\n"
+        body = (
             "from shellwrinkle.airy import dual_value\n"
             "from shellwrinkle.characteristics import defect_field, primal_value\n"
             "from shellwrinkle.geometry import make_domain\n"
@@ -477,14 +488,40 @@ class TestMemory:
             "    df = defect_field(domain, neg, 64)\n"
             "    primal_value(df)\n"
             "    dual_value(domain, neg, df.airy, 64)\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", code, json.dumps(specs)], env=env,
-                             capture_output=True, text=True, timeout=300, check=True)
         assert len(specs) == 6
-        assert json.loads(out.stdout) == []
+        assert self._scipy_modules_after(body, json.dumps(specs)) == []
+
+    def test_positive_curvature_imports_no_scipy(self, request):
+        # the K > 0 pipeline, its admissibility check, the generic roof and
+        # the CLI's dual on the ellipse load none of scipy either
+        specs = [request.getfixturevalue(name).spec() for name, shell in CASES
+                 if shell.sign == "positive"]
+        body = (
+            "import contextlib, io\n"
+            "from shellwrinkle import cli\n"
+            "from shellwrinkle.airy import check_admissible, convex_roof, dual_value\n"
+            "from shellwrinkle.characteristics import (curlcurl_residual, defect_field,\n"
+            "                                          primal_value)\n"
+            "from shellwrinkle.geometry import make_domain\n"
+            "from shellwrinkle.shell import ShellProfile\n"
+            "pos = ShellProfile.constant(1.0)\n"
+            "for spec in json.loads(sys.argv[1]):\n"
+            "    domain = make_domain(spec)\n"
+            "    df = defect_field(domain, pos, 64)\n"
+            "    primal_value(df)\n"
+            "    dual_value(domain, pos, df.airy, 64)\n"
+            "    curlcurl_residual(df, pos, 4)\n"
+            "    check_admissible(df.airy, domain, n_boundary=64, n_pairs=100)\n"
+            "    s = domain.boundary_sample(64).position\n"
+            "    convex_roof(domain, 0.5 * (s[0] + s[len(s) // 2]), 64)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(['dual', '--shape', 'ellipse', '--a', '2', '--b-axis', '1',\n"
+            "                     '--sign', 'positive', '--resolution', '64'])\n"
+            "assert code == cli.EXIT_OK, code\n"
+        )
+        assert len(specs) == 6
+        assert self._scipy_modules_after(body, json.dumps(specs)) == []
 
 
 class TestPrimalValues:

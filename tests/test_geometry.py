@@ -2,6 +2,8 @@
 sampling."""
 
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from shellwrinkle.geometry import (
     Ellipse,
     HalfDisc,
     Rectangle,
+    _ellipe,
+    _ellipeinc,
     make_domain,
 )
 from shellwrinkle.grids import MaskedGrid, _cell_areas
@@ -478,6 +482,44 @@ class TestBoundarySample:
         assert all(np.isnan(bp.nu).all() for bp in corners)
 
 
+class TestEllipticIntegrals:
+    """The numpy E(m) and E(phi | m) behind the ellipse's perimeter and
+    arclength, against scipy.special as the oracle."""
+
+    @pytest.mark.parametrize("ratio", [0.999, 0.5, 0.1, 1e-3, 1e-6, 1e-9])
+    def test_match_scipy(self, ratio):
+        from scipy.special import ellipe, ellipeinc
+
+        m1 = ratio * ratio
+        whole = ellipe(1.0 - m1)
+        tol = (1e-14 if ratio >= 0.1 else 1e-13) * whole
+        assert abs(_ellipe(m1) - whole) <= tol
+        phi = np.linspace(-1.5 * np.pi, 0.5 * np.pi, 20_000)
+        assert np.max(np.abs(_ellipeinc(phi, m1) - ellipeinc(phi, 1.0 - m1))) <= tol
+        dom = Ellipse(1.0, ratio)
+        assert abs(dom.perimeter() - 4.0 * whole) <= 4.0 * tol
+        for angles in (0.5 * np.pi - phi, np.linspace(0.0, 2 * np.pi, 257)):  # the Newton nodes
+            expect = whole - ellipeinc(0.5 * np.pi - angles, 1.0 - m1)
+            assert np.max(np.abs(dom._arclength(angles) - expect)) <= 2.0 * tol
+
+    def test_thin_ellipse_stays_finite_and_increasing(self):
+        # 1 - m would round to 0 here, where R_F(0, 0, 1) is infinite
+        for dom in (Ellipse(1.0, 1e-12), Ellipse(1e100, 1e-100)):
+            phi = np.linspace(0.0, 2 * np.pi, 20_000)
+            s = dom._arclength(phi)
+            assert np.all(np.isfinite(s)) and np.all(np.diff(s) > 0)
+            assert dom.perimeter() == pytest.approx(4.0 * dom.a, rel=1e-14)
+            assert np.all(np.isfinite(dom.boundary_sample(64).position))
+
+    def test_range_reduction_adds_whole_quarter_periods(self):
+        m1 = 0.25
+        phi = np.linspace(-0.5 * np.pi, 0.5 * np.pi, 101)
+        for k in (-2, -1, 1, 3):
+            shifted = _ellipeinc(phi + k * np.pi, m1)
+            assert np.allclose(shifted, _ellipeinc(phi, m1) + 2 * k * _ellipe(m1),
+                               rtol=0, atol=1e-14 * (1 + abs(k)))
+
+
 @pytest.mark.parametrize("name", list(SAMPLE_SHAPES))
 class TestLineClipping:
     """`line_spans` and `extent`, which the chord charts clip with."""
@@ -619,6 +661,27 @@ class TestValidationAndConfig:
     def test_polygon_rejects_collinear(self):
         with pytest.raises(ParameterError):
             ConvexPolygon([(0, 0), (1, 0), (2, 0), (1, 1)])
+
+    def test_huge_polygon_is_rejected_before_any_arithmetic_warns(self):
+        # the scale gate runs before the bbox diagonal, which would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError):
+                ConvexPolygon([(1e308, 0), (-1e308, 1e308), (-1e308, -1e308)])
+
+    @pytest.mark.parametrize("name", ["triangle", "regular_pentagon"])
+    def test_incircle_is_the_chebyshev_centre(self, name, request):
+        from scipy.optimize import linprog
+
+        poly = request.getfixturevalue(name)
+        n = len(poly.vertices)
+        # the largest inscribed circle: maximize r with nu_i . c + r <= c_i
+        res = linprog(c=[0.0, 0.0, -1.0], A_ub=np.hstack([poly.edge_normals, np.ones((n, 1))]),
+                      b_ub=poly.edge_offsets, bounds=[(None, None), (None, None), (0, None)],
+                      method="highs")
+        c, r = poly.incircle()
+        assert np.allclose(c, res.x[:2], rtol=0, atol=1e-12) and r == pytest.approx(res.x[2])
+        assert poly.is_tangential()
 
     def test_polygon_rejects_cw(self):
         with pytest.raises(ParameterError):
@@ -792,8 +855,9 @@ _FUZZ_BAD = st.one_of(
 _FUZZ_GOOD = st.floats(0.05, 5.0)
 _FUZZ_VALUES = st.one_of(_FUZZ_GOOD, _FUZZ_BAD)
 _FUZZ_POLYGONS = st.builds(
-    lambda n, r, phase: [[r * np.cos(phase + 2 * np.pi * k / n),
-                          r * np.sin(phase + 2 * np.pi * k / n)] for k in range(n)]
+    # Python floats, so an infinite r times a zero sine is NaN without a warning
+    lambda n, r, phase: [[r * math.cos(phase + 2 * math.pi * k / n),
+                          r * math.sin(phase + 2 * math.pi * k / n)] for k in range(n)]
     if isinstance(r, float) else [[r, 0.0]] * n,
     st.integers(1, 6), _FUZZ_VALUES, st.floats(0.0, 2 * np.pi),
 )
