@@ -17,7 +17,7 @@ It reproduces the closed forms for any shape.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -63,7 +63,6 @@ class AiryField:
     sign: int
     domain: Domain
     charts: list
-    decomposition: UDecomposition = field(default_factory=UDecomposition)
 
     def _by_chart(self, pts):
         """(chart, indices into pts, their (s, u, L, eta)) per chart held,
@@ -82,7 +81,9 @@ class AiryField:
         return float(vals[0]) if single else vals
 
     def _phi_plus(self, pts):
-        inside = np.atleast_1d(self.domain.contains(pts, tol=1e-12))
+        # a point within 1e-12 diam outside counts as on the boundary, as in
+        # `Domain._inside_foot`: a fixed length would fail large shapes
+        inside = self.domain.contains(pts, tol=1e-12 * self.domain.diameter())
         if not np.all(inside):
             raise DomainError("point outside domain")
         vals = np.full(len(pts), np.nan)
@@ -153,7 +154,6 @@ def solve_dual(domain: Domain, shell: ShellProfile,
         sign=sign,
         domain=domain,
         charts=charts_for(domain, sign, decomposition),
-        decomposition=decomposition or UDecomposition(),
     )
 
 
@@ -202,7 +202,7 @@ def check_admissible(airy: AiryField, domain: Domain, tol=1e-8,
     trace_viol = np.max(np.abs(airy.phi(pos) - 0.5 * np.sum(pos * pos, axis=1)), initial=0.0)
     # pull slightly inside to evaluate the interior gradient trace
     p_in = pos - 1e-9 * domain.diameter() * nu
-    out = ~np.atleast_1d(domain.contains(p_in, tol=1e-12))
+    out = ~np.atleast_1d(domain.contains(p_in, tol=1e-12 * domain.diameter()))
     p_in[out] = pos[out]
     g = airy.grad_phi(p_in)
     jump_min = np.min(np.sum(nu * (pos - g), axis=1), initial=np.inf)
@@ -212,7 +212,7 @@ def check_admissible(airy: AiryField, domain: Domain, tol=1e-8,
     pts = []
     while len(pts) < 2 * n_pairs:
         cand = rng.uniform([x0, y0], [x1, y1], size=(4 * n_pairs, 2))
-        keep = domain.contains(cand, tol=-1e-9)
+        keep = domain.contains(cand, tol=-1e-9 * domain.diameter())
         pts.extend(cand[keep])
     pts = np.asarray(pts[: 2 * n_pairs])
     a, b = pts[:n_pairs], pts[n_pairs:]
@@ -274,9 +274,9 @@ def convex_roof(domain: Domain, x, n_boundary=512):
     Y = domain.boundary_sample(n_boundary).position
     lift = 0.5 * np.sum(Y * Y, axis=1)
     pts, single = _pts(x)
-    if not np.all(domain.contains(pts, tol=1e-12)):
-        raise DomainError("point outside domain")
     tol = 1e-12 * domain.diameter()
+    if not np.all(domain.contains(pts, tol=tol)):
+        raise DomainError("point outside domain")
     origin = Y.mean(axis=0)  # work near the samples, where distances keep their digits
     q, p = Y - origin, pts - origin
     tri = _convex_delaunay(q, tol)

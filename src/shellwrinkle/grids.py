@@ -77,18 +77,9 @@ class MaskedGrid:
         return pts
 
     def integrate(self, values):
-        """Integrate cell-center values against the covered-area weights.
-
-        ``values`` may be flat over all cells or over masked cells only.
-        """
-        values = np.asarray(values, dtype=float)
-        if values.shape == (self.nx, self.ny):
-            return float(np.sum(values * self.weights))
-        if values.size == int(self.mask.sum()):
-            return float(np.sum(values * self.weights[self.mask]))
-        if values.size == self.nx * self.ny:
-            return float(np.sum(values.reshape(self.nx, self.ny) * self.weights))
-        raise ValueError("values shape does not match the grid")
+        """Integrate values at the masked cells' centres (in `mask` order)
+        against their covered-area weights."""
+        return float(np.sum(np.asarray(values, dtype=float) * self.weights[self.mask]))
 
     def covered_area(self):
         return float(self.weights.sum())

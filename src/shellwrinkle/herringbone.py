@@ -297,24 +297,12 @@ def _empty_values(n):
     return np.empty((2, n)), np.empty(n), np.empty(n, dtype=bool)
 
 
-class _Sampled:
-    """``values`` from a field's ``_values_into``, which grids sample."""
-
-    def values(self, x):
-        """v, w and the bulk flag at points x, equal to those ``evaluate``
-        returns, without the derivative fields (v as an (n, 2) view)."""
-        x = np.atleast_2d(x)
-        v, w, bulk = _empty_values(len(x))
-        self._values_into(x, v, w, bulk)
-        return {"v": v.T, "w": w, "bulk": bulk}
-
-
-class HerringboneField(_Sampled):
+class HerringboneField:
     """Closed-form herringbone displacements for a constant target.
 
     ``evaluate`` gives v, w and all first/second derivatives analytically;
-    ``values`` gives v, w and the bulk flag alone, from the same formulas.
-    Grids are sampled through ``_values_into``.
+    grids are sampled through ``_values_into``, which fills v, w and the
+    bulk flag alone from the same formulas.
     """
 
     def __init__(self, mu_matrix, params: HerringboneParams, single=True):
@@ -593,7 +581,7 @@ def herringbone(square, mu, params: HerringboneParams, h=None) -> DisplacementFi
     )
 
 
-class PiecewiseHerringboneField(_Sampled):
+class PiecewiseHerringboneField:
     """Lattice of per-square herringbones glued by edge cutoffs.
 
     Squares Q_alpha = alpha l_avg + [0, l_avg)^2 tile the plane; each square

@@ -75,8 +75,3 @@ class ShellProfile:
     def constant(k):
         sign = "zero" if k == 0 else ("positive" if k > 0 else "negative")
         return ShellProfile(curvature=float(k), sign=sign)
-
-    def spec(self):
-        if callable(self.curvature):
-            return {"sign": self.sign, "curvature": "field"}
-        return {"sign": self.sign, "curvature": float(self.curvature)}

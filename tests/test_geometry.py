@@ -763,7 +763,7 @@ class TestValidationAndConfig:
         def broken(cfg):
             raise ValueError("library bug")
 
-        monkeypatch.setitem(cli.COMMANDS, "defect", broken)
+        monkeypatch.setitem(cli.COMMANDS, "defect", (broken, cli.COMMANDS["defect"][1]))
         with pytest.raises(ValueError, match="library bug"):
             cli.main(["defect", "--shape", "disc", "--radius", "1"])
 

@@ -3,8 +3,9 @@
 
 An AST scan of `src/shellwrinkle` collects each function and class
 definition and each name a module-level assignment binds, and every name
-that the package or `perfbench/*.py` reads (as a bare name or as an
-attribute).  A definition passes when its name is read somewhere outside
+that the package or the benchmark's code (`perfbench/run.py`, `workloads.py`
+and `tracing.py`, not its pytest file `selfcheck.py`) reads (as a bare name
+or as an attribute).  A definition passes when its name is read somewhere outside
 its own body (an assignment: outside its own statement), when
 `perfbench/tracing.LAYERS` names it, or when it is listed in ORACLES or
 READ_ELSEWHERE.  Dunders (``__all__``, ``__init__``) are exempt.  A method
@@ -25,6 +26,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import tracing  # noqa: E402
 
 SRC = ROOT / "src" / "shellwrinkle"
+BENCH = [ROOT / "perfbench" / name for name in ("run.py", "workloads.py", "tracing.py")]
 
 # Library functions that only tests call, kept on purpose: each is the
 # reference a test compares the pipeline against.
@@ -74,7 +76,7 @@ def _assigned(tree):
 def _scan():
     """(definitions, reads): (name, file, first line, last line, is_method)
     per def or module-level assignment in `src/`, and (name, file, line,
-    as_attribute) per name read in `src/` or `perfbench/`."""
+    as_attribute) per name read in `src/` or the benchmark's code."""
     defs, reads = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -89,7 +91,7 @@ def _scan():
                              id(node) in methods))
         defs.extend((name, path.name, first, last, False) for name, first, last in _assigned(tree))
         reads.extend(_reads(tree, path.name))
-    for path in sorted((ROOT / "perfbench").glob("*.py")):
+    for path in BENCH:
         reads.extend(_reads(ast.parse(path.read_text(), filename=str(path)),
                             "perfbench/" + path.name))
     return defs, reads
