@@ -18,20 +18,16 @@ from .energy import (
     EnergyParams,
     energy,
     interpolation_check,
+    relative_gap,
     scaling_study,
     strain,
     _frob2_sym,
 )
-from .geometry import ConvexPolygon, Disc, Ellipse, HalfDisc, Rectangle, rot90
+from .geometry import ConvexPolygon, Disc, Ellipse, HalfDisc, Rectangle, interior_points, rot90
 from .grids import MaskedGrid
-from .herringbone import TargetDefect, herringbone, optimal_params
+from .herringbone import TargetDefect, box_cutoff, herringbone, optimal_params
 from .rulings import UDecomposition, tangential_data
 from .shell import ShellProfile
-
-
-def _rel(a, b):
-    m = max(abs(a), abs(b))
-    return 0.0 if m == 0 else abs(a - b) / m
 
 
 # ----------------------------------------------------------------------
@@ -100,17 +96,6 @@ def _ref_phi_plus_tangential(poly, pts):
     return out + loc @ c + 0.5 * c @ c
 
 
-def _interior_points(domain, n, seed, margin=1e-9):
-    rng = np.random.default_rng(seed)
-    (x0, y0), (x1, y1) = domain.bbox()
-    pts = []
-    while len(pts) < n:
-        cand = rng.uniform([x0, y0], [x1, y1], size=(2 * n, 2))
-        keep = np.atleast_1d(domain.contains(cand, tol=-margin * domain.diameter()))
-        pts.extend(cand[keep][: n - len(pts)])
-    return np.asarray(pts)
-
-
 # ----------------------------------------------------------------------
 # criteria
 # ----------------------------------------------------------------------
@@ -120,38 +105,21 @@ def criterion_1():
     """Closed-form potentials at 1e4 random interior points to 1e-9, and the
     generic boundary-combination minimizer against the ellipse closed form."""
     t0 = time.time()
-    n_pts = 10_000
-    worst = 0.0
-    cases = []
-
     E = Ellipse(2.0, 1.0)
-    pts = _interior_points(E, n_pts, seed=11)
-    worst = max(worst, np.abs(airy_mod.phi_plus(E, pts) - _ref_phi_plus_ellipse(2, 1, pts)).max())
-    cases.append(("ellipse", worst))
-
-    D = Disc(1.0)
-    pts = _interior_points(D, n_pts, seed=12)
-    err = np.abs(airy_mod.phi_plus(D, pts) - _ref_phi_plus_disc(1.0, pts)).max()
-    worst = max(worst, err)
-    cases.append(("disc", err))
-
-    H = HalfDisc(1.0, center=(0.0, 1.0), orientation=np.pi / 2)
-    pts = _interior_points(H, n_pts, seed=13)
-    err = np.abs(airy_mod.phi_plus(H, pts) - _ref_phi_plus_halfdisc(1.0, pts)).max()
-    worst = max(worst, err)
-    cases.append(("half_disc", err))
-
-    R = Rectangle(2.0, 1.0)
-    pts = _interior_points(R, n_pts, seed=14)
-    err = np.abs(airy_mod.phi_plus(R, pts) - _ref_phi_plus_rectangle(2.0, 1.0, pts)).max()
-    worst = max(worst, err)
-    cases.append(("rectangle", err))
-
     T = ConvexPolygon([(1.2, 0.0), (-0.6, 1.0), (-0.6, -1.0)])
-    pts = _interior_points(T, n_pts, seed=15)
-    err = np.abs(airy_mod.phi_plus(T, pts) - _ref_phi_plus_tangential(T, pts)).max()
-    worst = max(worst, err)
-    cases.append(("triangle", err))
+    # each shape's closed form, with the seed of its 1e4 points
+    cases = [
+        (E, lambda pts: _ref_phi_plus_ellipse(2, 1, pts), 11),
+        (Disc(1.0), lambda pts: _ref_phi_plus_disc(1.0, pts), 12),
+        (HalfDisc(1.0, center=(0.0, 1.0), orientation=np.pi / 2),
+         lambda pts: _ref_phi_plus_halfdisc(1.0, pts), 13),
+        (Rectangle(2.0, 1.0), lambda pts: _ref_phi_plus_rectangle(2.0, 1.0, pts), 14),
+        (T, lambda pts: _ref_phi_plus_tangential(T, pts), 15),
+    ]
+    worst = 0.0
+    for dom, ref, seed in cases:
+        pts = interior_points(dom, 10_000, seed)
+        worst = max(worst, np.abs(airy_mod.phi_plus(dom, pts) - ref(pts)).max())
 
     # generic verifier on a 33x33 interior lattice of the ellipse
     xs = np.linspace(-2, 2, 35)[1:-1]
@@ -171,8 +139,9 @@ def criterion_1():
     return "1 closed-form potential agreement", passed, detail
 
 
-def _rk4_shoot(rho, K_of_t, L, y0, dy0, n=4000):
-    """Independent oracle: integrate (rho lam)'' = -2 rho K by RK4."""
+def _rk4_shoot(rho, K_of_t, L, y0, dy0):
+    """Independent oracle: integrate (rho lam)'' = -2 rho K by 4000 RK4 steps."""
+    n = 4000
     t = np.linspace(0.0, L, n + 1)
     h = t[1] - t[0]
     y, dy = y0, dy0
@@ -279,8 +248,8 @@ def criterion_3():
             df = chars.defect_field(dom, sh, res)
             p = df.primal_value()
             d = airy_mod.dual_value(dom, sh, df.airy, res)
-            gaps[res] = abs(p - d) / max(p, d)
-            if res == 512 and ref is not None and _rel(p, ref) > 3e-3:
+            gaps[res] = relative_gap(p, d)
+            if res == 512 and ref is not None and relative_gap(p, ref) > 3e-3:
                 passed = False
         ok = gaps[256] < 1e-2 and gaps[512] < 3e-3
         passed = passed and ok
@@ -335,15 +304,15 @@ def criterion_5():
         fields[ang] = (df, p, d, r)
     df0, p0, d0, r0 = fields[0.0]
     df1, p1, d1, r1 = fields[np.pi / 4]
-    gap_ok = abs(p0 - d0) / max(p0, d0) < 1e-2 and abs(p1 - d1) / max(p1, d1) < 1e-2
+    gap_ok = relative_gap(p0, d0) < 1e-2 and relative_gap(p1, d1) < 1e-2
     res_ok = r0 < 1e-3 * norm_k and r1 < 1e-3 * norm_k
-    primal_close = _rel(p0, p1) < 1e-3
+    primal_close = relative_gap(p0, p1) < 1e-3
     mu_diff = np.abs(df0.mu - df1.mu)[df0.grid.mask & df1.grid.mask].max()
     lam_diff = np.abs(df0.lam - df1.lam)[df0.grid.mask & df1.grid.mask].max()
     elapsed = time.time() - t0
     passed = bool(gap_ok and res_ok and primal_close and mu_diff > 0.1)
     detail = (
-        f"primals {p0:.5f}/{p1:.5f} (rel {_rel(p0, p1):.1e}); residuals "
+        f"primals {p0:.5f}/{p1:.5f} (rel {relative_gap(p0, p1):.1e}); residuals "
         f"{r0:.1e}/{r1:.1e}; |mu0-mu45| max {mu_diff:.3f} (>0.1); "
         f"scalar density diff {lam_diff:.1e} (angle-invariant for constant K); "
         f"{elapsed:.1f} s"
@@ -398,7 +367,7 @@ def criterion_7():
     sh = ShellProfile.constant(1.0)
     seq = [EnergyParams(b=bb, k=1.0, gamma=0.0) for bb in (1e-6, 1e-8, 1e-10)]
     rep = scaling_study(E, sh, seq, resolution=192, n_samples=2**20)
-    rel = _rel(rep.c1, np.pi / 2)
+    rel = relative_gap(rep.c1, np.pi / 2)
     elapsed = time.time() - t0
     passed = rel < 0.2 and rep.residuals_decreasing() and elapsed < 600.0
     detail = (
@@ -409,7 +378,9 @@ def criterion_7():
     return "7 energy scaling fit", passed, detail
 
 
-def _band_limited_field(rng, n_modes=12, kmax=6.0):
+def _band_limited_field(rng):
+    """A random sum of 12 plane waves with wave vectors in [-6, 6]^2."""
+    n_modes, kmax = 12, 6.0
     ks = rng.uniform(-kmax, kmax, size=(n_modes, 2))
     phases = rng.uniform(0, 2 * np.pi, size=n_modes)
     amps = rng.normal(size=n_modes) / n_modes
@@ -440,38 +411,14 @@ def _band_limited_field(rng, n_modes=12, kmax=6.0):
     return AnalyticScalarField(value, grad, hess)
 
 
-def _plateau_cutoff(a, b, margin=0.25):
-    """Separable C^2 cutoff on the rectangle (-a,a)x(-b,b): 1 on the middle,
-    0 within margin/2 of the edge, with conservative derivative bounds."""
-    from .herringbone import ramp
-
-    wa, wb = margin * a, margin * b
-
-    def ramp1(t, half, w):
-        d = half - np.abs(t)
-        return ramp(d, 0.5 * w, w)
+def _plateau_cutoff(a, b):
+    """`box_cutoff` of the rectangle (-a, a) x (-b, b) with ramps a quarter of
+    each half-width wide, and conservative derivative bounds; no derivatives,
+    which `interpolation_check` does not read."""
+    wa, wb = 0.25 * a, 0.25 * b
 
     def value(x):
-        x = np.atleast_2d(x)
-        va, _, _ = ramp1(x[:, 0], a, wa)
-        vb, _, _ = ramp1(x[:, 1], b, wb)
-        return va * vb
-
-    def grad(x):
-        x = np.atleast_2d(x)
-        va, da, _ = ramp1(x[:, 0], a, wa)
-        vb, db, _ = ramp1(x[:, 1], b, wb)
-        sa = -np.sign(x[:, 0])
-        sb = -np.sign(x[:, 1])
-        return np.stack([da * sa * vb, va * db * sb], axis=1)
-
-    def hess(x):
-        x = np.atleast_2d(x)
-        va, da, ha = ramp1(x[:, 0], a, wa)
-        vb, db, hb = ramp1(x[:, 1], b, wb)
-        sa = -np.sign(x[:, 0])
-        sb = -np.sign(x[:, 1])
-        return np.stack([ha * vb, da * sa * db * sb, va * hb], axis=1)
+        return box_cutoff(np.atleast_2d(x), (-a, -b), (2 * a, 2 * b), (wa, wb))[2]
 
     s1 = 1.875  # sup |smoothstep'|
     s2 = 5.7735069  # sup |smoothstep''| (slight overestimate is safe)
@@ -479,7 +426,7 @@ def _plateau_cutoff(a, b, margin=0.25):
     sup_hess = np.sqrt(
         (4 * s2 / wa**2) ** 2 + 2 * (2 * s1 / wa * 2 * s1 / wb) ** 2 + (4 * s2 / wb**2) ** 2
     )
-    return AnalyticScalarField(value, grad, hess, sup_grad=sup_grad, sup_hess=sup_hess)
+    return AnalyticScalarField(value, None, None, sup_grad=sup_grad, sup_hess=sup_hess)
 
 
 def criterion_8():
@@ -548,7 +495,7 @@ def criterion_9():
     passed = True
     notes = []
     for dom in shapes:
-        pts = _interior_points(dom, 512 * 16, seed=int(rng.integers(1 << 30)))
+        pts = interior_points(dom, 512 * 16, int(rng.integers(1 << 30)))
         half = len(pts) // 2
         a, b = pts[:half], pts[half : 2 * half]
         da = np.atleast_1d(dom.boundary_distance(a))

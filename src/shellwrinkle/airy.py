@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .geometry import CORNER_DELTA_FACTOR, Domain, _cross, rot90
-from .grids import MaskedGrid
+from .geometry import CORNER_DELTA_FACTOR, Domain, interior_points, rot90
+from .grids import MaskedGrid, _cross
 from .rulings import POINT_BLOCK, UDecomposition, charts_for, locate
 from .shell import ShellProfile
 
@@ -207,14 +207,7 @@ def check_admissible(airy: AiryField, domain: Domain, tol=1e-8,
     g = airy.grad_phi(p_in)
     jump_min = np.min(np.sum(nu * (pos - g), axis=1), initial=np.inf)
 
-    rng = np.random.default_rng(seed)
-    (x0, y0), (x1, y1) = domain.bbox()
-    pts = []
-    while len(pts) < 2 * n_pairs:
-        cand = rng.uniform([x0, y0], [x1, y1], size=(4 * n_pairs, 2))
-        keep = domain.contains(cand, tol=-1e-9 * domain.diameter())
-        pts.extend(cand[keep])
-    pts = np.asarray(pts[: 2 * n_pairs])
+    pts = interior_points(domain, 2 * n_pairs, seed)
     a, b = pts[:n_pairs], pts[n_pairs:]
     mid = 0.5 * (a + b)
     conv_viol = float(np.max(airy.phi(mid) - 0.5 * (airy.phi(a) + airy.phi(b))))

@@ -178,7 +178,6 @@ class DefectField:
     """
 
     domain: Domain
-    shell: ShellProfile
     grid: MaskedGrid
     lam: np.ndarray  # (nx, ny)
     eta: np.ndarray  # (nx, ny, 2); NaN where the field is rank two
@@ -347,7 +346,7 @@ def defect_field(domain: Domain, shell: ShellProfile, resolution=256,
     uncovered = np.zeros((grid.nx, grid.ny), dtype=bool)
     uncovered[grid.mask] = which < 0
     return DefectField(
-        domain=domain, shell=shell, grid=grid, lam=lam, eta=eta, mu=mu,
+        domain=domain, grid=grid, lam=lam, eta=eta, mu=mu,
         airy=airy, uncovered=uncovered, interface_flag=interface_flag,
         sign_violations=sign_violations,
     )

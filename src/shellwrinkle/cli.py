@@ -32,7 +32,7 @@ from . import airy as airy_mod
 from . import characteristics as chars
 from . import render
 from .acceptance import run_all
-from .energy import EnergyParams, energy, scaling_study
+from .energy import EnergyParams, energy, relative_gap, scaling_study
 from .errors import (
     ConsistencyError,
     DataError,
@@ -172,7 +172,7 @@ def cmd_defect(cfg):
     payload = {
         "primal": primal,
         "dual": dual,
-        "gap": 0.0 if max(primal, dual) == 0 else abs(primal - dual) / max(primal, dual),
+        "gap": relative_gap(primal, dual),
         "residual": chars.curlcurl_residual(df, shell, test_count),
         "min_lambda": df.min_lambda(),
         "sign_violations": df.sign_violations,

@@ -18,13 +18,12 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .airy import dual_value, solve_dual
-from .characteristics import defect_field, primal_value
+from .airy import dual_value
+from .characteristics import defect_field
 from .errors import DataError, ParameterError, RegimeError, ResolutionError
 from .geometry import Domain
 from .grids import MaskedGrid
 from .herringbone import (
-    HerringboneParams,
     PiecewiseHerringboneField,
     TargetDefect,
     DisplacementField,
@@ -334,15 +333,18 @@ def energy(field: DisplacementField, shell: ShellProfile, params: EnergyParams,
     )
 
 
+def relative_gap(a, b):
+    """|a - b| / max(|a|, |b|), and 0 when both are 0."""
+    m = max(abs(a), abs(b))
+    return 0.0 if m == 0 else abs(a - b) / m
+
+
 def duality_gap(domain: Domain, shell: ShellProfile, resolution=256):
-    """|primal - dual| / max(primal, dual); zero-curvature shells give 0."""
+    """`relative_gap` of the primal and dual values; zero-curvature shells give 0."""
     if shell.sign == "zero":
         return 0.0
     df = defect_field(domain, shell, resolution)
-    p = df.primal_value()
-    d = dual_value(domain, shell, df.airy, resolution)
-    m = max(abs(p), abs(d))
-    return 0.0 if m == 0 else abs(p - d) / m
+    return relative_gap(df.primal_value(), dual_value(domain, shell, df.airy, resolution))
 
 
 # ----------------------------------------------------------------------
@@ -377,8 +379,10 @@ def interpolation_check(w_field: AnalyticScalarField, chi_field: AnalyticScalarF
     int ((lap w)^2 - |hess w|^2) chi = int grad w^T (hess chi - lap chi I) grad w.
     In two dimensions hess chi - lap chi I has the eigenvalues of hess chi
     negated and swapped, so its operator norm is that of hess chi.
-    ``chi_field.sup_grad`` bounds |grad chi| and ``chi_field.sup_hess`` bounds
-    the operator norm of hess chi; a Frobenius-norm bound is a valid one.
+    The cutoff is read only through ``chi_field.value`` and its two sup
+    bounds, never its derivatives: ``chi_field.sup_grad`` bounds |grad chi|
+    and ``chi_field.sup_hess`` bounds the operator norm of hess chi; a
+    Frobenius-norm bound is a valid one.
 
     Returns lhs - rhs (nonnegative up to quadrature error).  The margin
     contains the cutoff loss int (b |hess w|^2 + k w^2)(1 - chi) and the two
@@ -424,7 +428,6 @@ def interpolation_check(w_field: AnalyticScalarField, chi_field: AnalyticScalarF
 @dataclass
 class ScalingPoint:
     params: EnergyParams
-    herr_params: HerringboneParams
     ratio: float  # (bending + substrate + gamma part) / gamma_eff, bulk-renormalized
     stretching: float  # construction-error stretching (absolute)
     stretch_scale: float  # (b/k)^(1/10)
@@ -495,7 +498,7 @@ def scaling_study(domain: Domain, shell: ShellProfile,
     points = []
     area = domain.area()
     for ep in params_seq:
-        hp = optimal_params(ep.b, ep.k, mu_target, _domain_pts(df))
+        hp = optimal_params(ep.b, ep.k, mu_target, df.grid.masked_points())
         assembly = PiecewiseHerringboneField(domain, mu_target, hp)
         dens_wr, n_bulk, dev2 = _pattern_sums(assembly, pts_all, ep)
         wrinkling = dens_wr / n_bulk * area if n_bulk else 0.0
@@ -504,7 +507,7 @@ def scaling_study(domain: Domain, shell: ShellProfile,
         ratio = (wrinkling + ep.gamma * primal) / ep.gamma_eff
         points.append(
             ScalingPoint(
-                params=ep, herr_params=hp, ratio=ratio,
+                params=ep, ratio=ratio,
                 stretching=stretching, stretch_scale=(ep.b / ep.k) ** 0.1,
                 bulk_fraction=n_bulk / len(pts_all),
             )
@@ -547,10 +550,6 @@ def _pattern_sums(assembly: PiecewiseHerringboneField, pts, ep: EnergyParams):
         d22 = gv[1][1] + 0.5 * gw[1] ** 2 - 0.5 * mu[1, 1]
         dev2 += float(np.sum(d11**2 + 2.0 * d12**2 + d22**2))
     return dens_wr, n_bulk, dev2
-
-
-def _domain_pts(df):
-    return df.grid.masked_points()
 
 
 def _grid_target(df) -> TargetDefect:

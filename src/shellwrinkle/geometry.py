@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ParameterError, UnsupportedShapeError
-from .grids import _clip, _conic_coords
+from .grids import _clip, _conic_coords, _cross
 
 CORNER_DELTA_FACTOR = 1e-3  # check_admissible skips samples within 1e-3 diam of a corner
 _FOOT_MAX_STEPS = 100  # guard on the ellipse Newton iterations (foot ~12, arclength 2-4)
@@ -91,11 +91,6 @@ def _size(shape, name, value):
         raise ParameterError(f"{shape} {name} is out of scale: sizes must be at least "
                              f"{1.0 / SCALE_BOUND:g}, got {value!r}")
     return x
-
-
-def _cross(a, b):
-    """The z-component of a x b over (..., 2) arrays."""
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
 def _pair(u, v):
@@ -245,11 +240,11 @@ class MedialAxis:
                          & (t <= arc.t_range[1] + 1e-9), 1e-9 * np.ptp(arc.t_range))
         return best
 
-    def to_csv_rows(self, arc_samples=129):
-        """Flatten to (x1, y1, x2, y2) rows, one per sub-segment; a lone
-        node (the disc's) is one zero-length row."""
+    def to_csv_rows(self):
+        """Flatten `polylines()` to (x1, y1, x2, y2) rows, one per
+        sub-segment; a lone node (the disc's) is one zero-length row."""
         rows = []
-        for line in self.polylines(arc_samples):
+        for line in self.polylines():
             if len(line) == 1:
                 line = np.repeat(line, 2, axis=0)
             for p, q in zip(line[:-1], line[1:]):
@@ -369,13 +364,14 @@ class Domain:
         X, Y = p[:, 0], p[:, 1]
         d = np.asarray(d, dtype=float)
         planes, conic = self.region()
+        slack = 1e-12 * self.diameter()
         lo, hi = np.full(len(p), -np.inf), np.full(len(p), np.inf)
         for n1, n2, c in planes:
             num, den = c - n1 * X - n2 * Y, n1 * d[0] + n2 * d[1]
             if abs(den) < 1e-14:
-                # a point on a side parallel to d: the same slack that chord
-                # charts allow in contains
-                miss = num < -1e-12
+                # a line parallel to a side misses the shape once it lies
+                # beyond that side by more than 1e-12 diam, at any scale
+                miss = num < -slack
                 lo, hi = np.where(miss, 1.0, lo), np.where(miss, 0.0, hi)
             elif den > 0:
                 hi = np.minimum(hi, num / den)
@@ -1001,3 +997,18 @@ def make_domain(spec):
     if kind == "convex_polygon":
         return ConvexPolygon(need("vertices"))
     raise UnsupportedShapeError(f"unknown shape {kind!r}")
+
+
+def interior_points(domain: Domain, n, seed):
+    """n points drawn uniformly from the domain shrunk by 1e-9 diam: rounds
+    of 2n uniform draws from its bounding box (``default_rng(seed)``), of
+    which those inside are kept in draw order until there are n."""
+    rng = np.random.default_rng(seed)
+    (x0, y0), (x1, y1) = domain.bbox()
+    tol = -1e-9 * domain.diameter()
+    pts = np.empty((0, 2))
+    while len(pts) < n:
+        cand = rng.uniform([x0, y0], [x1, y1], size=(2 * n, 2))
+        keep = np.atleast_1d(domain.contains(cand, tol=tol))
+        pts = np.concatenate([pts, cand[keep][: n - len(pts)]])
+    return pts

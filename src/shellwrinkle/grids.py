@@ -164,6 +164,7 @@ def _clip(polys, normal, offset):
 
 
 def _cross(p, q):
+    """The z-component of p x q over (..., 2) arrays."""
     return p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
 
 

@@ -8,8 +8,9 @@ accommodates the target exactly:
     e(v) + (1/2) grad w (x) grad w = (1/2) mu.
 
 The piecewise variant tiles the domain with squares, freezes the target to
-its cell average, and glues the per-square fields with edge cutoffs.
-All fields have closed-form derivatives; grids are sampled from those.
+its cell average, and glues the per-square fields with edge cutoffs
+(``box_cutoff``).  All fields have closed-form derivatives; one sampler,
+``_sample_grid``, puts either field on a grid from its closed-form values.
 """
 
 from __future__ import annotations
@@ -18,15 +19,16 @@ import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .errors import ParameterError, RegimeError
-from .geometry import Domain, Rectangle
+from .geometry import Domain
 
 GRID_PER_WAVELENGTH = 32  # default h = l_wr / 32
+_AVG_SAMPLES = 12  # per axis and lattice square, for the square's target average
 _BLOCK_ROWS = 16  # grid rows per block when sampling and differencing fields
 _WORKERS = len(os.sched_getaffinity(0))  # threads that share a call's row blocks
 _pool_thread = threading.local()  # .marked is set on the pool's own threads
@@ -174,36 +176,35 @@ class TargetDefect:
         """Sorted eigen-decomposition (lam1 <= lam2, eta1, eta2) with the
         e1 tie-break for isotropic matrices."""
         a, b, c = m[0, 0], m[0, 1], m[1, 1]
-        if abs(b) < 1e-14 * (1 + abs(a) + abs(c)):
-            if a <= c:
-                return a, c, np.array([1.0, 0.0]), np.array([0.0, 1.0])
-            return c, a, np.array([0.0, 1.0]), np.array([1.0, 0.0])
-        tr = a + c
-        # disc via the stable form sqrt(((a-c)/2)^2 + b^2)
-        disc = np.hypot(0.5 * (a - c), b)
-        lam1, lam2 = tr / 2 - disc, tr / 2 + disc
+        lam1, lam2, diagonal = sym_eigenvalues(a, b, c)
+        lam1, lam2 = lam1[()], lam2[()]
+        if diagonal:
+            e1, e2 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+            return (lam1, lam2, e1, e2) if a <= c else (lam1, lam2, e2, e1)
         # pick the better-conditioned eigenvector row
         cand1 = np.array([b, lam1 - a])
         cand2 = np.array([lam1 - c, b])
         v1 = cand1 if np.hypot(*cand1) >= np.hypot(*cand2) else cand2
         v1 = v1 / np.hypot(*v1)
-        v2 = np.array([-v1[1], v1[0]])
-        return lam1, lam2, v1, v2
+        return lam1, lam2, v1, np.array([-v1[1], v1[0]])
 
     def bounds(self, sample_pts=None):
         """(lam, Lam): global eigenvalue bounds (exact for constants)."""
-        if self.constant is not None:
-            l1, l2, _, _ = self.eigen(self.constant)
-            return float(l1), float(l2)
-        mats = self.matrix_at(sample_pts)
-        a, b, c = mats[:, 0, 0], mats[:, 0, 1], mats[:, 1, 1]
-        # the eigenvalues of ``eigen``, both branches at once
-        diagonal = np.abs(b) < 1e-14 * (1 + np.abs(a) + np.abs(c))
-        tr = a + c
-        disc = np.hypot(0.5 * (a - c), b)
-        lo = np.where(diagonal, np.minimum(a, c), tr / 2 - disc)
-        hi = np.where(diagonal, np.maximum(a, c), tr / 2 + disc)
+        m = self.matrix_at(sample_pts) if self.constant is None else self.constant[None]
+        lo, hi, _ = sym_eigenvalues(m[:, 0, 0], m[:, 0, 1], m[:, 1, 1])
         return float(lo.min()), float(hi.max())
+
+
+def sym_eigenvalues(a, b, c):
+    """Eigenvalues lo <= hi of the symmetric [[a, b], [b, c]], elementwise,
+    and the diagonal gate |b| < 1e-14 (1 + |a| + |c|), where they are a and
+    c; elsewhere tr / 2 -+ the discriminant in its stable hypot form."""
+    diagonal = np.abs(b) < 1e-14 * (1 + np.abs(a) + np.abs(c))
+    tr = a + c
+    disc = np.hypot(0.5 * (a - c), b)
+    lo = np.where(diagonal, np.minimum(a, c), tr / 2 - disc)
+    hi = np.where(diagonal, np.maximum(a, c), tr / 2 + disc)
+    return lo, hi, diagonal
 
 
 def optimal_params(b, k, mu: TargetDefect, sample_pts=None) -> HerringboneParams:
@@ -263,28 +264,33 @@ def smoothstep_d2(u):
 
 
 def _ramp_arg(d, lo, hi):
-    """Argument of the smoothstep in ``ramp``: the ramp's value is
-    ``smoothstep`` of it and its derivatives are ``_ramp_slopes`` of it."""
+    """Argument u of the C^2 ramp in d from 0 at lo to 1 at hi: the ramp is
+    ``smoothstep(u)`` and its derivatives in d are ``_ramp_slopes(u, lo, hi)``."""
     return (np.asarray(d, dtype=float) - lo) / (hi - lo)
 
 
 def _ramp_slopes(u, lo, hi):
-    """First and second derivatives of ``ramp`` at argument u."""
+    """First and second derivatives in d of the ramp at argument u."""
     width = hi - lo
     return smoothstep_d1(u) / width, smoothstep_d2(u) / width**2
+
+
+def box_cutoff(x, origin, size, width):
+    """Separable C^2 cutoff of the box origin + [0, size] at points x (n, 2),
+    the product over the axes of the ramp from 0 to 1 as the distance to the
+    nearer side goes from width / 2 to width; each argument is a number or
+    one per axis.  Returns the ramp arguments and their smoothsteps, (n, 2)
+    each, and the cutoff (n,)."""
+    t, width = x - origin, np.asarray(width, dtype=float)
+    args = _ramp_arg(np.minimum(t, size - t), 0.5 * width, width)
+    vals = smoothstep(args)
+    return args, vals, vals[:, 0] * vals[:, 1]
 
 
 def _stack(comps):
     """The (n, 2) or (n, 2, 2) array whose [:, i] or [:, i, j] is the
     per-point vector comps[i] or comps[i][j]."""
     return np.ascontiguousarray(np.moveaxis(np.array(comps), -1, 0))
-
-
-def ramp(d, lo, hi):
-    """C^2 ramp in the scalar d: 0 for d <= lo, 1 for d >= hi.
-    Returns (value, d/dd, d2/dd2)."""
-    u = _ramp_arg(d, lo, hi)
-    return (smoothstep(u),) + _ramp_slopes(u, lo, hi)
 
 
 # ----------------------------------------------------------------------
@@ -450,10 +456,10 @@ class HerringboneField:
         return e_v + 0.5 * np.einsum("ni,nj->nij", gw, gw) - 0.5 * self.mu[None, :, :]
 
 
-def _eroded(mask, cells=2):
-    """Erode a boolean mask so centered stencils stay on valid samples."""
+def _eroded(mask):
+    """Erode a boolean mask by two cells so centered stencils stay on valid samples."""
     out = mask.copy()
-    for _ in range(cells):
+    for _ in range(2):
         shrunk = out.copy()
         shrunk[1:, :] &= out[:-1, :]
         shrunk[:-1, :] &= out[1:, :]
@@ -468,8 +474,8 @@ class DisplacementField:
     """Sampled displacements on a square-cell grid with derivative stencils.
 
     u is (nx, ny, 2) and w (nx, ny), row i and column j at the cell centre
-    origin + ((i, j) + 1/2) h.  The samplers store u as C-contiguous planes
-    (2, nx, ny) and hand out their ``np.moveaxis`` view; any (nx, ny, 2)
+    origin + ((i, j) + 1/2) h.  ``_sample_grid`` stores u as C-contiguous
+    planes (2, nx, ny) and hands out their ``np.moveaxis`` view; any (nx, ny, 2)
     array works as well.  The grid must resolve the wrinkles: h <= l_wr / 16.
     """
 
@@ -480,15 +486,14 @@ class DisplacementField:
     domain_mask: np.ndarray
     bulk_mask: np.ndarray
     params: Optional[HerringboneParams] = None
-    analytic: Optional[object] = None  # evaluator when available
 
     @property
     def shape(self):
         return self.w.shape
 
-    def stencil_bulk_mask(self, cells=2):
+    def stencil_bulk_mask(self):
         """Bulk mask eroded so centered stencils never read wall samples."""
-        return _eroded(self.bulk_mask, cells)
+        return _eroded(self.bulk_mask)
 
     def points(self):
         nx, ny = self.w.shape
@@ -529,22 +534,21 @@ def _grid_for(lo, hi, l_wr, h=None):
     return h, nx, ny
 
 
-def _square_bounds(square):
-    if isinstance(square, Rectangle):
-        return (-square.a, -square.b), (square.a, square.b)
-    (x0, y0), side = square
-    return (x0, y0), (x0 + side, y0 + side)
-
-
-def _sample_rows(evaluator, lo, h, nx, ny):
-    """Sample v, w and bulk on the cell-centered grid through
-    ``evaluator._values_into`` (no derivative field), in blocks of
-    ``_BLOCK_ROWS`` rows spread over ``_map_blocks``; each worker's blocks
-    fill one reused point buffer.  Each block is written straight into its
-    own rows of v's planes (2, nx, ny), returned as (nx, ny, 2)."""
+def _sample_grid(evaluator, lo, hi, params: HerringboneParams, h=None,
+                 domain: Optional[Domain] = None) -> DisplacementField:
+    """The sampler of both fields: ``evaluator._values_into`` (v, w and
+    bulk, no derivatives) on the cell-centred grid over the box lo, hi, in
+    blocks of ``_BLOCK_ROWS`` rows dealt over one thread per CPU
+    (``_map_blocks``).  Each worker's blocks fill one reused point buffer
+    and write only their own rows of v's planes (2, nx, ny), returned as
+    u (nx, ny, 2).  With a ``domain``, a block also tests its centres with
+    the elementwise ``domain.contains`` and zeroes u, w and bulk off it.
+    So nothing depends on the number of workers."""
+    h, nx, ny = _grid_for(lo, hi, params.l_wr, h)
     v = np.empty((2, nx, ny))
     w = np.empty((nx, ny))
     bulk = np.empty((nx, ny), dtype=bool)
+    inside = np.ones((nx, ny), dtype=bool)
 
     def sample(r0, scratch):
         if not scratch:
@@ -553,32 +557,29 @@ def _sample_rows(evaluator, lo, h, nx, ny):
         r1 = min(r0 + _BLOCK_ROWS, nx)
         block = scratch["pts"][: r1 - r0]
         block[..., 0] = (lo[0] + (np.arange(r0, r1) + 0.5) * h)[:, None]
-        evaluator._values_into(block.reshape(-1, 2), v[:, r0:r1].reshape(2, -1),
-                               w[r0:r1].reshape(-1), bulk[r0:r1].reshape(-1))
+        pts = block.reshape(-1, 2)
+        vb, wb, bb = v[:, r0:r1].reshape(2, -1), w[r0:r1].reshape(-1), bulk[r0:r1].reshape(-1)
+        evaluator._values_into(pts, vb, wb, bb)
+        if domain is not None:
+            ins = inside[r0:r1].reshape(-1)
+            ins[:] = domain.contains(pts)
+            vb[:, ~ins], wb[~ins] = 0.0, 0.0
+            bb &= ins
 
     _map_blocks(sample, range(0, nx, _BLOCK_ROWS))
-    return np.moveaxis(v, 0, -1), w, bulk
+    return DisplacementField(origin=lo, h=h, u=np.moveaxis(v, 0, -1), w=w,
+                             domain_mask=inside, bulk_mask=bulk, params=params)
 
 
 def herringbone(square, mu, params: HerringboneParams, h=None) -> DisplacementField:
-    """Single herringbone adapted to a constant target on a square.
-
-    The grid is sampled in blocks of ``_BLOCK_ROWS`` rows, dealt over one
-    thread per CPU (``_map_blocks``); each block writes only its own rows,
-    so the samples do not depend on the number of workers.
-    """
+    """Single herringbone adapted to a constant target on the square
+    ((x0, y0), side), sampled by ``_sample_grid``."""
     target = mu if isinstance(mu, TargetDefect) else TargetDefect(mu)
     if target.constant is None:
         raise ParameterError("single-square construction needs a constant target")
-    lo, hi = _square_bounds(square)
+    (x0, y0), side = square
     field_ = HerringboneField(target.constant, params, single=True)
-    h, nx, ny = _grid_for(lo, hi, params.l_wr, h)
-    u, w, bulk = _sample_rows(field_, lo, h, nx, ny)
-    return DisplacementField(
-        origin=lo, h=h, u=u, w=w,
-        domain_mask=np.ones((nx, ny), dtype=bool),
-        bulk_mask=bulk, params=params, analytic=field_,
-    )
+    return _sample_grid(field_, (x0, y0), (x0 + side, y0 + side), params, h)
 
 
 class PiecewiseHerringboneField:
@@ -590,8 +591,7 @@ class PiecewiseHerringboneField:
     square by square; ``evaluate`` scatters what it yields.
     """
 
-    def __init__(self, domain: Domain, mu: TargetDefect, params: HerringboneParams,
-                 avg_samples=12):
+    def __init__(self, domain: Domain, mu: TargetDefect, params: HerringboneParams):
         params.validate_full(*mu.bounds(_domain_samples(domain)))
         self.domain = domain
         self.params = params
@@ -602,9 +602,9 @@ class PiecewiseHerringboneField:
         self.i0, self.j0 = i0, j0
         self.nrows = j1 - j0
         self.cells = {}
-        offs = (np.arange(avg_samples) + 0.5) / avg_samples
+        offs = (np.arange(_AVG_SAMPLES) + 0.5) / _AVG_SAMPLES
         ox, oy = np.meshgrid(offs, offs, indexing="ij")
-        # every square's avg_samples^2 samples, square (i, j) after square
+        # every square's _AVG_SAMPLES^2 samples, square (i, j) after square
         # (i, j - 1), tested by one contains call
         ii, jj = np.meshgrid(np.arange(i0, i1), np.arange(j0, j1), indexing="ij")
         qx, qy = ii.reshape(-1, 1) * self.l_avg, jj.reshape(-1, 1) * self.l_avg
@@ -620,22 +620,12 @@ class PiecewiseHerringboneField:
                 "mu": m_avg,
             }
 
-    def _edge_cutoff(self, x, origin):
-        """Separable edge cutoff on the square at ``origin``: the ramp
-        arguments and their smoothsteps, one column per axis ((n, 2) each),
-        and the cutoff chi (n,), their product."""
-        d_ext = self.params.delta_ext
-        t = x - origin
-        args = _ramp_arg(np.minimum(t, self.l_avg - t), 0.5 * d_ext, d_ext)
-        vals = smoothstep(args)
-        return args, vals, vals[:, 0] * vals[:, 1]
-
     def chi_ext(self, x, origin):
-        """Separable edge cutoff on the square at `origin`: its value (n,),
-        and its gradient and Hessian as lists of per-point components ([i]
-        and [i][j])."""
+        """Edge cutoff (``box_cutoff``) of the square at `origin`: its value
+        (n,), and its gradient and Hessian as lists of per-point components
+        ([i] and [i][j])."""
         d_ext = self.params.delta_ext
-        args, vals, chi = self._edge_cutoff(x, origin)
+        args, vals, chi = box_cutoff(x, origin, self.l_avg, d_ext)
         d1s, d2s = _ramp_slopes(args, 0.5 * d_ext, d_ext)
         t = x - origin
         d1s = d1s * np.where(t < self.l_avg - t, 1.0, -1.0)
@@ -672,7 +662,7 @@ class PiecewiseHerringboneField:
         for idx, pts, cell in self._squares(x):
             fv, fw, fbulk = _empty_values(len(idx))
             cell["field"]._values_into(pts, fv, fw, fbulk)
-            chi = self._edge_cutoff(pts, cell["origin"])[2]
+            chi = box_cutoff(pts, cell["origin"], self.l_avg, self.params.delta_ext)[2]
             v[:, idx] = fv * chi
             w[idx] = fw * chi
             bulk[idx] = fbulk & (chi > 1.0 - 1e-12)
@@ -712,10 +702,11 @@ class PiecewiseHerringboneField:
         return out
 
 
-def _domain_samples(domain, n=33):
+def _domain_samples(domain):
+    """The domain's points of the 33 x 33 lattice over its bounding box."""
     (x0, y0), (x1, y1) = domain.bbox()
-    xs = np.linspace(x0, x1, n)
-    ys = np.linspace(y0, y1, n)
+    xs = np.linspace(x0, x1, 33)
+    ys = np.linspace(y0, y1, 33)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel()], axis=1)
     return pts[np.atleast_1d(domain.contains(pts))]
@@ -723,25 +714,10 @@ def _domain_samples(domain, n=33):
 
 def piecewise_herringbone(domain: Domain, mu, params: HerringboneParams,
                           h=None) -> DisplacementField:
-    """Glued lattice of herringbones over the domain, sampled on a grid; the
-    cell centres are tested ``_BLOCK_ROWS`` rows at a time, on this thread."""
+    """Glued lattice of herringbones over the domain, sampled by
+    ``_sample_grid`` on the grid over its bounding box, with the domain
+    mask of the cell centres."""
     target = mu if isinstance(mu, TargetDefect) else TargetDefect(mu)
     assembly = PiecewiseHerringboneField(domain, target, params)
-    (x0, y0), (x1, y1) = domain.bbox()
-    h, nx, ny = _grid_for((x0, y0), (x1, y1), params.l_wr, h)
-    u, w, bulk = _sample_rows(assembly, (x0, y0), h, nx, ny)
-    inside = np.empty((nx, ny), dtype=bool)
-    pts = np.empty((_BLOCK_ROWS, ny, 2))
-    pts[..., 1] = y0 + (np.arange(ny) + 0.5) * h
-    for r0 in range(0, nx, _BLOCK_ROWS):
-        rows = slice(r0, min(r0 + _BLOCK_ROWS, nx))
-        block = pts[: rows.stop - r0]
-        block[..., 0] = (x0 + (np.arange(r0, rows.stop) + 0.5) * h)[:, None]
-        inside[rows] = ins = domain.contains(block.reshape(-1, 2)).reshape(len(block), ny)
-        u[rows][~ins], w[rows][~ins] = 0.0, 0.0
-        bulk[rows] &= ins
-    return DisplacementField(
-        origin=(x0, y0), h=h, u=u, w=w,
-        domain_mask=inside, bulk_mask=bulk,
-        params=params, analytic=assembly,
-    )
+    lo, hi = domain.bbox()
+    return _sample_grid(assembly, lo, hi, params, h, domain)

@@ -24,15 +24,17 @@ def _poly_points(points):
     return " ".join(f"{_f(p[0])},{_f(p[1])}" for p in points)
 
 
-def domain_outline(domain, n=256):
-    return domain.boundary_sample(n).position
+def domain_outline(domain):
+    """256 boundary samples of the domain."""
+    return domain.boundary_sample(256).position
 
 
 class SvgCanvas:
-    def __init__(self, bbox, pad=0.05):
+    def __init__(self, bbox):
+        """A canvas over bbox with a margin of 5% of its longer side."""
         (x0, y0), (x1, y1) = bbox
         w, h = x1 - x0, y1 - y0
-        m = pad * max(w, h)
+        m = 0.05 * max(w, h)
         self.x0, self.y0 = x0 - m, y0 - m
         self.w, self.h = w + 2 * m, h + 2 * m
         self.elems = []
@@ -79,10 +81,11 @@ SIGMA_W = 2.0
 OUTLINE_W = 1.2
 
 
-def pattern_svg(domain, family, medial=None, unit=None):
-    """Stable lines as strokes, singular set bold, unconstrained blank."""
+def pattern_svg(domain, family, medial=None):
+    """Stable lines as strokes, singular set bold, unconstrained blank; a
+    stroke width unit is a hundredth of the domain's diameter."""
     canvas = SvgCanvas(domain.bbox())
-    unit = unit if unit is not None else domain.diameter() / 100.0
+    unit = domain.diameter() / 100.0
     for ln in family.lines:
         canvas.line(ln.start, ln.end, LINE_W * unit)
     if medial is not None:
@@ -94,8 +97,9 @@ def pattern_svg(domain, family, medial=None, unit=None):
     return canvas.to_string()
 
 
-def heatmap_svg(grid_x0, grid_y0, h, values, mask, domain=None, overlay=None, unit=None):
-    """Grayscale cell heatmap with optional stable-line overlay."""
+def heatmap_svg(grid_x0, grid_y0, h, values, mask, domain=None, overlay=None):
+    """Grayscale cell heatmap with optional stable-line overlay; a stroke
+    width unit is a hundredth of the grid's longer side."""
     vals = np.asarray(values, dtype=float)
     lo = float(np.nanmin(vals[mask])) if mask.any() else 0.0
     hi = float(np.nanmax(vals[mask])) if mask.any() else 1.0
@@ -103,7 +107,7 @@ def heatmap_svg(grid_x0, grid_y0, h, values, mask, domain=None, overlay=None, un
     nx, ny = vals.shape
     bbox = ((grid_x0, grid_y0), (grid_x0 + nx * h, grid_y0 + ny * h))
     canvas = SvgCanvas(bbox)
-    unit = unit if unit is not None else max(nx, ny) * h / 100.0
+    unit = max(nx, ny) * h / 100.0
     # coarse row-run encoding: merge horizontal runs of equal grey level;
     # masked-out cells (level -1) form runs too, which are not drawn
     levels = np.full((ny, nx), -1, dtype=int)

@@ -556,6 +556,17 @@ class TestPrimalValues:
         res = chars.curlcurl_residual(df, POS, 6)
         assert res < 2e-3 * np.pi
 
+    def test_positive_rectangle_scales_as_at_size_one(self):
+        # `line_spans` drops a chord point on a side parallel to the chord
+        # only beyond a slack of 1e-12 diam: an absolute slack dropped chord
+        # ends on large rectangles and moved the primal by up to 1.5%
+        def primal(s):
+            return chars.defect_field(Rectangle(2 * s, s), POS, 64).primal_value() / s**4
+
+        one = primal(1.0)
+        for s in (2.0**20, 2.0**40, 1e6):
+            assert abs(primal(s) - one) <= 1e-15 * one, s
+
 
 class TestCurlCurlResidual:
     def test_exact_field_small_residual(self, ellipse):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import interior_points
-from shellwrinkle import cli
+from shellwrinkle import cli, geometry
 from shellwrinkle.errors import DomainError, ParameterError, ShellWrinkleError
 from shellwrinkle.geometry import (
     OFFSET_BOUND,
@@ -560,6 +560,16 @@ class TestLineClipping:
             vals = bnd @ m
             assert lo <= vals.min() + 1e-12 and vals.min() - lo <= spacing
             assert hi >= vals.max() - 1e-12 and hi - vals.max() <= spacing
+
+
+@pytest.mark.parametrize("name", [*SAMPLE_SHAPES, "tiny_disc"])
+def test_interior_points_are_seeded_draws_inside_the_shrunk_shape(name):
+    # the shrink is 1e-9 diam, so a shape of any size has room for points
+    dom = SAMPLE_SHAPES.get(name, Disc(1e-10))
+    pts = geometry.interior_points(dom, 1000, 4)
+    assert pts.shape == (1000, 2)
+    assert np.all(dom.contains(pts, tol=-1e-9 * dom.diameter()))
+    assert np.array_equal(pts, geometry.interior_points(dom, 1000, 4))
 
 
 def _corners_inside(inside):

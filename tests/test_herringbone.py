@@ -249,7 +249,7 @@ class TestSingleSquare:
         fld = herringbone(((0.0, 0.0), 0.25), mu, ID_PARAMS)
         X, Y = fld.points()
         pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-        ev = fld.analytic.evaluate(pts)
+        ev = HerringboneField(mu, ID_PARAMS).evaluate(pts)
         assert np.array_equal(fld.u.reshape(-1, 2), ev["v"])
         assert np.array_equal(fld.w.ravel(), ev["w"])
         assert np.array_equal(fld.bulk_mask.ravel(), ev["bulk"])
@@ -368,6 +368,44 @@ class TestPiecewise:
         for key, cell in cells.items():
             assert np.array_equal(cell["origin"], ref[key][0])
             assert np.array_equal(cell["mu"], ref[key][1])
+
+    def test_glued_derivatives_match_differences_on_the_edge_ramps(self):
+        # a rank-one target has no internal walls, so near a square's sides
+        # the glued field is the wrinkle times the edge cutoff chi_ext:
+        # evaluate's closed-form derivatives there, the cutoff's included,
+        # against central differences of its v and w
+        assembly = PiecewiseHerringboneField(Rectangle(0.6, 0.5),
+                                             TargetDefect(np.diag([0.0, 2.0])), ID_PARAMS)
+        origin = assembly.cells[(0, 0)]["origin"]
+        d_ext, l_avg = ID_PARAMS.delta_ext, ID_PARAMS.l_avg
+        rng = np.random.default_rng(12)
+        ramp = rng.uniform(0.55 * d_ext, 0.95 * d_ext, size=(3, 40))
+        mid = rng.uniform(d_ext, l_avg - d_ext, size=(2, 40))
+        # on the ramp of the left side, of the top side, and of both at a corner
+        pts = origin + np.concatenate([np.stack([ramp[0], mid[0]], axis=1),
+                                       np.stack([mid[1], l_avg - ramp[1]], axis=1),
+                                       np.stack([ramp[2], l_avg - ramp[0]], axis=1)])
+        ev = assembly.evaluate(pts)
+        assert np.all(ev["chi_ext"] < 1.0) and np.all(ev["chi_ext"] > 0.0)
+
+        def w_at(dx, dy):
+            return assembly.evaluate(pts + [dx, dy])["w"]
+
+        e1, e2 = 1e-6, 3e-6  # steps of the first and second differences
+        grad_w = np.stack([(w_at(e1, 0) - w_at(-e1, 0)) / (2 * e1),
+                           (w_at(0, e1) - w_at(0, -e1)) / (2 * e1)], axis=1)
+        w0 = ev["w"]
+        hxx = (w_at(e2, 0) - 2 * w0 + w_at(-e2, 0)) / e2**2
+        hyy = (w_at(0, e2) - 2 * w0 + w_at(0, -e2)) / e2**2
+        hxy = (w_at(e2, e2) - w_at(e2, -e2) - w_at(-e2, e2) + w_at(-e2, -e2)) / (4 * e2**2)
+        hess_w = np.stack([np.stack([hxx, hxy], axis=1), np.stack([hxy, hyy], axis=1)], axis=1)
+        grad_v = np.stack([(assembly.evaluate(pts + e1 * e)["v"]
+                            - assembly.evaluate(pts - e1 * e)["v"]) / (2 * e1)
+                           for e in np.eye(2)], axis=-1)  # [:, i, j] = d v_i / d x_j
+        for key, diff in (("grad_w", grad_w), ("hess_w", hess_w), ("grad_v", grad_v)):
+            scale = np.abs(ev[key]).max()
+            assert scale > 0.0, key
+            assert np.allclose(ev[key], diff, rtol=0.0, atol=1e-6 * scale), key
 
     def test_grid_assembly(self):
         dom = Rectangle(0.3, 0.2)

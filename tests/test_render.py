@@ -76,7 +76,7 @@ def test_heightmap_csv_matches_per_value_format():
     assert render.heightmap_csv(field) == render.csv_lines(["x", "y", "w"], rows)
 
 
-def per_cell_heatmap_svg(grid_x0, grid_y0, h, values, mask, domain=None, overlay=None, unit=None):
+def per_cell_heatmap_svg(grid_x0, grid_y0, h, values, mask, domain=None, overlay=None):
     """The heatmap with its runs found cell by cell along each row."""
     vals = np.asarray(values, dtype=float)
     lo = float(np.nanmin(vals[mask])) if mask.any() else 0.0
@@ -84,7 +84,7 @@ def per_cell_heatmap_svg(grid_x0, grid_y0, h, values, mask, domain=None, overlay
     span = hi - lo if hi > lo else 1.0
     nx, ny = vals.shape
     canvas = render.SvgCanvas(((grid_x0, grid_y0), (grid_x0 + nx * h, grid_y0 + ny * h)))
-    unit = unit if unit is not None else max(nx, ny) * h / 100.0
+    unit = max(nx, ny) * h / 100.0
     levels = np.full((nx, ny), -1, dtype=int)
     levels[mask] = np.clip(((vals[mask] - lo) / span * 32).astype(int), 0, 32)
     for j in range(ny):
