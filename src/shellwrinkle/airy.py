@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, ResolutionError
-from .geometry import CORNER_DELTA_FACTOR, Domain, interior_points, rot90
+from .geometry import CORNER_DELTA_FACTOR, Domain, _as_points, interior_points, rot90
 from .grids import MaskedGrid, _cross
 from .rulings import POINT_BLOCK, UDecomposition, charts_for, locate
 from .shell import ShellProfile
@@ -31,17 +31,11 @@ from .shell import ShellProfile
 ROOF_BLOCK = 64  # query points per block of convex_roof's triangle search
 
 
-def _pts(x):
-    x = np.asarray(x, dtype=float)
-    return (x[None, :], True) if x.ndim == 1 else (x, False)
-
-
 def phi_minus(domain: Domain, x):
-    """Smallest convex extension of |x|^2/2 into the domain."""
-    pts, single = _pts(x)
-    d = np.atleast_1d(domain.boundary_distance(pts))
-    vals = 0.5 * np.sum(pts * pts, axis=1) - 0.5 * d * d
-    return float(vals[0]) if single else vals
+    """Smallest convex extension of |x|^2/2 into the domain, at (n, 2) points."""
+    x = _as_points(x)
+    d = domain.boundary_distance(x)
+    return 0.5 * np.sum(x * x, axis=1) - 0.5 * d * d
 
 
 def _ruling_ends(pts, u, L, eta):
@@ -76,9 +70,9 @@ class AiryField:
 
     # -- potential values ------------------------------------------------
     def phi(self, x):
-        pts, single = _pts(x)
-        vals = phi_minus(self.domain, pts) if self.sign < 0 else self._phi_plus(pts)
-        return float(vals[0]) if single else vals
+        """The potential at (n, 2) points."""
+        pts = _as_points(x)
+        return phi_minus(self.domain, pts) if self.sign < 0 else self._phi_plus(pts)
 
     def _phi_plus(self, pts):
         # a point within 1e-12 diam outside counts as on the boundary, as in
@@ -104,10 +98,10 @@ class AiryField:
 
     # -- gradient ----------------------------------------------------------
     def grad_phi(self, x):
-        pts, single = _pts(x)
+        """The potential's gradient at (n, 2) points, one row each."""
+        pts = _as_points(x)
         # at -1, grad (|x|^2 - d^2)/2 = x - d grad d, which is the foot point
-        grad = self.domain._inside_foot(pts)[0] if self.sign < 0 else self._grad_plus(pts)
-        return grad[0] if single else grad
+        return self.domain._inside_foot(pts)[0] if self.sign < 0 else self._grad_plus(pts)
 
     def _grad_plus(self, pts):
         out = np.full_like(pts, np.nan)
@@ -127,7 +121,7 @@ class AiryField:
         ldir = rot90(eta)
         slope = (0.5 * np.sum(y2 * y2, axis=1) - 0.5 * np.sum(y1 * y1, axis=1)) / L
         # tangent of the domain boundary at y2 (smooth points of the catalog)
-        nu = self.domain._outward_normal_at(np.atleast_2d(y2))
+        nu = self.domain._outward_normal_at(y2)
         tau = rot90(nu)
         tang = np.sum(y2 * tau, axis=1)
         # solve [ldir; tau] grad = [slope; tang] row-wise
@@ -138,8 +132,7 @@ class AiryField:
         return np.stack([gx, gy], axis=1)
 
     def dual_objective_density(self, pts):
-        """phi - |x|^2/2 at pts (the dual integrand against K)."""
-        pts = np.atleast_2d(pts)
+        """phi - |x|^2/2 at (n, 2) points (the dual integrand against K)."""
         return self.phi(pts) - 0.5 * np.sum(pts * pts, axis=1)
 
 
@@ -202,7 +195,7 @@ def check_admissible(airy: AiryField, domain: Domain, tol=1e-8,
     trace_viol = np.max(np.abs(airy.phi(pos) - 0.5 * np.sum(pos * pos, axis=1)), initial=0.0)
     # pull slightly inside to evaluate the interior gradient trace
     p_in = pos - 1e-9 * domain.diameter() * nu
-    out = ~np.atleast_1d(domain.contains(p_in, tol=1e-12 * domain.diameter()))
+    out = ~domain.contains(p_in, tol=1e-12 * domain.diameter())
     p_in[out] = pos[out]
     g = airy.grad_phi(p_in)
     jump_min = np.min(np.sum(nu * (pos - g), axis=1), initial=np.inf)
@@ -266,7 +259,7 @@ def convex_roof(domain: Domain, x, n_boundary=512):
         raise ResolutionError("generic verifier needs at least 16 boundary samples")
     Y = domain.boundary_sample(n_boundary).position
     lift = 0.5 * np.sum(Y * Y, axis=1)
-    pts, single = _pts(x)
+    pts = _as_points(x)
     tol = 1e-12 * domain.diameter()
     if not np.all(domain.contains(pts, tol=tol)):
         raise DomainError("point outside domain")
@@ -294,5 +287,4 @@ def convex_roof(domain: Domain, x, n_boundary=512):
         best[blk] = near[np.argmin(depth, axis=1)]
     A, B, C = (corner[m, best] - p for m in range(3))
     w = _cross(B, C), _cross(C, A), _cross(A, B)
-    out = sum(wm * lift[tri[best, m]] for m, wm in enumerate(w)) / (w[0] + w[1] + w[2])
-    return float(out[0]) if single else out
+    return sum(wm * lift[tri[best, m]] for m, wm in enumerate(w)) / (w[0] + w[1] + w[2])

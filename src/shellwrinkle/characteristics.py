@@ -186,12 +186,9 @@ class DefectField:
     uncovered: np.ndarray
     interface_flag: bool = False
     sign_violations: int = 0
-    primal: Optional[float] = None
 
     def primal_value(self):
-        if self.primal is None:
-            self.primal = primal_value(self)
-        return self.primal
+        return primal_value(self)
 
     def min_lambda(self):
         return float(np.min(self.lam[self.grid.mask]))
@@ -269,9 +266,11 @@ def _interpolate_lines(stations, window, lo, step, j, s, u, L):
     lam = (1 - w1) * lam0 + w1 * lam1
     if step is None:
         return lam, False
-    # beyond the outermost solved lines (dropped short lines), or farther
-    # than 1.5 steps from any station: the interpolation is a clamp
-    far = (s < stations[0] - 1e-12) | (s > stations[-1] + 1e-12)
+    # beyond the outermost solved lines (dropped short lines) by more than
+    # 1e-12 of their span, or farther than 1.5 steps from any station: the
+    # interpolation is a clamp
+    tol = 1e-12 * (stations[-1] - stations[0])
+    far = (s < stations[0] - tol) | (s > stations[-1] + tol)
     far |= np.minimum(np.abs(s - s0), np.abs(s1 - s)) > 1.5 * step
     return lam, far
 
@@ -371,7 +370,6 @@ def _mixture_field(domain, shell, resolution, deco):
     f1.lam = lam
     f1.eta = eta
     f1.sign_violations += f2.sign_violations
-    f1.primal = None
     return f1
 
 
@@ -407,14 +405,12 @@ def tensor_bump(center, radius):
         return np.where(q > 0, -6.0 * q * q + 24.0 * t * t * q, 0.0)
 
     def psi(x):
-        x = np.atleast_2d(x)
         u = (x[:, 0] - c[0]) / r
         v = (x[:, 1] - c[1]) / r
         return g(u) * g(v)
 
     def hess(x):
         """(psi_11, psi_12, psi_22)."""
-        x = np.atleast_2d(x)
         u = (x[:, 0] - c[0]) / r
         v = (x[:, 1] - c[1]) / r
         h11 = gpp(u) * g(v) / r**2
@@ -457,7 +453,7 @@ def interior_bumps(domain: Domain, test_count: int):
         centers, r = build(scale)
         if not np.all(domain.contains(centers)):
             return False
-        d = np.atleast_1d(domain.boundary_distance(centers))
+        d = domain.boundary_distance(centers)
         # square support: the corner sits sqrt(2) r from the center
         return bool(np.all(d > np.sqrt(2.0) * r * 1.02))
 

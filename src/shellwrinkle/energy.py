@@ -28,6 +28,7 @@ from .herringbone import (
     TargetDefect,
     DisplacementField,
     _BLOCK_ROWS,
+    _cell_centres,
     _eroded,
     _map_blocks,
     optimal_params,
@@ -144,7 +145,8 @@ def _stencil_block(field: DisplacementField, shell: ShellProfile, hessian: bool,
     wy = _diff_cols(field.w[lo:hi], h, wyb)
     g = None
     if curved:
-        g = shell.gradient(_centres(field, slice(lo, hi))).reshape(hi - lo, ny, 2)
+        pts = _cell_centres(field.origin, h, ny, lo, hi)
+        g = shell.gradient(pts.reshape(-1, 2)).reshape(pts.shape)
     e = scratch["e"][:, :r1 - r0] if out is None else out[:, r0:r1]
     t = scratch["tmp"][:r1 - r0]
     u1, u2 = field.u[..., 0], field.u[..., 1]
@@ -167,15 +169,6 @@ def _stencil_block(field: DisplacementField, shell: ShellProfile, hessian: bool,
     m0 = max(r0 - 2, 0)
     m = _eroded(field.domain_mask[m0:r1 + 2])[r0 - m0:r1 - m0]
     return r1, e, hw, (g[k] if curved else None), m
-
-
-def _centres(field: DisplacementField, rows: slice):
-    """Cell centres of grid rows ``rows``, row after row as an (n ny, 2)
-    array: the values ``field.points()`` gives for those rows."""
-    xs = field.origin[0] + (np.arange(rows.start, rows.stop) + 0.5) * field.h
-    ys = field.origin[1] + (np.arange(field.shape[1]) + 0.5) * field.h
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    return np.stack([X.ravel(), Y.ravel()], axis=1)
 
 
 def _check_profile(shell: ShellProfile):
@@ -295,7 +288,8 @@ def energy(field: DisplacementField, shell: ShellProfile, params: EnergyParams,
         if target is not None:
             mu = target.constant
             if mu is None:
-                mu = target.matrix_at(_centres(field, slice(r0, r1))).reshape(e.shape[1:] + (2, 2))
+                pts = _cell_centres(field.origin, field.h, field.shape[1], r0, r1)
+                mu = target.matrix_at(pts.reshape(-1, 2)).reshape(pts.shape[:2] + (2, 2))
             e[0] -= 0.5 * mu[..., 0, 0]
             e[1] -= 0.5 * mu[..., 0, 1]
             e[2] -= 0.5 * mu[..., 1, 1]
@@ -558,7 +552,6 @@ def _grid_target(df) -> TargetDefect:
     mu = df.mu
 
     def field(pts):
-        pts = np.atleast_2d(pts)
         fx = (pts[:, 0] - grid.x0) / grid.h - 0.5
         fy = (pts[:, 1] - grid.y0) / grid.h - 0.5
         i0 = np.clip(np.floor(fx).astype(int), 0, grid.nx - 2)
@@ -589,4 +582,4 @@ def _stratified_domain_samples(domain: Domain, n: int, rng):
     gx = (np.arange(mx)[:, None] + rng.random((mx, my))) * (x1 - x0) / mx + x0
     gy = (np.arange(my)[None, :] + rng.random((mx, my))) * (y1 - y0) / my + y0
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    return pts[np.atleast_1d(domain.contains(pts))]
+    return pts[domain.contains(pts)]

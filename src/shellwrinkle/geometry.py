@@ -2,8 +2,8 @@
 
 The catalog is closed: disc, ellipse, half-disc, convex polygon, and the
 rectangle, which is a convex polygon that keeps its half-widths.
-Every operation is a pure function of an immutable shape; all point-valued
-arguments accept single points ``(2,)`` or batches ``(n, 2)``.
+Every operation is a pure function of an immutable shape; point-valued
+arguments take batches ``(n, 2)`` and give one value, or one row, per point.
 
 A shape states each thing once: its `region()` (half-planes and at most one
 ellipse), its `extent` along a direction, its foot point with the distance
@@ -45,17 +45,12 @@ def rot90(v):
 
 
 def _as_points(x):
-    """Normalize point input to (n, 2); return (array, was_single)."""
+    """``x`` as a float array of points; a ValueError unless its shape is
+    (n, 2), so a single point is a one-row batch."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[None, :], True
     if x.ndim != 2 or x.shape[1] != 2:
-        raise ValueError("points must have shape (2,) or (n, 2)")
-    return x, False
-
-
-def _unsingle(vals, single):
-    return vals[0] if single else vals
+        raise ValueError(f"points must have shape (n, 2), got shape {x.shape}")
+    return x
 
 
 def _finite(shape, name, value, dims=(), size=None):
@@ -339,7 +334,7 @@ class Domain:
         on half-planes and discs, and on an ellipse a band within |tol| of
         the boundary.  At tol = 0 these are the expressions of the
         cell-corner test in `grids._cell_areas`."""
-        x, single = _as_points(x)
+        x = _as_points(x)
         X, Y = x[:, 0], x[:, 1]
         planes, conic = self.region()
         ok = np.ones(len(x), dtype=bool)
@@ -353,14 +348,14 @@ class Domain:
             grow = 1.0 + 2 * tol * abs(p * s - q * r) / (np.hypot(p + s, r - q)
                                                           + np.hypot(p - s, r + q))
             ok &= u * u + v * v <= grow * abs(grow)
-        return _unsingle(ok, single)
+        return ok
 
     def line_spans(self, pts, d):
         """(t_lo, t_hi) where each line {p + t d}, |d| = 1, enters and leaves
         the shape, cut by each row of `region()` elementwise, so that a span
         does not depend on the lines clipped with it; a line that misses the
         shape gets t_lo > t_hi."""
-        p = np.atleast_2d(pts)
+        p = _as_points(pts)
         X, Y = p[:, 0], p[:, 1]
         d = np.asarray(d, dtype=float)
         planes, conic = self.region()
@@ -391,14 +386,12 @@ class Domain:
 
     def nearest_boundary_point(self, x):
         """The foot of each point: its nearest point of the closed boundary."""
-        x, single = _as_points(x)
-        return _unsingle(self._foot(x)[0], single)
+        return self._foot(_as_points(x))[0]
 
     def boundary_distance(self, x):
         """The distance to the boundary, |x - foot| as `_foot` builds it: 0
         for a point outside within 1e-12 diam, a DomainError farther out."""
-        x, single = _as_points(x)
-        return _unsingle(self._inside_foot(x)[1], single)
+        return self._inside_foot(_as_points(x))[1]
 
     def _inside_foot(self, x):
         """`_foot` of (n, 2) points, with d = 0 for a point outside within
@@ -805,7 +798,7 @@ class ConvexPolygon(Domain):
         """(n_pts, n_sides) array of inward distances c_i - x.nu_i: each
         side's slack c - n1 x1 - n2 x2, elementwise as `contains` reads it,
         so a point's distances do not depend on the points batched with it."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+        x = _as_points(x)
         sd = np.empty((len(x), len(self.edge_offsets)))
         for i, (n1, n2, c) in enumerate(self.region()[0]):
             sd[:, i] = c - n1 * x[:, 0] - n2 * x[:, 1]
@@ -831,7 +824,6 @@ class ConvexPolygon(Domain):
         return y, d
 
     def nearest_side(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.argmin(self.side_distances(x), axis=1)
 
     def _outward_normal_at(self, y):
@@ -886,7 +878,7 @@ class ConvexPolygon(Domain):
         for i, region in enumerate(self.side_regions()):
             v = region.vertices
             for p, q in zip(v, np.roll(v, -1, axis=0)):
-                sd = self.side_distances(0.5 * (p + q))[0]
+                sd = self.side_distances([0.5 * (p + q)])[0]
                 if sd[i] <= tol:
                     continue
                 sd[i] = np.inf
@@ -894,7 +886,7 @@ class ConvexPolygon(Domain):
                     segments.append((tuple(p), tuple(q)))
         nodes = []  # [point, degree]
         for p in (p for seg in segments for p in seg):
-            if self.side_distances(p).min() <= tol:
+            if self.side_distances([p]).min() <= tol:
                 continue
             node = next((nd for nd in nodes if np.hypot(*np.subtract(nd[0], p)) <= tol), None)
             if node is None:
@@ -914,7 +906,7 @@ class ConvexPolygon(Domain):
     def is_tangential(self, tol=1e-9):
         """True if the circle of `incircle` touches every side."""
         c, r = self.incircle()
-        sd = self.side_distances(c)[0]
+        sd = self.side_distances([c])[0]
         return bool(np.all(np.abs(sd - r) <= tol * (1 + r)))
 
     def _boundary_curve(self, n):
@@ -1009,6 +1001,6 @@ def interior_points(domain: Domain, n, seed):
     pts = np.empty((0, 2))
     while len(pts) < n:
         cand = rng.uniform([x0, y0], [x1, y1], size=(2 * n, 2))
-        keep = np.atleast_1d(domain.contains(cand, tol=tol))
+        keep = domain.contains(cand, tol=tol)
         pts = np.concatenate([pts, cand[keep][: n - len(pts)]])
     return pts

@@ -71,9 +71,9 @@ class MaskedGrid:
         midpoint rule stays second order on the O(h) band of cut cells.
         """
         pts = self.masked_points()
-        out = ~np.atleast_1d(self.domain.contains(pts, tol=0.0))
+        out = ~self.domain.contains(pts, tol=0.0)
         if np.any(out):
-            pts[out] = np.atleast_2d(self.domain.nearest_boundary_point(pts[out]))
+            pts[out] = self.domain.nearest_boundary_point(pts[out])
         return pts
 
     def integrate(self, values):

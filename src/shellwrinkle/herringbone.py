@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, RegimeError
-from .geometry import Domain
+from .geometry import Domain, _as_points
 
 GRID_PER_WAVELENGTH = 32  # default h = l_wr / 32
 _AVG_SAMPLES = 12  # per axis and lattice square, for the square's target average
@@ -164,10 +164,9 @@ class TargetDefect:
             self.field = None
 
     def matrix_at(self, x):
+        x = _as_points(x)
         if self.constant is not None:
-            x = np.atleast_2d(x)
             return np.broadcast_to(self.constant, (len(x), 2, 2)).copy()
-        x = np.atleast_2d(x)
         vals = np.asarray(self.field(x), dtype=float)
         return vals.reshape(len(x), 2, 2)
 
@@ -339,7 +338,6 @@ class HerringboneField:
         """(eta at x as two component vectors, distance to the jump set,
         sign of d(dist)/ds); the sign, which only the cutoff's gradient
         reads, is None unless ``sign`` is true."""
-        x = np.atleast_2d(x)
         s = x @ self.mdir
         if self.rank_one:
             dist = np.full(len(x), np.inf)
@@ -441,7 +439,7 @@ class HerringboneField:
     def evaluate(self, x):
         """All assembled fields at points x: dict with v, grad_v, w, grad_w,
         hess_w, chi (internal cutoff), wall mask."""
-        v, w, bulk, chi, grad_v, grad_w, hess_w = self._fields(np.atleast_2d(x))
+        v, w, bulk, chi, grad_v, grad_w, hess_w = self._fields(_as_points(x))
         return {
             "v": v.T, "grad_v": _stack(grad_v), "w": w, "grad_w": _stack(grad_w),
             "hess_w": _stack(hess_w), "chi_int": chi, "bulk": bulk,
@@ -496,11 +494,10 @@ class DisplacementField:
         return _eroded(self.bulk_mask)
 
     def points(self):
+        """(X, Y), the cell centres' coordinates, each (nx, ny)."""
         nx, ny = self.w.shape
-        xs = self.origin[0] + (np.arange(nx) + 0.5) * self.h
-        ys = self.origin[1] + (np.arange(ny) + 0.5) * self.h
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        return X, Y
+        c = _cell_centres(self.origin, self.h, ny, 0, nx)
+        return c[..., 0], c[..., 1]
 
     def _d(self, arr, axis):
         """Centered first difference, one-sided at the array edges."""
@@ -523,6 +520,16 @@ class DisplacementField:
         uy_x = self._d(self.u[..., 1], 0)
         uy_y = self._d(self.u[..., 1], 1)
         return np.stack([ux_x, 0.5 * (ux_y + uy_x), uy_y], axis=-1)
+
+
+def _cell_centres(origin, h, ny, r0, r1, out=None):
+    """The cell centres origin + ((i, j) + 1/2) h of rows r0 <= i < r1 of a
+    grid ny cells wide, as an (r1 - r0, ny, 2) array, written into ``out``
+    when given."""
+    out = np.empty((r1 - r0, ny, 2)) if out is None else out
+    out[..., 0] = (origin[0] + (np.arange(r0, r1) + 0.5) * h)[:, None]
+    out[..., 1] = origin[1] + (np.arange(ny) + 0.5) * h
+    return out
 
 
 def _grid_for(lo, hi, l_wr, h=None):
@@ -553,11 +560,8 @@ def _sample_grid(evaluator, lo, hi, params: HerringboneParams, h=None,
     def sample(r0, scratch):
         if not scratch:
             scratch["pts"] = np.empty((_BLOCK_ROWS, ny, 2))
-            scratch["pts"][..., 1] = lo[1] + (np.arange(ny) + 0.5) * h
         r1 = min(r0 + _BLOCK_ROWS, nx)
-        block = scratch["pts"][: r1 - r0]
-        block[..., 0] = (lo[0] + (np.arange(r0, r1) + 0.5) * h)[:, None]
-        pts = block.reshape(-1, 2)
+        pts = _cell_centres(lo, h, ny, r0, r1, scratch["pts"][: r1 - r0]).reshape(-1, 2)
         vb, wb, bb = v[:, r0:r1].reshape(2, -1), w[r0:r1].reshape(-1), bulk[r0:r1].reshape(-1)
         evaluator._values_into(pts, vb, wb, bb)
         if domain is not None:
@@ -635,7 +639,7 @@ class PiecewiseHerringboneField:
         return chi, grad, hess
 
     def cell_of(self, x):
-        x = np.atleast_2d(x)
+        x = _as_points(x)
         i = np.floor(x[:, 0] / self.l_avg).astype(int)
         j = np.floor(x[:, 1] / self.l_avg).astype(int)
         return i, j
@@ -688,7 +692,7 @@ class PiecewiseHerringboneField:
     def evaluate(self, x):
         """Assembled fields at points x (same keys as HerringboneField plus
         'mu_local' and 'chi_ext'), scattered from ``by_square``."""
-        x = np.atleast_2d(x)
+        x = _as_points(x)
         n = len(x)
         out = {
             "v": np.zeros((n, 2)), "grad_v": np.zeros((n, 2, 2)),
@@ -709,7 +713,7 @@ def _domain_samples(domain):
     ys = np.linspace(y0, y1, 33)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    return pts[np.atleast_1d(domain.contains(pts))]
+    return pts[domain.contains(pts)]
 
 
 def piecewise_herringbone(domain: Domain, mu, params: HerringboneParams,

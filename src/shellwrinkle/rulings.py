@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ParameterError, UnsupportedShapeError
-from .geometry import ConvexPolygon, Disc, Ellipse, HalfDisc, Rectangle, _pair, rot90
+from .geometry import ConvexPolygon, Disc, Ellipse, HalfDisc, Rectangle, _as_points, _pair, rot90
 
 POINT_BLOCK = 1 << 15  # points per block of `locate`, and of the rasterizer's interpolation
 
@@ -124,7 +124,7 @@ class Chart:
         step = spacing / self.speed
         n = max(1, int(np.ceil((s1 - s0) / step - 1e-12)) - 1)
         ss = s0 + step * np.arange(1, n + 1)
-        ss = ss[ss < s1 - 1e-12 * max(1.0, abs(s1))]
+        ss = ss[ss < s1 - 1e-12 * (s1 - s0)]
         if len(ss) == 0:
             ss = np.array([0.5 * (s0 + s1)])
         return [ln for ln in self.lines_at(ss) if ln.length > min_length]
@@ -149,7 +149,7 @@ def locate(charts, pts):
     rounds just outside) keeps the least miss, the lower index on ties.  A
     point that no chart's station range holds is -1, with NaN coordinates.
     """
-    pts = np.atleast_2d(pts)
+    pts = _as_points(pts)
     which = np.full(len(pts), -1)
     s, u, L = np.full((3, len(pts)), np.nan)
     eta = np.full(pts.shape, np.nan)
@@ -201,7 +201,6 @@ class ChordChart(Chart):
         self._eta = rot_minus90(self.d)
 
     def coords_eta(self, x):
-        x = np.atleast_2d(x)
         rel_lo, rel_hi = self.shape.line_spans(x, self.d)
         return x @ self.m, -rel_lo, np.maximum(rel_hi - rel_lo, 0.0), np.tile(self._eta, (len(x), 1))
 
@@ -236,7 +235,7 @@ class FanChart(Chart):
         self.speed = float(r_outer(0.5 * (self.t0 + self.t1)))
 
     def coords_eta(self, x):
-        v = (np.atleast_2d(x) - self.center) @ self.frame
+        v = (_as_points(x) - self.center) @ self.frame
         r, th = np.hypot(v[:, 0], v[:, 1]), np.arctan2(v[:, 1], v[:, 0])
         ri = self.r_inner(th)
         return th, r - ri, np.maximum(self.r_outer(th) - ri, 0.0), rot_minus90(self._ray(th))
@@ -272,7 +271,6 @@ class ExitRays:
         return y, nu, self.axis.exit_length(y, nu)
 
     def coords_eta(self, x):
-        x = np.atleast_2d(x)
         foot = self.domain.nearest_boundary_point(x)
         t = self.domain._boundary_parameter(foot)
         _, nu, L = self.at(t)
@@ -340,9 +338,7 @@ def tangential_data(poly: ConvexPolygon):
     c, r = poly.incircle()
     data = []
     for i, a_i in enumerate(poly.vertices - c):
-        mag = np.hypot(*a_i)
-        data.append({"vertex": a_i, "ahat": a_i / mag, "mag": mag,
-                     "alpha": 2 * np.arcsin(np.clip(r / mag, -1, 1)),
+        data.append({"vertex": a_i, "ahat": a_i / np.hypot(*a_i),
                      "contacts": (r * poly.edge_normals[i - 1], r * poly.edge_normals[i])})
     return np.asarray(c), float(r), data
 

@@ -14,6 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DataError
+from .geometry import _as_points
 
 
 @dataclass(frozen=True)
@@ -52,24 +53,19 @@ class ShellProfile:
                 raise DataError("constant curvature contradicts declared sign")
 
     def k(self, x):
-        """Evaluate K at points (n, 2) (or a single point)."""
-        x = np.asarray(x, dtype=float)
-        pts = x if x.ndim == 2 else x[None, :]
+        """K at (n, 2) points, one value each."""
+        pts = _as_points(x)
         if callable(self.curvature):
-            vals = np.asarray(self.curvature(pts), dtype=float)
-        else:
-            vals = np.full(len(pts), float(self.curvature))
-        return vals if x.ndim == 2 else float(vals[0])
+            return np.asarray(self.curvature(pts), dtype=float)
+        return np.full(len(pts), float(self.curvature))
 
     def gradient(self, x):
-        """Profile gradient; zero for a flat reference profile."""
-        x = np.asarray(x, dtype=float)
-        pts = x if x.ndim == 2 else x[None, :]
+        """Profile gradient at (n, 2) points, one row each; zero for a flat
+        reference profile."""
+        pts = _as_points(x)
         if self.grad_p is None:
-            g = np.zeros_like(pts)
-        else:
-            g = np.asarray(self.grad_p(pts), dtype=float)
-        return g if x.ndim == 2 else g[0]
+            return np.zeros_like(pts)
+        return np.asarray(self.grad_p(pts), dtype=float)
 
     @staticmethod
     def constant(k):

@@ -87,20 +87,20 @@ class TestPhiMinus:
     def test_disc_example(self, disc):
         # half the squared radius minus half the squared distance: at r=0.5
         # the distance is 0.5, so the value vanishes
-        assert airy.phi_minus(disc, (0.5, 0.0)) == pytest.approx(0.0, abs=1e-14)
+        assert airy.phi_minus(disc, [(0.5, 0.0)])[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_boundary_trace(self, ellipse, rect, pentagon):
         for dom in (ellipse, rect, pentagon):
             for bp in dom.boundary_sample(64):
                 x = bp.position
-                assert airy.phi_minus(dom, x) == pytest.approx(0.5 * x @ x, abs=1e-9)
+                assert airy.phi_minus(dom, [x])[0] == pytest.approx(0.5 * x @ x, abs=1e-9)
 
     def test_rectangle_center(self, rect):
-        assert airy.phi_minus(rect, (0.0, 0.0)) == pytest.approx(-0.5, abs=1e-12)
+        assert airy.phi_minus(rect, [(0.0, 0.0)])[0] == pytest.approx(-0.5, abs=1e-12)
 
     def test_outside_raises(self, disc):
         with pytest.raises(DomainError):
-            airy.phi_minus(disc, (1.5, 0.0))
+            airy.phi_minus(disc, [(1.5, 0.0)])
 
     def test_gradient_is_the_foot_and_raises_outside(self, ellipse, half_disc_neg, pentagon):
         # grad phi = x - d grad d is the foot point inside; outside beyond
@@ -111,14 +111,14 @@ class TestPhiMinus:
             np.testing.assert_array_equal(af.grad_phi(x), dom.nearest_boundary_point(x))
             s = dom.boundary_sample(16)
             out = s.position[~s.corner] + 1e-9 * dom.diameter() * s.nu[~s.corner]
-            for p in (out, out[0]):
+            for p in (out, out[:1]):
                 with pytest.raises(DomainError):
                     af.grad_phi(p)
 
 
 class TestPhiPlus:
     def test_ellipse_value(self, ellipse):
-        assert airy.phi_plus(ellipse, (1.0, 0.0)) == pytest.approx(0.875, abs=1e-12)
+        assert airy.phi_plus(ellipse, [(1.0, 0.0)])[0] == pytest.approx(0.875, abs=1e-12)
 
     def test_disc_constant(self, disc):
         pts = interior_points(disc, 100, seed=1)
@@ -134,7 +134,7 @@ class TestPhiPlus:
         # boundary trace in the shifted frame
         for bp in d.boundary_sample(32):
             x = bp.position
-            assert airy.phi_plus(d, x) == pytest.approx(0.5 * x @ x, abs=1e-10)
+            assert airy.phi_plus(d, [x])[0] == pytest.approx(0.5 * x @ x, abs=1e-10)
 
     def test_half_disc_formula(self, half_disc_pos):
         # paper frame: polar about the origin, rays crossing at |p|, |q|
@@ -220,7 +220,7 @@ class TestAdmissibility:
         af = airy.solve_dual(ellipse, POS)
         for bp in ellipse.boundary_sample(64):
             p_in = bp.position - 1e-9 * ellipse.diameter() * bp.nu
-            g = af.grad_phi(p_in)
+            g = af.grad_phi([p_in])[0]
             jump = bp.nu @ (bp.position - g)
             x1, x2 = bp.position
             ref = np.sqrt(x1**2 / 16 + x2**2)  # b^2 sqrt(x1^2/a^4 + x2^2/b^4)
@@ -259,7 +259,7 @@ class TestConvexRoof:
             (rect, [(0.5, 0.3), (-1.4, 0.1)]),
         ):
             for p in pts:
-                roof = airy.convex_roof(dom, p, 24)
+                roof = airy.convex_roof(dom, [p], 24)[0]
                 brute = convex_roof_bruteforce(dom, p, 24)
                 assert roof == pytest.approx(brute, abs=1e-9)
 
@@ -318,11 +318,11 @@ class TestConvexRoof:
         pts = roof_queries(dom, 512, 400, seed=3)
         alone = roof_queries(dom, 512, 10, seed=4)[-30:]  # 10 samples, on chords and inside
         batch = airy.convex_roof(dom, np.vstack([pts, alone]), 512)[len(pts):]
-        assert np.array_equal(batch, [airy.convex_roof(dom, p, 512) for p in alone])
+        assert np.array_equal(batch, [airy.convex_roof(dom, [p], 512)[0] for p in alone])
 
     def test_needs_16_samples(self, disc):
         with pytest.raises(ResolutionError):
-            airy.convex_roof(disc, (0.0, 0.0), 8)
+            airy.convex_roof(disc, [(0.0, 0.0)], 8)
 
     def test_cocircular_disc_samples(self, disc):
         # every sample lies on the circle, so the lifted points are coplanar
@@ -336,23 +336,18 @@ class TestConvexRoof:
         y0, y1 = (bp.position for bp in disc.boundary_sample(16)[:2])
         mid = 0.5 * (y0 + y1)
         p = 0.999 * mid / np.hypot(*mid)
-        assert disc.contains(p)
+        assert disc.contains([p])[0]
         with pytest.raises(DomainError):
-            airy.convex_roof(disc, p, 16)
+            airy.convex_roof(disc, [p], 16)
 
     def test_depth_outside_the_sample_polygon_is_measured_against_1e_12_diam(self, disc):
         y0, y1 = disc.boundary_sample(16).position[:2]
         mid = 0.5 * (y0 + y1)
         out = mid / np.hypot(*mid)
-        assert airy.convex_roof(disc, mid + 1e-14 * out, 16) == pytest.approx(0.5, abs=1e-15)
+        assert airy.convex_roof(disc, [mid + 1e-14 * out], 16)[0] == pytest.approx(0.5, abs=1e-15)
         with pytest.raises(DomainError):
-            airy.convex_roof(disc, mid + 1e-9 * out, 16)
+            airy.convex_roof(disc, [mid + 1e-9 * out], 16)
 
     def test_outside_domain_raises(self, ellipse):
         with pytest.raises(DomainError):
             airy.convex_roof(ellipse, [(0.0, 0.0), (2.5, 0.0)], 64)
-
-    def test_single_point_returns_float(self, ellipse):
-        val = airy.convex_roof(ellipse, (0.3, 0.2), 64)
-        assert isinstance(val, float)
-        assert val == airy.convex_roof(ellipse, [(0.3, 0.2)], 64)[0]

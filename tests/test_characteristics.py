@@ -514,7 +514,7 @@ class TestMemory:
             "    curlcurl_residual(df, pos, 4)\n"
             "    check_admissible(df.airy, domain, n_boundary=64, n_pairs=100)\n"
             "    s = domain.boundary_sample(64).position\n"
-            "    convex_roof(domain, 0.5 * (s[0] + s[len(s) // 2]), 64)\n"
+            "    convex_roof(domain, [0.5 * (s[0] + s[len(s) // 2])], 64)\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = cli.main(['dual', '--shape', 'ellipse', '--a', '2', '--b-axis', '1',\n"
             "                     '--sign', 'positive', '--resolution', '64'])\n"
@@ -566,6 +566,17 @@ class TestPrimalValues:
         one = primal(1.0)
         for s in (2.0**20, 2.0**40, 1e6):
             assert abs(primal(s) - one) <= 1e-15 * one, s
+
+    @pytest.mark.parametrize("shape", [lambda s: Ellipse(2 * s, s), Disc], ids=["ellipse", "disc"])
+    def test_positive_tiny_shapes_scale_as_at_size_one(self, shape):
+        # the last station and the clamp past the outer lines sit 1e-12 of
+        # the station range in, not 1e-12 absolute: an absolute margin
+        # dropped lines at size 1e-30 and moved the primal by a third
+        def primal(s):
+            return chars.defect_field(shape(s), POS, 64).primal_value() / s**4
+
+        one = primal(1.0)
+        assert abs(primal(1e-30) - one) <= 1e-12 * one
 
 
 class TestCurlCurlResidual:

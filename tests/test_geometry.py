@@ -35,21 +35,21 @@ def brute_distance(domain, x, n=100_000):
 
 class TestBoundaryDistance:
     def test_disc_center(self, disc):
-        assert disc.boundary_distance((0.0, 0.0)) == pytest.approx(1.0, abs=1e-15)
+        assert disc.boundary_distance([(0.0, 0.0)])[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_rectangle_center_brute_force(self, rect):
-        d = rect.boundary_distance((0.0, 0.0))
+        d = rect.boundary_distance([(0.0, 0.0)])[0]
         assert d == pytest.approx(1.0, abs=1e-12)
         assert d == pytest.approx(brute_distance(rect, (0.0, 0.0)), abs=1e-4)
 
     def test_boundary_points_give_zero(self, ellipse, rect, triangle):
         for dom in (ellipse, rect, triangle):
             for bp in dom.boundary_sample(32):
-                assert dom.boundary_distance(bp.position) == pytest.approx(0.0, abs=1e-9)
+                assert dom.boundary_distance([bp.position])[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_outside_raises(self, disc):
         with pytest.raises(DomainError):
-            disc.boundary_distance((2.0, 0.0))
+            disc.boundary_distance([(2.0, 0.0)])
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_ellipse_against_brute_force(self, ellipse, seed):
@@ -87,7 +87,7 @@ def exit_gradient(dom, p):
     """grad d = (p - y) / |p - y| at interior points, y the nearest
     boundary point."""
     p = np.atleast_2d(p)
-    g = p - np.atleast_2d(dom.nearest_boundary_point(p))
+    g = p - dom.nearest_boundary_point(p)
     return g / np.hypot(g[:, 0], g[:, 1])[:, None]
 
 
@@ -126,7 +126,7 @@ class TestExitGradient:
                 e = np.zeros(2)
                 e[axis] = h
                 fd = (
-                    dom.boundary_distance(p + e) - dom.boundary_distance(p - e)
+                    dom.boundary_distance([p + e])[0] - dom.boundary_distance([p - e])[0]
                 ) / (2 * h)
                 assert g[axis] == pytest.approx(fd, abs=1e-6)
 
@@ -175,8 +175,8 @@ def test_polygon_foot_of_outside_point_is_on_a_closed_side(pentagon):
     # outside near a vertex, the foot on the nearest side's line misses the
     # side; the nearest boundary point is then the vertex itself
     unit = ConvexPolygon([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
-    assert np.array_equal(unit.nearest_boundary_point([1.2, 1.1]), [1.0, 1.0])
-    assert np.array_equal(unit.nearest_boundary_point([1.2, 0.5]), [1.0, 0.5])
+    assert np.array_equal(unit.nearest_boundary_point([[1.2, 1.1]]), [[1.0, 1.0]])
+    assert np.array_equal(unit.nearest_boundary_point([[1.2, 0.5]]), [[1.0, 0.5]])
     rng = np.random.default_rng(3)
     x = rng.uniform(-3.0, 3.0, size=(400, 2))
     y = pentagon.nearest_boundary_point(x)
@@ -192,9 +192,9 @@ def test_polygon_feet_do_not_depend_on_the_batch(pentagon):
     # and distance are the same whether it comes alone or with 4,999 others
     x = interior_points(pentagon, 5000, seed=5)
     out = np.random.default_rng(6).uniform(-3.0, 3.0, size=(1000, 2))
-    alone = np.array([pentagon.nearest_boundary_point(p) for p in np.vstack([x, out])])
+    alone = np.array([pentagon.nearest_boundary_point([p])[0] for p in np.vstack([x, out])])
     assert np.array_equal(pentagon.nearest_boundary_point(np.vstack([x, out])), alone)
-    alone = np.array([pentagon.boundary_distance(p) for p in x])
+    alone = np.array([pentagon.boundary_distance([p])[0] for p in x])
     assert np.array_equal(pentagon.boundary_distance(x), alone)
     slack = [c - n1 * x[:, 0] - n2 * x[:, 1] for n1, n2, c in pentagon.region()[0]]
     assert np.array_equal(pentagon.side_distances(x), np.stack(slack, axis=1))
@@ -205,10 +205,10 @@ def test_half_disc_foot_of_outside_point_is_on_the_boundary():
     # is the corner itself
     hd = HalfDisc(1.0)
     for p in ([1.01, -0.001], [1.01, -0.1]):
-        y = hd.nearest_boundary_point(p)
-        assert hd.contains(y, tol=1e-12), (p, y)
+        y = hd.nearest_boundary_point([p])
+        assert hd.contains(y, tol=1e-12)[0], (p, y)
         assert np.allclose(y, [1.0, 0.0], atol=1e-15)
-    assert np.allclose(hd.nearest_boundary_point([0.5, -0.3]), [0.5, 0.0], atol=1e-15)
+    assert np.allclose(hd.nearest_boundary_point([[0.5, -0.3]]), [0.5, 0.0], atol=1e-15)
     turned = HalfDisc(1.0, center=(0.3, -0.2), orientation=1.1)
     rng = np.random.default_rng(4)
     x = rng.uniform(-3.0, 3.0, size=(400, 2))
@@ -303,7 +303,7 @@ class TestMedialAxis:
         bnd = np.array([bp.position for bp in pentagon.boundary_sample(8192)])
         for p, q in ma.segments:
             mid = 0.5 * (np.asarray(p) + np.asarray(q))
-            d = pentagon.boundary_distance(mid)
+            d = pentagon.boundary_distance([mid])[0]
             if d < 1e-6:
                 continue
             near = np.hypot(*(bnd - mid).T) <= d + 1e-6
@@ -546,7 +546,7 @@ class TestLineClipping:
             # a line farther from the box centre than its corners misses
             centre = 0.5 * np.array([x0 + x1, y0 + y1])
             far = centre + (0.5 * dom.diameter() + 1.0) * np.array([d[1], -d[0]])
-            lo, hi = dom.line_spans(far, d)
+            lo, hi = dom.line_spans([far], d)
             assert lo[0] > hi[0]
         assert hits > 500
 
@@ -841,7 +841,7 @@ class TestValidationAndConfig:
 def test_disc_distance_property(rho, ang, r):
     d = Disc(r)
     p = r * rho * np.array([np.cos(ang), np.sin(ang)])
-    assert d.boundary_distance(p) == pytest.approx(r * (1 - rho), abs=1e-12)
+    assert d.boundary_distance([p])[0] == pytest.approx(r * (1 - rho), abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -854,7 +854,7 @@ def test_half_disc_contains_consistent(rho, ang):
     c, u, w = hd._frame()
     p = c + rho * (np.cos(ang) * w + np.sin(ang) * u)
     loc = hd.to_local(p)
-    assert hd.contains(p) == bool((np.hypot(*loc) <= 1.0) and loc[1] >= 0)
+    assert hd.contains([p])[0] == bool((np.hypot(*loc) <= 1.0) and loc[1] >= 0)
 
 
 _FUZZ_BAD = st.one_of(

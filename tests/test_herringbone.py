@@ -281,7 +281,7 @@ class TestPiecewise:
         key = next(iter(assembly.cells))
         origin = assembly.cells[key]["origin"]
         p = origin + 0.5 * params.l_avg
-        if not dom.contains(p):
+        if not dom.contains(p[None, :])[0]:
             p = np.array([0.1, 0.05])
         out = assembly.evaluate(p[None, :])
         single = assembly.cells[assembly.cell_of(p[None, :])[0][0],

@@ -82,7 +82,7 @@ class TestPartition:
         af = airy.solve_dual(triangle, POS)
         c, _, _ = tangential_data(triangle)
         # the incenter is inside the contact polygon
-        assert af.charts[locate(af.charts, c)[0][0]].label == "U"
+        assert af.charts[locate(af.charts, [c])[0][0]].label == "U"
 
     def test_consistency_error(self, ellipse, disc):
         af = airy.solve_dual(ellipse, POS)
@@ -140,11 +140,11 @@ class TestFamilies:
         for ln in stable_lines(ellipse, af, 0.1).lines:
             assert ln.start_kind == ln.end_kind == "boundary"
             for p in (ln.start, ln.end):
-                assert ellipse.boundary_distance(p) < 1e-8
+                assert ellipse.boundary_distance([p])[0] < 1e-8
         afn = airy.solve_dual(pentagon, NEG)
         for ln in stable_lines(pentagon, afn, 0.1).lines:
             assert ln.end_kind == "boundary"
-            assert pentagon.boundary_distance(ln.end) < 1e-8
+            assert pentagon.boundary_distance([ln.end])[0] < 1e-8
             # start on the medial axis: two nearest sides equidistant
             sd = np.sort(pentagon.side_distances(ln.start[None, :])[0])
             assert sd[1] - sd[0] < 1e-8
@@ -155,7 +155,7 @@ class TestFamilies:
             fam = stable_lines(dom, af, dom.diameter() / 30)
             for ln in fam.lines:
                 mid = 0.5 * (ln.start + ln.end)
-                foot = dom.nearest_boundary_point(mid)
+                foot = dom.nearest_boundary_point([mid])[0]
                 exit_dir = (foot - mid) / np.hypot(*(foot - mid))
                 # line direction equals the exit direction -grad d
                 assert np.allclose(ln.direction(), exit_dir, atol=1e-8)
@@ -217,7 +217,7 @@ def test_negative_lines_are_exit_rays(request, name, shell):
         for ln in lines:
             nu = dom._outward_normal_at(ln.end[None, :])[0]
             np.testing.assert_allclose(ln.direction(), nu, rtol=0, atol=1e-12)
-            assert dom.boundary_distance(ln.start) == pytest.approx(ln.length, abs=1e-9)
+            assert dom.boundary_distance([ln.start])[0] == pytest.approx(ln.length, abs=1e-9)
             assert ln.start_kind == ("focal_point" if ln.rho0 == 0.0 else "medial_axis")
         for a, b in zip(lines[:-1], lines[1:]):
             eta = 0.5 * (a.eta + b.eta)
