@@ -260,7 +260,8 @@ class Domain:
     At K < 0 `rulings.ExitRays` and `ExitChart` read a shape only through its boundary
     data: `_boundary_pieces()`, a (t0, t1, speed) per smooth piece between
     corners, with t the shape's own parameter (an angle on a circle or an
-    ellipse, the position along a flat side) and speed the largest |dy/dt|;
+    ellipse, the position along a polygon's side, the position over the
+    radius along the half-disc's flat side) and speed the largest |dy/dt|;
     `_boundary_at(t)` and its inverse `_boundary_parameter(y)`;
     `_curvature_at(y)`, 0 on flat sides; `_outward_normal_at` and
     `medial_axis()`.
@@ -689,19 +690,21 @@ class HalfDisc(Domain):
         return nu_loc[:, :1] * w + nu_loc[:, 1:] * u
 
     def _boundary_pieces(self):
-        # the arc by its angle, then the flat side by pi + R + its local t
-        return [(0.0, np.pi, self.radius), (np.pi, np.pi + 2 * self.radius, 1.0)]
+        # the arc by its angle, then the flat side by pi + 1 + its local t / R,
+        # a parameter of the same size as the arc's at every radius
+        return [(0.0, np.pi, self.radius), (np.pi, np.pi + 2.0, self.radius)]
 
     def _boundary_at(self, t):
         R = self.radius
         arc = R * _pair(np.cos(t), np.sin(t))
-        return self.from_local(np.where((t <= np.pi)[:, None], arc, _pair(t - np.pi - R, 0.0)))
+        flat = _pair(R * (t - np.pi - 1.0), 0.0)
+        return self.from_local(np.where((t <= np.pi)[:, None], arc, flat))
 
     def _boundary_parameter(self, y):
         loc = self.to_local(y)
         R = self.radius
         return np.where(self._on_arc(loc), np.clip(np.arctan2(loc[:, 1], loc[:, 0]), 0.0, np.pi),
-                        np.pi + R + np.clip(loc[:, 0], -R, R))
+                        np.pi + 1.0 + np.clip(loc[:, 0] / R, -1.0, 1.0))
 
     def _curvature_at(self, y):
         return np.where(self._on_arc(self.to_local(y)), 1.0 / self.radius, 0.0)

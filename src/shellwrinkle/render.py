@@ -4,6 +4,12 @@ SVG conventions: stable lines 0.6-unit strokes, singular set 2.0-unit bold,
 domain outline 1.2-unit, unconstrained regions unfilled.  All floats are
 formatted to 9 significant digits so identical inputs produce identical
 bytes.
+
+Every value of the table CSVs (`defect_csv`, `heightmap_csv`) is exactly
+``"%.9g" % v``.  `_format_g9` writes it with array arithmetic for ±0 and
+every |v| in [1e-14, 1e31) whose 9-digit rounding it can prove; the rest
+(NaN, ±inf, subnormals, |v| outside that range, a decimal tie or a value
+whose scaled rounding lands on one) go through one ``%`` per block.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 FMT = "{:.9g}"
-CSV_BLOCK_ROWS = 4096  # rows formatted per block by the CSV and heatmap rect writers
+CSV_BLOCK_ROWS = 1024  # rows formatted per block by the CSV and heatmap rect writers
 RECT = '<rect x="%.9g" y="%.9g" width="%.9g" height="%.9g" fill="%s" stroke="none"/>'
 GREY_FILLS = np.array(["#%02x%02x%02x" % (g, g, g) for g in range(256)], dtype=object)
 
@@ -165,27 +171,129 @@ def medial_csv(medial):
     return csv_lines(["x1", "y1", "x2", "y2"], medial.to_csv_rows())
 
 
+def _ascii_word(text, at=0):
+    """``text`` as the bytes ``at``, ``at`` + 1, ... of a little-endian uint64."""
+    return int.from_bytes(b"\0" * at + text.encode(), "little")
+
+
+def _g9_tables():
+    """The lookup tables of `_format_g9`.
+
+    ``digits4`` and ``zeros4``: the four ASCII digits of 0..9999, first
+    digit in the low byte, and their trailing zeros (4 for 0).  ``low``:
+    the mask of the low k bytes, k = 0..8.  ``layout``: one row per decimal
+    exponent X = -14..31 of the rounded value, at row X + 14: the digits it
+    writes at least (its integer digits in the fixed form), the low-byte
+    mask of the digits after the first that the point follows (X = 1..7),
+    its point among them, its point after the first digit, its "0.000"
+    prefix and its "e+XX" suffix.
+    """
+    d = np.arange(10**4)
+    digits4 = sum((48 + d // 10 ** (3 - i) % 10).astype(np.uint64) << np.uint64(8 * i)
+                  for i in range(4))
+    zeros4 = (d % 10 == 0).astype(np.uint64) + (d % 100 == 0) + (d % 1000 == 0) + (d == 0)
+    low = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+    layout = np.zeros((46, 6), dtype=np.uint64)
+    for x in range(-14, 32):
+        fixed = -4 <= x < 9
+        layout[x + 14] = (
+            x + 1 if 0 <= x < 9 else 1,
+            low[x if 1 <= x <= 7 else 8],
+            _ascii_word(".", x) if 1 <= x <= 7 else 0,
+            _ascii_word(".", 7) if x == 0 or not fixed else 0,
+            _ascii_word("0." + "0" * (-x - 1), 1) if x < 0 and fixed else 0,
+            0 if fixed else _ascii_word("e%+03d" % x, 1),
+        )
+    return digits4, zeros4, low, layout
+
+
+_DIGITS4, _ZEROS4, _LOW, _LAYOUT = _g9_tables()
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact doubles
+_FALLBACK = _ascii_word("%.9g")
+
+
+def _format_g9(values, seps):
+    """``"%.9g" % v`` for every double of the (rows, cols) array ``values``,
+    each followed by its column's separator, as one string.
+
+    Each value is written as three uint64 words of ASCII and NUL padding:
+    the sign, the "0.000" prefix, the first digit and its point; the other
+    eight digits with the point inserted; the ninth digit when the point
+    pushed it out, "e+XX" and the separator (``seps``, one word per column
+    with the character in byte 5).  Stripped zeros and absent characters
+    are NULs, dropped once per block.
+
+    The digits come from one rounding: e = floor(log10|v|), and |v| is
+    multiplied by 10^(8 - e), or divided by 10^(e - 8), an exact double
+    when that exponent is at most 22, so e is in [-14, 30].  That rounding
+    is monotone and every half-integer below 2^52 is a double, so the
+    scaled value is on the same side of a half-integer as the exact one,
+    or on it: q = rint(scaled) is taken only when |scaled - q| < 0.5, which
+    drops every decimal tie and every value that rounds onto one.  It is
+    also taken only when 1e8 - 0.04 <= scaled and q <= 1e9: a log10 one too
+    high next to a power of ten leaves scaled just below 1e8, where 10^e is
+    the 9-digit rounding down to 1e8 - 0.05, and one too low leaves q = 1e9.
+    q = 1e9 carries into the next decade before the fixed or exponent form
+    is chosen, as ``%g`` does.  Every other nonzero value is written by one ``%`` on the block's
+    text, with ``"%.9g"`` in its place.
+    """
+    a = np.abs(values)
+    ok = (a >= 1e-14) & (a < 1e31)
+    a = np.where(ok, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    p = np.clip(8 - e, -22, 22)
+    ok &= p == 8 - e
+    scaled = a * _POW10.take(np.maximum(p, 0)) / _POW10.take(np.maximum(-p, 0))
+    q = np.rint(scaled)
+    ok &= (np.abs(scaled - q) < 0.5) & (scaled >= 1e8 - 0.04) & (q <= 1e9)
+    carry = q == 1e9
+    # zero and every value left to the fallback get the digits of 0 at
+    # X = 0, and the fallback's words are replaced below
+    n = np.where(ok, np.where(carry, 1e8, q), 0.0).astype(np.int64)
+    layout = _LAYOUT.take(np.where(ok, e + carry, 0) + 14, axis=0)
+    keep_min, low, tail_dot, head_dot, prefix, suffix = np.moveaxis(layout, -1, 0)
+    first, rest = np.divmod(n, 10**8)
+    hi4, lo4 = np.divmod(rest, 10**4)
+    zeros = np.where(lo4 == 0, 4 + _ZEROS4.take(hi4), _ZEROS4.take(lo4))
+    keep = np.maximum(9 - zeros, keep_min)  # digits written
+    point = keep > keep_min
+    digits = (_DIGITS4.take(hi4) | _DIGITS4.take(lo4) << np.uint64(32)) & _LOW.take(keep - 1)
+    moved = digits & ~low
+    words = np.empty(values.shape + (3,), dtype=np.uint64)
+    words[..., 0] = (np.signbit(values) * np.uint64(ord("-")) | prefix
+                     | (first.astype(np.uint64) + np.uint64(48)) << np.uint64(48)
+                     | np.where(point, head_dot, 0))
+    words[..., 1] = digits & low | moved << np.uint64(8) | np.where(point, tail_dot, 0)
+    words[..., 2] = moved >> np.uint64(56) | suffix | seps
+    fallback = ~ok & (values != 0)
+    others = tuple(values[fallback].tolist())
+    if others:
+        words[fallback, :2] = (0, _FALLBACK)
+    text = words.astype("<u8", copy=False).tobytes().translate(None, b"\0").decode("ascii")
+    return text % others if others else text
+
+
 def _csv_table(header, columns):
     """The header, then row k of the equal-length 1-D float arrays
-    ``columns`` on line k, each value formatted like `FMT`.
+    ``columns`` on line k, each value exactly ``"%.9g" % v``.
 
-    Rows are formatted CSV_BLOCK_ROWS at a time, with one ``%`` on the row
-    format repeated per row, so no string per row is ever held: the text
-    exists only as the block strings and their join.
+    Rows are written CSV_BLOCK_ROWS at a time by `_format_g9`: array
+    arithmetic for ±0 and each |v| in [1e-14, 1e31) it can round with
+    proof, one ``%`` per block for the rest (NaN, ±inf, subnormals, other
+    magnitudes, values on or rounding onto a tie).  No string per row is
+    ever held: the text exists only as the block strings and their join.
     """
-    row = ",".join(["%.9g"] * len(columns))
-    parts = [",".join(header)]
+    seps = np.full(len(columns), _ascii_word(",", 5), dtype=np.uint64)
+    seps[-1] = _ascii_word("\n", 5)
+    parts = [",".join(header) + "\n"]
     for a in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        block = np.column_stack([c[a:a + CSV_BLOCK_ROWS] for c in columns])
-        parts.append("\n".join([row] * len(block)) % tuple(block.ravel().tolist()))
-    parts.append("")  # the closing newline, without a copy of the joined table
-    return "\n".join(parts)
+        parts.append(_format_g9(np.column_stack([c[a:a + CSV_BLOCK_ROWS] for c in columns]), seps))
+    return "".join(parts)
 
 
 def defect_csv(defect):
     """Masked cells in row-major order: x, y, lambda, eta (NaN eta as 0),
-    each value formatted like `FMT`; rows are formatted in blocks of
-    CSV_BLOCK_ROWS."""
+    each value exactly ``"%.9g" % v`` (`_csv_table`)."""
     grid = defect.grid
     m = grid.mask
     eta = defect.eta[m]
@@ -197,7 +305,7 @@ def defect_csv(defect):
 
 
 def heightmap_csv(field):
-    """Every grid cell in row-major order: x, y, w, each value formatted
-    like `FMT`; rows are formatted in blocks of CSV_BLOCK_ROWS."""
+    """Every grid cell in row-major order: x, y, w, each value exactly
+    ``"%.9g" % v`` (`_csv_table`)."""
     X, Y = field.points()
     return _csv_table(["x", "y", "w"], [X.ravel(), Y.ravel(), field.w.ravel()])

@@ -578,6 +578,15 @@ class TestPrimalValues:
         one = primal(1.0)
         assert abs(primal(1e-30) - one) <= 1e-12 * one
 
+    def test_negative_tiny_half_disc_scales_as_at_size_one(self):
+        # the flat side's boundary parameter is pi + 1 + t / R: as pi + R + t
+        # it rounded t away as R shrank, 45% off the primal at size 1e-30
+        def primal(s):
+            return chars.defect_field(HalfDisc(s), NEG, 64).primal_value() / s**4
+
+        one = primal(1.0)
+        assert abs(primal(1e-30) - one) <= 1e-12 * one
+
 
 class TestCurlCurlResidual:
     def test_exact_field_small_residual(self, ellipse):

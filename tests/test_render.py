@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shellwrinkle import characteristics as chars
 from shellwrinkle import cli, render
@@ -36,16 +38,40 @@ def test_defect_csv_matches_per_value_format(half_disc_neg):
     assert render.defect_csv(df) == per_value_defect_csv(df)
 
 
-def test_defect_csv_blocks_give_the_same_bytes(half_disc_neg, monkeypatch):
+def random_heightmap():
+    """A 37 x 29 height map whose values span 600 decades, with zeros of
+    both signs, NaN, infinities, subnormals and 1/3 among them."""
+    nx, ny, h = 37, 29, 0.013
+    rng = np.random.default_rng(3)
+    w = rng.standard_normal((nx, ny)) * 10.0 ** rng.integers(-300, 300, (nx, ny))
+    w.flat[:8] = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2e-308, 1.0 / 3.0]
+    return DisplacementField(
+        origin=(-0.2, 0.1), h=h, u=np.zeros((nx, ny, 2)), w=w,
+        domain_mask=np.ones((nx, ny), dtype=bool), bulk_mask=np.ones((nx, ny), dtype=bool),
+    )
+
+
+def per_value_heightmap_csv(field):
+    X, Y = field.points()
+    nx, ny = field.w.shape
+    rows = [(X[i, j], Y[i, j], field.w[i, j]) for i in range(nx) for j in range(ny)]
+    return render.csv_lines(["x", "y", "w"], rows)
+
+
+@pytest.mark.parametrize("writer", ["defect_csv", "heightmap_csv"])
+def test_defect_csv_blocks_give_the_same_bytes(half_disc_neg, monkeypatch, writer):
     # one row per block, blocks that end mid-table, one block one row short
     # of the table, one exactly the table, one longer than it
-    df = chars.defect_field(half_disc_neg, ShellProfile.constant(-1.0), 64)
-    expected = per_value_defect_csv(df)
-    n = int(df.grid.mask.sum())
+    if writer == "defect_csv":
+        data = chars.defect_field(half_disc_neg, ShellProfile.constant(-1.0), 64)
+        expected, n = per_value_defect_csv(data), int(data.grid.mask.sum())
+    else:
+        data = random_heightmap()
+        expected, n = per_value_heightmap_csv(data), data.w.size
     assert n > 1000
     for block_rows in (1, 7, 256, n - 1, n, n + 1):
         monkeypatch.setattr(render, "CSV_BLOCK_ROWS", block_rows)
-        assert render.defect_csv(df) == expected, block_rows
+        assert getattr(render, writer)(data) == expected, block_rows
 
 
 def test_defect_csv_holds_no_string_per_row():
@@ -63,17 +89,90 @@ def test_defect_csv_holds_no_string_per_row():
 
 
 def test_heightmap_csv_matches_per_value_format():
-    nx, ny, h = 37, 29, 0.013
-    rng = np.random.default_rng(3)
-    w = rng.standard_normal((nx, ny)) * 10.0 ** rng.integers(-300, 300, (nx, ny))
-    w.flat[:8] = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2e-308, 1.0 / 3.0]
-    field = DisplacementField(
-        origin=(-0.2, 0.1), h=h, u=np.zeros((nx, ny, 2)), w=w,
-        domain_mask=np.ones((nx, ny), dtype=bool), bulk_mask=np.ones((nx, ny), dtype=bool),
-    )
-    X, Y = field.points()
-    rows = [(X[i, j], Y[i, j], w[i, j]) for i in range(nx) for j in range(ny)]
-    assert render.heightmap_csv(field) == render.csv_lines(["x", "y", "w"], rows)
+    field = random_heightmap()
+    assert render.heightmap_csv(field) == per_value_heightmap_csv(field)
+
+
+def g9_column(values):
+    """`_csv_table` on one column, and ``"%.9g" % v`` line by line."""
+    values = np.asarray(values, dtype=float)
+    expected = "v\n" + "".join("%.9g\n" % v for v in values.tolist())
+    return render._csv_table(["v"], [values]), expected
+
+
+def neighbours(x, k=3):
+    """x and the k doubles on each side of each of its values, both signs."""
+    x = np.asarray(x, dtype=float)
+    out, lo, hi = [x], x, x
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    out = np.concatenate(out)
+    return np.concatenate([out, -out])
+
+
+def test_g9_next_to_powers_of_ten():
+    # floor(log10 |v|) is one off on either side of 10^k, and the scale by
+    # 10^(8 - e) is exact only for e in [-14, 30]
+    got, expected = g9_column(neighbours([float(f"1e{k}") for k in range(-324, 309)]))
+    assert got == expected
+
+
+def test_g9_where_rounding_carries_into_the_next_decade():
+    # (1e9 - 0.5) 10^(k - 9) rounds to 10^k: the carry decides the fixed or
+    # exponent form at k = -4 (e = -5 / -4) and k = 9 (e = 8 / 9); the
+    # digits just above and below the half carry and do not
+    values = [float(f"{m}e{k - len(m)}")
+              for k in range(-20, 40) for m in ("9999999995", "99999999951", "99999999949")]
+    got, expected = g9_column(neighbours(values))
+    assert got == expected
+
+
+def test_g9_ties_and_special_values():
+    # exact decimal ties at the ninth digit round half to even in "%.9g";
+    # zeros keep their sign; subnormals, the extremes, NaN and infinities,
+    # with no RuntimeWarning (an error under the pytest config)
+    values = [1234567885.0, 1000000005.0, 9999999995.0, 123456788.5, 12345678.25,
+              0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.225073858507201e-308,
+              2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+    got, expected = g9_column(values)
+    assert got == expected
+
+
+def test_g9_next_to_decimal_ties():
+    # the doubles nearest a tie at the ninth digit: the rounded scaled value
+    # may land on the half, on either side of the true one
+    rng = np.random.default_rng(6)
+    digits = rng.integers(10**8, 10**9, 2000)
+    exps = rng.integers(-24, 22, 2000)
+    got, expected = g9_column(neighbours([float(f"{d}5e{k}") for d, k in zip(digits, exps)]))
+    assert got == expected
+
+
+def test_g9_all_fallback_column():
+    # every value below 1e-14: each block goes through one "%" alone
+    rng = np.random.default_rng(7)
+    got, expected = g9_column(rng.standard_normal(3000) * 1e-20)
+    assert got == expected
+
+
+def test_g9_writes_in_range_values_itself(monkeypatch):
+    # with the fallback's placeholder marked, no value of magnitude in
+    # [1e-14, 1e31) away from a tie is left to it, and NaN is
+    monkeypatch.setattr(render, "_FALLBACK", render._ascii_word("<%r>"))
+    rng = np.random.default_rng(8)
+    values = rng.uniform(1, 10, 20000) * 10.0 ** rng.integers(-14, 31, 20000)
+    values[::2] *= -1
+    values[::97] = 0.0
+    got = render._csv_table(["v"], [values])
+    assert "<" not in got
+    assert render._csv_table(["v"], [np.array([1.0, np.nan])]) == "v\n1\n<nan>\n"
+
+
+@given(st.lists(st.floats() | st.floats(-1e31, 1e31), min_size=1, max_size=64))
+def test_g9_matches_percent_format(values):
+    got, expected = g9_column(values)
+    assert got == expected
 
 
 def per_cell_heatmap_svg(grid_x0, grid_y0, h, values, mask, domain=None, overlay=None):
